@@ -11,8 +11,11 @@ Mixed-order arithmetic coerces both operands to the least common multiple of
 their orders; callers never manage orders by hand.  All values are immutable
 and every operation is pure.
 
-The ambient order is capped by the MODATA_MAX_ORDER environment variable
-(default 4096) to bound table memory.
+Reduction modulo Phi_M is sparse: a context keeps Phi_M and its nonzero low
+terms, O(phi) memory per order, and one routine reduces every product, Galois
+image, coercion and constructed element.  The ambient order is capped by the
+MODATA_MAX_ORDER environment variable (default 4096) as a time guard: dense
+products and the exact descent solve grow at least as phi^2.
 """
 
 import cmath
@@ -37,21 +40,26 @@ def _max_order() -> int:
     return int(os.environ.get("MODATA_MAX_ORDER", _DEFAULT_MAX_ORDER))
 
 
+def _factorize(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 def euler_phi(m: int) -> int:
     """Euler totient of a positive integer."""
     if m < 1:
         raise ValueError("order must be positive")
     result = m
-    n = m
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        result -= result // n
+    for p in _factorize(m):
+        result -= result // p
     return result
 
 
@@ -68,7 +76,7 @@ def divisors(m: int) -> list[int]:
     return small + large[::-1]
 
 
-def _poly_divmod_int(num: list[int], den: tuple[int, ...]) -> list[int]:
+def _poly_divmod_int(num: list[int], den: list[int]) -> list[int]:
     # Exact division of integer polynomials, den monic; remainder must vanish.
     num = list(num)
     out = [0] * (len(num) - len(den) + 1)
@@ -83,72 +91,65 @@ def _poly_divmod_int(num: list[int], den: tuple[int, ...]) -> list[int]:
     return out
 
 
+def _inflate(poly, k: int) -> list[int]:
+    # poly(x^k)
+    out = [0] * (k * (len(poly) - 1) + 1)
+    out[::k] = poly
+    return out
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients (constant first) of the m-th cyclotomic polynomial.
 
-    Computed by dividing x^m - 1 by the cyclotomic polynomials of the proper
-    divisors of m; exact integer arithmetic throughout.
+    Built from Phi_1 = x - 1 by the substitution identities
+    Phi_pn(x) = Phi_n(x^p) / Phi_n(x) for each prime p of m (p not dividing
+    n), then Phi_m(x) = Phi_rad(m)(x^(m / rad(m))); exact integer arithmetic.
     """
     if m < 1:
         raise ValueError("order must be positive")
-    poly = [-1] + [0] * (m - 1) + [1]
-    for d in divisors(m):
-        if d < m:
-            poly = _poly_divmod_int(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
+    poly = [-1, 1]
+    rad = 1
+    for p in _factorize(m):
+        poly = _poly_divmod_int(_inflate(poly, p), poly)
+        rad *= p
+    return tuple(_inflate(poly, m // rad))
 
 
 class _FieldContext:
-    """Per-order reduction tables for Q(zeta_M)."""
+    """Phi_M for Q(zeta_M), with its nonzero low terms for sparse reduction."""
 
-    __slots__ = ("order", "phi", "poly", "fold_rows", "_powers")
+    __slots__ = ("order", "phi", "poly", "low")
 
     def __init__(self, order: int):
         self.order = order
         self.poly = cyclotomic_polynomial(order)
         self.phi = len(self.poly) - 1
-        base = tuple(-c for c in self.poly[: self.phi])
-        rows = [base]
-        # zeta^e for e in [phi, 2*phi-2], used to fold products.
-        for _ in range(self.phi - 2):
-            prev = rows[-1]
-            top = prev[-1]
-            row = (0,) + prev[:-1]
-            if top:
-                row = tuple(r + top * b for r, b in zip(row, base))
-            rows.append(row)
-        self.fold_rows = rows
-        self._powers: dict[int, tuple[int, ...]] = {}
+        # x^phi = sum r * x^j over these (j, r) pairs, modulo Phi_M
+        self.low = tuple((j, -c) for j, c in enumerate(self.poly[:-1]) if c)
 
-    def power_vector(self, e: int) -> tuple[int, ...]:
-        """zeta^e (0 <= e < order) as a reduced coefficient vector."""
-        e %= self.order
-        if e < self.phi:
-            vec = [0] * self.phi
-            vec[e] = 1
-            return tuple(vec)
-        if e - self.phi < len(self.fold_rows):
-            return self.fold_rows[e - self.phi]
-        cached = self._powers.get(e)
-        if cached is None:
-            start = 2 * self.phi - 2
-            prev = self.fold_rows[-1]
-            for known in range(e - 1, start, -1):
-                hit = self._powers.get(known)
-                if hit is not None:
-                    start, prev = known, hit
-                    break
-            base = self.fold_rows[0]
-            for cur in range(start + 1, e + 1):
-                top = prev[-1]
-                row = (0,) + prev[:-1]
-                if top:
-                    row = tuple(r + top * b for r, b in zip(row, base))
-                self._powers[cur] = row
-                prev = row
-            cached = prev
-        return cached
+    def reduce(self, acc: list) -> list:
+        """Reduce the power-basis coefficients `acc` (at least phi of them)
+        modulo Phi_M in place, top degree first, and return them."""
+        phi = self.phi
+        low = self.low
+        while len(acc) > phi:
+            c = acc.pop()
+            if c:
+                base = len(acc) - phi
+                for j, r in low:
+                    acc[base + j] += c * r
+        return acc
+
+    def substitute(self, nums, step: int) -> list:
+        """sum_j nums[j] * zeta_M^(step*j), reduced."""
+        m, phi = self.order, self.phi
+        top = step * (len(nums) - 1) + 1
+        acc = [0] * (m if top > m else phi if top < phi else top)
+        for j, c in enumerate(nums):
+            if c:
+                acc[step * j % m] += c
+        return self.reduce(acc)
 
 
 @lru_cache(maxsize=None)
@@ -292,24 +293,14 @@ class CycloNum:
             return NotImplemented
         a, b = _align(self, other)
         ctx = _context(a.order)
-        phi = ctx.phi
-        acc = [0] * (2 * phi - 1)
+        acc = [0] * (2 * ctx.phi - 1)
         bnums = b.nums
         for i, ai in enumerate(a.nums):
             if ai:
                 for j, bj in enumerate(bnums):
                     if bj:
                         acc[i + j] += ai * bj
-        out = acc[:phi]
-        rows = ctx.fold_rows
-        for e in range(phi, 2 * phi - 1):
-            c = acc[e]
-            if c:
-                row = rows[e - phi]
-                for j, r in enumerate(row):
-                    if r:
-                        out[j] += c * r
-        return CycloNum(a.order, a.den * b.den, out)
+        return CycloNum(a.order, a.den * b.den, ctx.reduce(acc))
 
     __rmul__ = __mul__
 
@@ -367,18 +358,7 @@ class CycloNum:
             raise NotCoprimeError(f"gcd({l}, {m}) != 1")
         if l == 1 or self.is_rational():
             return self
-        ctx = _context(m)
-        acc = [0] * ctx.phi
-        for j, cj in enumerate(self.nums):
-            if cj:
-                e = (l * j) % m
-                if e < ctx.phi:
-                    acc[e] += cj
-                else:
-                    for t, r in enumerate(ctx.power_vector(e)):
-                        if r:
-                            acc[t] += cj * r
-        return CycloNum(m, self.den, acc)
+        return CycloNum(m, self.den, _context(m).substitute(self.nums, l))
 
     def conjugate(self) -> "CycloNum":
         """Complex conjugate (the automorphism zeta -> zeta^-1)."""
@@ -401,19 +381,9 @@ class CycloNum:
         return self._descend(g)._coerce_up(new_order)
 
     def _coerce_up(self, new_order: int) -> "CycloNum":
-        k = new_order // self.order
-        ctx = _context(new_order)
-        acc = [0] * ctx.phi
-        for j, cj in enumerate(self.nums):
-            if cj:
-                e = (k * j) % new_order
-                if e < ctx.phi:
-                    acc[e] += cj
-                else:
-                    for t, r in enumerate(ctx.power_vector(e)):
-                        if r:
-                            acc[t] += cj * r
-        return CycloNum(new_order, self.den, acc)
+        nums = _context(new_order).substitute(
+            self.nums, new_order // self.order)
+        return CycloNum(new_order, self.den, nums)
 
     def _descend(self, sub_order: int) -> "CycloNum":
         # Solve for coordinates over the power basis of the subfield.
@@ -422,9 +392,10 @@ class CycloNum:
         big = _context(self.order)
         small = _context(sub_order)
         step = self.order // sub_order
-        cols = []
-        for j in range(small.phi):
-            cols.append(big.power_vector((step * j) % self.order))
+        # column j is zeta^(step*j): the previous column times zeta^step
+        cols = [[1] + [0] * (big.phi - 1)]
+        for _ in range(small.phi - 1):
+            cols.append(big.reduce([0] * step + cols[-1]))
         target = [Fraction(n, self.den) for n in self.nums]
         sol = _solve_exact(cols, target, big.phi)
         if sol is None:
@@ -592,17 +563,13 @@ def make(order: int, terms) -> CycloNum:
     ctx = _context(order)
     if hasattr(terms, "items"):
         terms = terms.items()
-    acc = [Fraction(0)] * ctx.phi
-    for exp, coeff in terms:
-        c = Fraction(coeff)
-        if not c:
-            continue
-        vec = ctx.power_vector(exp % order)
-        for j, r in enumerate(vec):
-            if r:
-                acc[j] += c * r
-    nums, den = _clear_denominators(acc)
-    return CycloNum(order, den, nums)
+    terms = [(exp % order, Fraction(coeff)) for exp, coeff in terms]
+    terms = [(e, c) for e, c in terms if c]
+    den = math.lcm(*(c.denominator for _, c in terms))
+    acc = [0] * max([ctx.phi] + [e + 1 for e, _ in terms])
+    for e, c in terms:
+        acc[e] += c.numerator * (den // c.denominator)
+    return CycloNum(order, den, ctx.reduce(acc))
 
 
 def field_arithmetic(op: str, a: CycloNum, b: CycloNum) -> CycloNum:
@@ -644,19 +611,6 @@ def root_of_unity_exp(r) -> CycloNum:
 def _legendre(a: int, p: int) -> int:
     t = pow(a, (p - 1) // 2, p)
     return -1 if t == p - 1 else t
-
-
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def _sqrt_prime(p: int) -> CycloNum:

@@ -104,18 +104,6 @@ def diag_entries(a: Matrix) -> tuple[CycloNum, ...]:
     return tuple(a[i][i] for i in range(len(a)))
 
 
-def mat_pow(a: Matrix, k: int) -> Matrix:
-    result = identity(len(a))
-    base = a
-    while k:
-        if k & 1:
-            result = mat_mul(result, base)
-        k >>= 1
-        if k:
-            base = mat_mul(base, base)
-    return result
-
-
 def first_mismatch(a: Matrix, b: Matrix):
     """Coordinates and values of the first differing entry, or None."""
     for i, (ra, rb) in enumerate(zip(a, b)):

@@ -327,19 +327,6 @@ class ModularData:
         return f"ModularData({self.name!r}, rank={self.rank})"
 
 
-def axiom_report(labels, s, delta, c, c0, tau2=0) -> list[CheckRecord]:
-    """All validation checks on a raw datum, as records (never raises)."""
-    records, _ = _axiom_checks(
-        tuple(str(x) for x in labels),
-        s,
-        tuple(Fraction(x) for x in delta),
-        Fraction(c),
-        Fraction(c0),
-        int(tau2),
-    )
-    return records
-
-
 def _axiom_checks(labels, s, delta, c, c0, tau2):
     suite = "axioms"
     records: list[CheckRecord] = []

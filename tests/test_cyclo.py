@@ -300,59 +300,110 @@ def _oracle_cyclotomic(m):
             p += 1
         return -out if n > 1 else out
 
-    def mul(p, q):
-        out = [0] * (len(p) + len(q) - 1)
-        for i, pi in enumerate(p):
-            if pi:
-                for j, qj in enumerate(q):
-                    out[i + j] += pi * qj
+    def times_binom(p, d):
+        # p * (x^d - 1)
+        out = [0] * d + list(p)
+        for i, c in enumerate(p):
+            out[i] -= c
         return out
 
-    def div_exact(p, q):
-        p = list(p)
-        out = [0] * (len(p) - len(q) + 1)
-        for i in range(len(p) - len(q), -1, -1):
-            f = p[i + len(q) - 1] // q[-1]
-            out[i] = f
-            for j, qj in enumerate(q):
-                p[i + j] -= f * qj
-        assert not any(p[: len(q) - 1])
-        return out
+    def over_binom(p, d):
+        # p / (x^d - 1), which must be exact
+        q = []
+        for i in range(len(p) - d):
+            q.append((q[i - d] if i >= d else 0) - p[i])
+        assert times_binom(q, d) == list(p)
+        return q
 
-    num, den = [1], [1]
-    for d in range(1, m + 1):
-        if m % d == 0:
-            mu = mobius(m // d)
-            binom = [-1] + [0] * (d - 1) + [1]
-            if mu == 1:
-                num = mul(num, binom)
-            elif mu == -1:
-                den = mul(den, binom)
-    return div_exact(num, den)
+    divs = [d for d in range(1, m + 1) if m % d == 0]
+    poly = [1]
+    for d in divs:
+        if mobius(m // d) == 1:
+            poly = times_binom(poly, d)
+    for d in divs:
+        if mobius(m // d) == -1:
+            poly = over_binom(poly, d)
+    return poly
+
+
+def _oracle_reduce(coeffs, poly):
+    """Remainder of the polynomial `coeffs` (constant first) on long division
+    by the monic `poly`."""
+    phi = len(poly) - 1
+    terms = [(j, c) for j, c in enumerate(poly) if c]
+    rem = list(coeffs) + [0] * (phi - len(coeffs))
+    for i in range(len(rem) - 1, phi - 1, -1):
+        f = rem[i]
+        if f:
+            for j, c in terms:
+                rem[i - phi + j] -= f * c
+    return rem[:phi]
+
+
+def _oracle_checks(m, rnd, dense):
+    """Products, Galois images, coercion up and back down, and make() with
+    exponents >= phi at order m, each against plain integer polynomial
+    arithmetic and long division by the oracle polynomial."""
+    phi = euler_phi(m)
+    oracle_poly = _oracle_cyclotomic(m)
+    assert list(cyclotomic_polynomial(m)) == oracle_poly
+    ca = [rnd.randint(-9, 9) for _ in range(phi)]
+    if not dense:
+        ca = [c if rnd.random() < 8 / phi else 0 for c in ca]
+    cb = [rnd.randint(-9, 9) for _ in range(phi)]
+    a = make(m, list(enumerate(ca)))
+    b = make(m, list(enumerate(cb)))
+    prod = [0] * (2 * phi - 1)
+    for i, x in enumerate(ca):
+        if x:
+            for j, y in enumerate(cb):
+                prod[i + j] += x * y
+    assert a * b == CycloNum(m, 1, _oracle_reduce(prod, oracle_poly))
+
+    l = rnd.choice([l for l in range(1, m) if math.gcd(l, m) == 1])
+    spread = [0] * m
+    for j, x in enumerate(cb):
+        spread[l * j % m] += x
+    assert b.galois(l) == CycloNum(m, 1, _oracle_reduce(spread, oracle_poly))
+
+    # up from n = m / (largest prime of m), then back down
+    p = max(d for d in range(2, m + 1)
+            if m % d == 0 and all(d % q for q in range(2, d)))
+    n = m // p
+    cx = [rnd.randint(-9, 9) for _ in range(euler_phi(n))]
+    x = CycloNum(n, 1, cx)
+    spread = [0] * m
+    for j, c in enumerate(cx):
+        spread[(m // n) * j] += c
+    up = coerce(x, m)
+    assert up == CycloNum(m, 1, _oracle_reduce(spread, oracle_poly))
+    assert coerce(up, n) == x
+
+    terms = [(rnd.randrange(phi, 2 * m), Fraction(rnd.randint(-9, 9),
+                                                    rnd.randint(1, 6)))
+             for _ in range(6)]
+    den = math.lcm(*(c.denominator for _, c in terms))
+    spread = [0] * m
+    for e, c in terms:
+        spread[e % m] += int(c * den)
+    rem = _oracle_reduce(spread, oracle_poly)
+    assert make(m, terms).coeffs == tuple(Fraction(r, den) for r in rem)
 
 
 def test_reduction_against_polynomial_division_oracle():
-    """Criterion-9 style check at module level: products agree with plain
-    integer polynomial multiplication followed by long division."""
+    """Criterion-9 style check at module level: products, Galois images,
+    coercions and make() agree with plain integer polynomial arithmetic
+    followed by long division, at random small orders and at orders with
+    several primes, prime powers and rad(m) != m."""
     rnd = random.Random(20240811)
     for _ in range(120):
-        m = rnd.randint(2, 60)
-        phi = euler_phi(m)
-        oracle_poly = _oracle_cyclotomic(m)
-        assert list(cyclotomic_polynomial(m)) == oracle_poly
-        ca = [rnd.randint(-9, 9) for _ in range(phi)]
-        cb = [rnd.randint(-9, 9) for _ in range(phi)]
-        a = make(m, list(enumerate(ca)))
-        b = make(m, list(enumerate(cb)))
-        prod = [0] * (2 * phi - 1)
-        for i, x in enumerate(ca):
-            for j, y in enumerate(cb):
-                prod[i + j] += x * y
-        # long division by the oracle polynomial
-        for i in range(len(prod) - 1, phi - 1, -1):
-            f = prod[i]
-            if f:
-                for j, c in enumerate(oracle_poly):
-                    prod[i - phi + j] -= f * c
-        expected = make(m, list(enumerate(prod[:phi])))
-        assert a * b == expected
+        _oracle_checks(rnd.randint(2, 60), rnd, dense=True)
+    for m in (105, 210, 360, 1024, 1155, 2310, 3600):
+        _oracle_checks(m, rnd, dense=False)
+
+
+def test_cyclotomic_polynomial_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m in [*range(1, 401), 2310, 3600, 4096, 9240, 17160]:
+        coeffs = sympy.cyclotomic_poly(m, polys=True).all_coeffs()
+        assert cyclotomic_polynomial(m) == tuple(reversed(coeffs))
