@@ -8,19 +8,26 @@ Commands::
     modata orbifold ... --order N [--checks consistency,charges,...]
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 on parse or
-configuration errors.  Machine reports (--json) are canonical: sorted keys,
+configuration errors (including malformed model files and orders above
+MODATA_MAX_ORDER).  Machine reports (--json) are canonical: sorted keys,
 fixed field order, no timestamps, so identical invocations are byte-identical.
 """
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .cyclo import embed_complex
-from .errors import AxiomViolationError, ModataError
+from .errors import (
+    AxiomViolationError,
+    ModataError,
+    ModelFormatError,
+    OrderCapError,
+)
 from .galois import congruence_suite, kernel_test, verify_galois_identities
 from .lambdamat import lambda_hat, lambda_mat, verify_lambda_identities
 from .modrep import Lcg, random_word_matrix
@@ -32,7 +39,7 @@ from .orbifold import (
     multiplicity_report,
     mu_scaling_check,
 )
-from .reporting import CheckRecord, RunReport, notice
+from .reporting import RunReport, first_failure, notice
 
 PARSE_ERROR = 2
 CHECK_FAILURE = 1
@@ -56,13 +63,17 @@ def _resolve_model(args) -> tuple[ModularData, str]:
         try:
             with open(spec, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # JSON or UTF-8 decoding
             raise CliError(f"cannot read model file {spec}: {exc}")
-        if c0_override is not None:
-            obj["c0"] = str(c0_override)
-        if args.tau2 is not None:
-            obj["tau2"] = tau2
-        return from_obj(obj), spec
+        if isinstance(obj, dict):  # from_obj rejects anything else
+            if c0_override is not None:
+                obj["c0"] = str(c0_override)
+            if args.tau2 is not None:
+                obj["tau2"] = tau2
+        try:
+            return from_obj(obj), spec
+        except ModelFormatError as exc:
+            raise CliError(f"malformed model file {spec}: {exc}")
     name, _, param = spec.partition(":")
     try:
         return (
@@ -116,6 +127,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_galois(args) -> int:
+    if args.samples < 1:
+        raise CliError("--samples must be at least 1")
     md, model_id = _resolve_model(args)
     report = _base_report(md, model_id, args)
     n = md.conductor_n()
@@ -123,8 +136,6 @@ def cmd_galois(args) -> int:
         ls = [int(x) for x in args.l.split(",") if x.strip()]
     except ValueError as exc:
         raise CliError(f"malformed --l {args.l!r}: {exc}")
-    import math
-
     for l in ls:
         if math.gcd(l, n) != 1:
             report.records.append(
@@ -134,23 +145,18 @@ def cmd_galois(args) -> int:
             continue
         report.extend(verify_galois_identities(md, l))
     rng = Lcg(args.seed)
-    fails = 0
-    witness = ""
-    tested = 0
-    while tested < args.samples:
+    drawn = []
+    while len(drawn) < args.samples:
         m = random_word_matrix(rng)
-        if math.gcd(m.d, n) != 1:
-            continue
-        tested += 1
-        res = kernel_test(md, m)
-        if res.direct != res.criterion or not res.sigma_factorization:
-            fails += 1
-            if not witness:
-                witness = f"matrix {m.to_obj()}"
-    report.records.append(
-        CheckRecord("galois", "kernel_criterion_equivalence", fails == 0,
-                    params={"samples": tested}, witness=witness)
-    )
+        if math.gcd(m.d, n) == 1:
+            drawn.append(m)
+    report.records.append(first_failure(
+        "galois", "kernel_criterion_equivalence",
+        (f"matrix {m.to_obj()}" for m in drawn
+         for res in [kernel_test(md, m)]
+         if res.direct != res.criterion or not res.sigma_factorization),
+        samples=len(drawn),
+    ))
     report.extend(congruence_suite(md, args.samples, args.seed, tuple(ls)))
     return _emit(report, args.json)
 
@@ -268,7 +274,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, OrderCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR
     except AxiomViolationError as exc:

@@ -25,9 +25,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
+    ModelFormatError,
     NegativeRadicandError,
     NotCoprimeError,
     NotEmbeddableError,
+    OrderCapError,
 )
 
 #: Largest number of reliable decimal digits for the floating embedding.
@@ -36,8 +38,18 @@ MAX_EMBED_DIGITS = 12
 _DEFAULT_MAX_ORDER = 4096
 
 
-def _max_order() -> int:
-    return int(os.environ.get("MODATA_MAX_ORDER", _DEFAULT_MAX_ORDER))
+def _check_order(order: int) -> None:
+    raw = os.environ.get("MODATA_MAX_ORDER", _DEFAULT_MAX_ORDER)
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise OrderCapError(
+            f"MODATA_MAX_ORDER={raw!r} is not an integer"
+        ) from None
+    if order > cap:
+        raise OrderCapError(
+            f"cyclotomic order {order} exceeds MODATA_MAX_ORDER={cap}"
+        )
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -154,11 +166,7 @@ class _FieldContext:
 
 @lru_cache(maxsize=None)
 def _context(order: int) -> _FieldContext:
-    cap = _max_order()
-    if order > cap:
-        raise ValueError(
-            f"cyclotomic order {order} exceeds MODATA_MAX_ORDER={cap}"
-        )
+    _check_order(order)
     return _FieldContext(order)
 
 
@@ -660,10 +668,22 @@ def embed_complex(a: CycloNum, digits: int = MAX_EMBED_DIGITS) -> complex:
 
 
 def cyclo_from_obj(obj) -> CycloNum:
-    """Inverse of CycloNum.to_obj."""
-    order = int(obj["order"])
-    coeffs = [Fraction(c) for c in obj["coeffs"]]
+    """Inverse of CycloNum.to_obj; raises ModelFormatError when `obj` does
+    not have that shape."""
+    try:
+        order = int(obj["order"])
+        coeffs = [Fraction(c) for c in obj["coeffs"]]
+    except (KeyError, TypeError, ValueError, ZeroDivisionError,
+            OverflowError) as exc:
+        raise ModelFormatError(
+            f"malformed cyclotomic number: {type(exc).__name__}: {exc}"
+        ) from None
+    if order < 1:
+        raise ModelFormatError(f"cyclotomic order {order} is not positive")
+    _check_order(order)  # euler_phi factors by trial division
     if len(coeffs) != euler_phi(order):
-        raise ValueError("coefficient count does not match the field degree")
+        raise ModelFormatError(
+            "coefficient count does not match the field degree"
+        )
     nums, den = _clear_denominators(coeffs)
     return CycloNum(order, den, nums)

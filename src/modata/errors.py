@@ -13,6 +13,16 @@ class NotEmbeddableError(ModataError):
     """A cyclotomic element does not lie in the requested smaller field."""
 
 
+class OrderCapError(ModataError, ValueError):
+    """A cyclotomic order exceeds MODATA_MAX_ORDER, or the cap is not an
+    integer."""
+
+
+class ModelFormatError(ModataError, ValueError):
+    """A serialized model or cyclotomic number does not have the documented
+    shape."""
+
+
 class NegativeRadicandError(ModataError):
     """Square root of a negative rational was requested."""
 

@@ -40,7 +40,7 @@ from .modrep import (
     tau_l,
 )
 from .modular_data import ModularData
-from .reporting import CheckRecord, notice
+from .reporting import CheckRecord, first_failure, notice
 
 
 @dataclass(frozen=True)
@@ -218,18 +218,15 @@ def congruence_suite(md: ModularData, samples: int, seed: int,
     rng = Lcg(seed)
     records = []
 
-    fails = 0
-    witness = ""
-    for i in range(samples):
-        m = sample_gamma(n, rng)
-        if not mx.is_identity(rep_evaluate(md, m)):
-            fails += 1
-            if not witness:
-                witness = f"sample {i}: {m.to_obj()}"
-    records.append(
-        CheckRecord(suite, "level_subgroup_in_kernel", fails == 0,
-                    params={"n": n, "samples": samples}, witness=witness)
-    )
+    # Each scan stops at its first witness, so every sample is drawn before
+    # the scan starts: later checks then see the same stream of draws.
+    drawn = [sample_gamma(n, rng) for _ in range(samples)]
+    records.append(first_failure(
+        suite, "level_subgroup_in_kernel",
+        (f"sample {i}: {m.to_obj()}" for i, m in enumerate(drawn)
+         if not mx.is_identity(rep_evaluate(md, m))),
+        n=n, samples=samples,
+    ))
 
     for l in ls:
         if math.gcd(l, n) != 1:
@@ -238,46 +235,33 @@ def congruence_suite(md: ModularData, samples: int, seed: int,
                        f"l={l} shares a factor with n={n}", l=l, n=n)
             )
             continue
-        fails = 0
-        witness = ""
-        for i in range(samples):
-            m = random_word_matrix(rng)
-            lifted = lift_to_sl2z(n, tau_l(m, l, n))
-            lhs = sigma_matrix(l, rep_evaluate(md, m), n)
-            rhs = rep_evaluate(md, lifted)
-            if not mx.mat_eq(lhs, rhs):
-                fails += 1
-                if not witness:
-                    witness = f"sample {i}: {m.to_obj()}"
-        records.append(
-            CheckRecord(suite, "frobenius_equivariance", fails == 0,
-                        params={"l": l, "n": n, "samples": samples},
-                        witness=witness)
-        )
+        drawn = [random_word_matrix(rng) for _ in range(samples)]
+        records.append(first_failure(
+            suite, "frobenius_equivariance",
+            (f"sample {i}: {m.to_obj()}" for i, m in enumerate(drawn)
+             for lifted in [lift_to_sl2z(n, tau_l(m, l, n))]
+             if not mx.mat_eq(sigma_matrix(l, rep_evaluate(md, m), n),
+                              rep_evaluate(md, lifted))),
+            l=l, n=n, samples=samples,
+        ))
 
     if n == 1:
         records.append(
             notice(suite, "intermediate_subgroup", "vacuous at level 1", n=n)
         )
         return records
-    fails = 0
-    witness = ""
-    for i in range(samples):
-        b = rng.int_in(1, n - 1)
-        m = sample_gamma(n, rng) * t_gen(b) * sample_gamma(n, rng)
-        ok = (
-            in_gamma1(n, m)
-            and not in_gamma(n, m)
-            and not mx.is_identity(rep_evaluate(md, m))
-        )
-        if not ok:
-            fails += 1
-            if not witness:
-                witness = f"sample {i}: {m.to_obj()}"
-    records.append(
-        CheckRecord(suite, "intermediate_subgroup", fails == 0,
-                    params={"n": n, "samples": samples}, witness=witness)
-    )
+    drawn = [  # b is drawn before the two level-n elements
+        sample_gamma(n, rng) * t_gen(b) * sample_gamma(n, rng)
+        for _ in range(samples) for b in [rng.int_in(1, n - 1)]
+    ]
+    records.append(first_failure(
+        suite, "intermediate_subgroup",
+        (f"sample {i}: {m.to_obj()}" for i, m in enumerate(drawn)
+         if not in_gamma1(n, m)
+         or in_gamma(n, m)
+         or mx.is_identity(rep_evaluate(md, m))),
+        n=n, samples=samples,
+    ))
     return records
 
 

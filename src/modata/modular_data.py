@@ -12,6 +12,7 @@ The fractional power T^r always means the diagonal matrix with entries
 exp(2*pi*i*(delta_lam - c0/24)*r); no logarithm branches exist anywhere.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -22,10 +23,11 @@ from .cyclo import CycloNum, cyclo_from_obj, make, root_of_unity_exp, sqrt_nonne
 from .errors import (
     AxiomViolationError,
     ConductorMismatchError,
+    ModelFormatError,
     NonIntegralFusionError,
     UnsupportedModelError,
 )
-from .reporting import CheckRecord
+from .reporting import CheckRecord, first_failure
 
 _POSITIVITY_MARGIN = 1e-12
 
@@ -40,16 +42,26 @@ class ConductorInfo:
     e: int
 
 
+def _verlinde_value(s: mx.Matrix, s_col_inv, lam: int, mu: int,
+                    nu: int) -> CycloNum:
+    """The character sum over S columns d of
+    S[lam][d] S[mu][d] conj(S[nu][d]) / S[0][d], with `s_col_inv[d]` the
+    inverse of the vacuum-row entry S[0][d]."""
+    acc = None
+    for d in range(len(s)):
+        term = s[lam][d] * s[mu][d] * s[nu][d].conjugate() * s_col_inv[d]
+        acc = term if acc is None else acc + term
+    return acc
+
+
 def verlinde_sum(s: mx.Matrix, lam: int, mu: int, nu: int) -> int:
     """One fusion coefficient as the exact character sum over S columns.
 
     Raises NonIntegralFusionError when the sum is not a nonnegative integer,
     which signals corrupt input data.
     """
-    acc = None
-    for d in range(len(s)):
-        term = s[lam][d] * s[mu][d] * s[nu][d].conjugate() / s[0][d]
-        acc = term if acc is None else acc + term
+    s_col_inv = tuple(x.inverse() for x in s[0])
+    acc = _verlinde_value(s, s_col_inv, lam, mu, nu)
     if not acc.is_nonneg_integer():
         raise NonIntegralFusionError(
             f"fusion ({lam},{mu};{nu}) is {acc!r}, not a nonnegative integer"
@@ -165,31 +177,26 @@ class ModularData:
                 params={"c0": self.c0},
             ),
         ]
-        ok = True
-        witness = ""
+
+        def fused_phase(lam, mu):
+            acc = None
+            for nu in range(self.rank):
+                n = self.fusion[lam][mu][nu]
+                if n:
+                    term = (
+                        n * omega[lam] * omega[mu]
+                        / omega[nu] * self.qdim(nu)
+                    )
+                    acc = term if acc is None else acc + term
+            return CycloNum.zero() if acc is None else acc
+
         s00 = self.s[0][0]
-        for lam in range(self.rank):
-            for mu in range(self.rank):
-                acc = None
-                for nu in range(self.rank):
-                    n = self.fusion[lam][mu][nu]
-                    if n:
-                        term = (
-                            n * omega[lam] * omega[mu]
-                            / omega[nu] * self.qdim(nu)
-                        )
-                        acc = term if acc is None else acc + term
-                if acc is None:
-                    acc = CycloNum.zero()
-                if acc * s00 != self.s[lam][mu]:
-                    ok = False
-                    witness = f"entry ({lam},{mu})"
-                    break
-            if not ok:
-                break
-        records.append(
-            CheckRecord(suite, "fusion_phase_matrix", ok, witness=witness)
-        )
+        records.append(first_failure(
+            suite, "fusion_phase_matrix",
+            (f"entry ({lam},{mu})"
+             for lam in range(self.rank) for mu in range(self.rank)
+             if fused_phase(lam, mu) * s00 != self.s[lam][mu]),
+        ))
         return records
 
     def conductor(self) -> tuple[ConductorInfo, list[CheckRecord]]:
@@ -268,20 +275,13 @@ class ModularData:
         suite = "automorphism"
         perm = [self.fuse_auto(tau, lam) for lam in range(self.rank)]
         ratios = self.automorphism_ratios(tau)
-        ok = True
-        witness = ""
-        for mu in range(self.rank):
-            for lam in range(self.rank):
-                if self.s[perm[lam]][mu] != ratios[mu] * self.s[lam][mu]:
-                    ok = False
-                    witness = f"column {mu}, row {lam}"
-                    break
-            if not ok:
-                break
-        records = [
-            CheckRecord(suite, "ratio_constant_per_column", ok,
-                        params={"tau": tau}, witness=witness)
-        ]
+        records = [first_failure(
+            suite, "ratio_constant_per_column",
+            (f"column {mu}, row {lam}"
+             for mu in range(self.rank) for lam in range(self.rank)
+             if self.s[perm[lam]][mu] != ratios[mu] * self.s[lam][mu]),
+            tau=tau,
+        )]
         # ratios are roots of unity of order dividing the fusion order of tau
         order = 1
         p = perm
@@ -377,15 +377,12 @@ def _axiom_checks(labels, s, delta, c, c0, tau2):
     derived["conj"] = conj
     derived["chat"] = chat
 
-    vac_ok = True
-    vac_witness = ""
-    for lam in range(rank):
-        x = s[0][lam]
-        if x.conjugate() != x or x.embed().real <= _POSITIVITY_MARGIN:
-            vac_ok = False
-            vac_witness = f"S[0][{lam}]"
-            break
-    if not rec("vacuum_row_real_positive", vac_ok, vac_witness):
+    records.append(first_failure(
+        suite, "vacuum_row_real_positive",
+        (f"S[0][{lam}]" for lam in range(rank) for x in [s[0][lam]]
+         if x.conjugate() != x or x.embed().real <= _POSITIVITY_MARGIN),
+    ))
+    if not records[-1].passed:
         return records, derived
 
     # Check S T S == T^-1 S T^-1 with T the diagonal of exp(2pi*i*(d - c0/24)).
@@ -411,50 +408,33 @@ def _axiom_checks(labels, s, delta, c, c0, tau2):
 
     s_col_inv = tuple(s[0][d].inverse() for d in range(rank))
     derived["s_col_inv"] = s_col_inv
-    fusion = []
-    fus_ok = True
+    # The table is filled while it is checked, so this scan stays a loop.
+    coeffs = []
     fus_witness = ""
-    for lam in range(rank):
-        rows = []
-        for mu in range(rank):
-            row = []
-            for nu in range(rank):
-                acc = None
-                for d in range(rank):
-                    term = (
-                        s[lam][d] * s[mu][d]
-                        * s[nu][d].conjugate() * s_col_inv[d]
-                    )
-                    acc = term if acc is None else acc + term
-                if not acc.is_nonneg_integer():
-                    fus_ok = False
-                    fus_witness = f"N({lam},{mu};{nu}) = {acc!r}"
-                    break
-                row.append(acc.nums[0])
-            if not fus_ok:
-                break
-            rows.append(tuple(row))
-        if not fus_ok:
+    for lam, mu, nu in itertools.product(range(rank), repeat=3):
+        acc = _verlinde_value(s, s_col_inv, lam, mu, nu)
+        if not acc.is_nonneg_integer():
+            fus_witness = f"N({lam},{mu};{nu}) = {acc!r}"
             break
-        fusion.append(tuple(rows))
-    if not rec("fusion_integral_nonnegative", fus_ok, fus_witness):
+        coeffs.append(acc.nums[0])
+    if not rec("fusion_integral_nonnegative", not fus_witness, fus_witness):
         return records, derived
-    fusion = tuple(fusion)
+    rows = [tuple(coeffs[i:i + rank]) for i in range(0, rank ** 3, rank)]
+    fusion = tuple(
+        tuple(rows[i:i + rank]) for i in range(0, rank * rank, rank)
+    )
     derived["fusion"] = fusion
 
-    diag_ok = True
-    diag_witness = ""
-    for lam in range(rank):
-        n_mat = mx.mat(
-            [[CycloNum.rational(fusion[lam][mu][nu]) for nu in range(rank)]
-             for mu in range(rank)]
-        )
-        ratios = tuple(s[lam][d] * s_col_inv[d] for d in range(rank))
-        if mx.first_mismatch(mx.mat_mul(n_mat, s), mx.scale_cols(s, ratios)):
-            diag_ok = False
-            diag_witness = f"fusion matrix {lam}"
-            break
-    rec("fusion_diagonalized_by_s", diag_ok, diag_witness)
+    records.append(first_failure(
+        suite, "fusion_diagonalized_by_s",
+        (f"fusion matrix {lam}" for lam in range(rank)
+         if mx.first_mismatch(
+             mx.mat_mul(mx.mat([[CycloNum.rational(n) for n in row]
+                                for row in fusion[lam]]), s),
+             mx.scale_cols(s, tuple(s[lam][d] * s_col_inv[d]
+                                    for d in range(rank))),
+         )),
+    ))
 
     vacuum_ok = all(
         fusion[0][mu][nu] == (1 if mu == nu else 0)
@@ -560,15 +540,31 @@ def builtin_model(name: str, param: int | None = None,
 
 
 def from_obj(obj: dict) -> ModularData:
-    """Load a modular datum from its serialized form (validates)."""
+    """Load a modular datum from its serialized form (validates); raises
+    ModelFormatError when `obj` does not have that form."""
+    if not isinstance(obj, dict):
+        raise ModelFormatError(
+            f"a model is a JSON object, not {type(obj).__name__}"
+        )
+    missing = [k for k in ("labels", "S", "delta", "c", "c0") if k not in obj]
+    if missing:
+        raise ModelFormatError(f"model lacks {', '.join(missing)}")
+    if not all(isinstance(obj[k], list) for k in ("labels", "S", "delta")):
+        raise ModelFormatError("labels, S and delta must be lists")
+    if not all(isinstance(row, list) for row in obj["S"]):
+        raise ModelFormatError("S must be a list of rows")
+    try:
+        delta = [Fraction(d) for d in obj["delta"]]
+        c = Fraction(obj["c"])
+        c0 = Fraction(obj["c0"])
+        tau2 = int(obj.get("tau2", 0))
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ModelFormatError(
+            f"malformed model field: {type(exc).__name__}: {exc}"
+        ) from None
     s = [[cyclo_from_obj(x) for x in row] for row in obj["S"]]
     return ModularData(
-        obj["labels"],
-        s,
-        [Fraction(d) for d in obj["delta"]],
-        Fraction(obj["c"]),
-        Fraction(obj["c0"]),
-        tau2=int(obj.get("tau2", 0)),
+        obj["labels"], s, delta, c, c0, tau2=tau2,
         name=obj.get("name", "file"),
     )
 

@@ -28,7 +28,7 @@ from .cyclo import CycloNum, make, root_of_unity_exp
 from .errors import NonIntegralMultiplicityError, OutOfScopeError
 from .lambdamat import lambda_hat
 from .modular_data import ModularData
-from .reporting import CheckRecord, notice
+from .reporting import CheckRecord, first_failure, notice
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,7 @@ def mu_scaling_check(slice_: OrbSlice) -> list[CheckRecord]:
             suite, "index_sum_below_scaled_total",
             phi_n * n_cyc <= n_cyc * n_cyc,
             params={"n": n_cyc},
-            witness=f"coprime part phi(N)*N*mu^N of the total N^2*mu^N",
+            witness="coprime part phi(N)*N*mu^N of the total N^2*mu^N",
         ),
     ]
     return records
@@ -222,52 +222,26 @@ def consistency_report(slice_: OrbSlice) -> list[CheckRecord]:
     records = [slice_.convention_note(suite)]
     units = [t for t in range(1, n_cyc) if math.gcd(t, n_cyc) == 1]
 
-    ok = True
-    witness = ""
-    for i in units:
-        hat = slice_.hat(i)
-        for lam in range(rank):
-            for mu in range(rank):
-                val = orb_s_entry(
-                    slice_, OrbLabel(lam, 1, 0), OrbLabel(mu, i, 0)
-                )
-                if val * n_cyc != hat[lam][mu]:
-                    ok = False
-                    witness = f"i={i}, entry ({lam},{mu})"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    records.append(
-        CheckRecord(suite, "hat_closure", ok, params={"n": n_cyc},
-                    witness=witness)
-    )
+    records.append(first_failure(
+        suite, "hat_closure",
+        (f"i={i}, entry ({lam},{mu})"
+         for i in units for hat in [slice_.hat(i)]
+         for lam in range(rank) for mu in range(rank)
+         if orb_s_entry(slice_, OrbLabel(lam, 1, 0), OrbLabel(mu, i, 0))
+         * n_cyc != hat[lam][mu]),
+        n=n_cyc,
+    ))
 
-    ok = True
-    witness = ""
-    for ta in units:
-        for tb in units:
-            for lam in range(rank):
-                for mu in range(rank):
-                    x = OrbLabel(lam, ta, 1)
-                    y = OrbLabel(mu, tb, 2 % n_cyc)
-                    via_a = orb_s_entry(slice_, x, y)
-                    via_b = orb_s_entry(slice_, y, x)
-                    if via_a != via_b:
-                        ok = False
-                        witness = f"twists ({ta},{tb}), entry ({lam},{mu})"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    records.append(
-        CheckRecord(suite, "route_independence", ok, params={"n": n_cyc},
-                    witness=witness)
-    )
+    records.append(first_failure(
+        suite, "route_independence",
+        (f"twists ({ta},{tb}), entry ({lam},{mu})"
+         for ta in units for tb in units
+         for lam in range(rank) for mu in range(rank)
+         for x in [OrbLabel(lam, ta, 1)]
+         for y in [OrbLabel(mu, tb, 2 % n_cyc)]
+         if orb_s_entry(slice_, x, y) != orb_s_entry(slice_, y, x)),
+        n=n_cyc,
+    ))
 
     split = None
     for k in range(3, n_cyc, 2):
@@ -283,38 +257,23 @@ def consistency_report(slice_: OrbSlice) -> list[CheckRecord]:
         )
     else:
         k, n2 = split
-        ok = True
-        witness = ""
-        for lam in range(rank):
-            for mu in range(rank):
-                a = OrbLabel(lam, n2, 0)
-                b = OrbLabel(mu, k, 0)
-                val = _factorization_entry(slice_, a, b)
-                swapped = _factorization_entry(slice_, b, a)
-                expected = parent.s[lam][mu] * Fraction(1, n_cyc)
-                if val != expected or swapped != expected:
-                    ok = False
-                    witness = f"entry ({lam},{mu})"
-                    break
-            if not ok:
-                break
-        records.append(
-            CheckRecord(suite, "odd_coprime_factorization", ok,
-                        params={"k": k, "n": n2}, witness=witness)
-        )
+        records.append(first_failure(
+            suite, "odd_coprime_factorization",
+            (f"entry ({lam},{mu})"
+             for lam in range(rank) for mu in range(rank)
+             for a in [OrbLabel(lam, n2, 0)] for b in [OrbLabel(mu, k, 0)]
+             for expected in [parent.s[lam][mu] * Fraction(1, n_cyc)]
+             if _factorization_entry(slice_, a, b) != expected
+             or _factorization_entry(slice_, b, a) != expected),
+            k=k, n=n2,
+        ))
 
-    ok = True
-    witness = ""
-    for i in units:
-        hat = slice_.hat(i)
-        if not mx.is_identity(mx.mat_mul(hat, mx.dagger(hat))):
-            ok = False
-            witness = f"i={i}"
-            break
-    records.append(
-        CheckRecord(suite, "hat_unitary", ok, params={"n": n_cyc},
-                    witness=witness)
-    )
+    records.append(first_failure(
+        suite, "hat_unitary",
+        (f"i={i}" for i in units for hat in [slice_.hat(i)]
+         if not mx.is_identity(mx.mat_mul(hat, mx.dagger(hat)))),
+        n=n_cyc,
+    ))
     return records
 
 
@@ -326,64 +285,28 @@ def charge_invariants(slice_: OrbSlice) -> list[CheckRecord]:
     parent = slice_.parent
     rank = parent.rank
     units = [t for t in range(1, n_cyc) if math.gcd(t, n_cyc) == 1]
-    records = []
-
-    ok = True
-    witness = ""
-    for ta in units:
-        for tb in list(units) + [0]:
-            for lam in range(rank):
-                for mu in range(rank):
-                    base = orb_s_entry(
-                        slice_, OrbLabel(lam, ta, 0), OrbLabel(mu, tb, 0)
-                    )
-                    for (j1, j2) in ((1, 0), (0, 1), (2, 3)):
-                        shifted = orb_s_entry(
-                            slice_,
-                            OrbLabel(lam, ta, j1),
-                            OrbLabel(mu, tb, j2),
-                        )
-                        factor = slice_.zeta(-(ta * j2 + tb * j1))
-                        if shifted != base * factor:
-                            ok = False
-                            witness = (
-                                f"twists ({ta},{tb}) charges ({j1},{j2}) "
-                                f"entry ({lam},{mu})"
-                            )
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    records.append(
-        CheckRecord(suite, "charge_transport", ok, params={"n": n_cyc},
-                    witness=witness)
+    charge_transport = first_failure(
+        suite, "charge_transport",
+        (f"twists ({ta},{tb}) charges ({j1},{j2}) entry ({lam},{mu})"
+         for ta in units for tb in [*units, 0]
+         for lam in range(rank) for mu in range(rank)
+         for base in [orb_s_entry(slice_, OrbLabel(lam, ta, 0),
+                                  OrbLabel(mu, tb, 0))]
+         for j1, j2 in ((1, 0), (0, 1), (2, 3))
+         if orb_s_entry(slice_, OrbLabel(lam, ta, j1), OrbLabel(mu, tb, j2))
+         != base * slice_.zeta(-(ta * j2 + tb * j1))),
+        n=n_cyc,
     )
-
-    ok = True
-    witness = ""
-    for ta in units:
-        for lam in range(rank):
-            for ch in range(n_cyc):
-                one = orb_t_entry(slice_, OrbLabel(lam, ta, ch))
-                two = orb_t_entry(slice_, OrbLabel(lam, ta, ch + 1))
-                if two != one * slice_.zeta(ta):
-                    ok = False
-                    witness = f"twist {ta}, label {lam}, charge {ch}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    records.append(
-        CheckRecord(suite, "t_charge_shift", ok, params={"n": n_cyc},
-                    witness=witness)
+    t_charge_shift = first_failure(
+        suite, "t_charge_shift",
+        (f"twist {ta}, label {lam}, charge {ch}"
+         for ta in units for lam in range(rank) for ch in range(n_cyc)
+         for one in [orb_t_entry(slice_, OrbLabel(lam, ta, ch))]
+         if orb_t_entry(slice_, OrbLabel(lam, ta, ch + 1))
+         != one * slice_.zeta(ta)),
+        n=n_cyc,
     )
-    return records
+    return [charge_transport, t_charge_shift]
 
 
 def _fusion_matrix(md: ModularData, lam: int) -> list[list[int]]:

@@ -35,6 +35,18 @@ class CheckRecord:
         return f"{status:4}  {self.suite}.{self.check}  {params}{tail}"
 
 
+def first_failure(suite: str, check: str, failures, **params) -> CheckRecord:
+    """A record that passes when `failures` yields no witness and otherwise
+    fails with the first one.
+
+    `failures` is a lazy iterable of witness strings, typically a generator
+    expression over the check's search space; nothing past the first
+    witness is evaluated.
+    """
+    witness = next(iter(failures), None)
+    return CheckRecord(suite, check, witness is None, params, witness or "")
+
+
 def notice(suite: str, check: str, message: str, **params) -> CheckRecord:
     """A passing record that documents a skip or a configured convention."""
     return CheckRecord(suite, check, True, params, message)

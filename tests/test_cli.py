@@ -16,6 +16,16 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def assert_one_error_line(err):
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def _coefficient_x():
+    obj = json.loads(builtin_model("su2", 1).dumps())
+    obj["S"][0][0]["coeffs"][0] = "x"
+    return json.dumps(obj)
+
+
 class TestVerify:
     def test_builtin_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--model", "su2:1")
@@ -65,6 +75,25 @@ class TestVerify:
                            "--c0", "x/y")
         assert code == 2 and "malformed" in err
 
+    @pytest.mark.parametrize("text", [
+        '{"labels": ["0"]}',  # no S, delta, c or c0
+        "[1, 2]",  # not an object
+        _coefficient_x(),
+        '{"labels": ["0"], "S": [[{"order": 1, "coeffs": ["1"]}]], '
+        '"delta": ["0"], "c": "0", "c0": "0", "tau2": "x"}',
+        '{"labels": ["0"], "S": [[{"order": 10000000000000000000000000000'
+        '000000000000000000000000000000001, "coeffs": []}]], '
+        '"delta": ["0"], "c": "0", "c0": "0"}',
+    ], ids=["missing-keys", "top-level-list", "coefficient-x", "tau2-x",
+            "huge-order"])
+    def test_malformed_file_is_parse_error(self, capsys, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        for extra in ([], ["--c0", "0"]):  # the override edits the object
+            code, _, err = run(capsys, "verify", str(path), *extra)
+            assert code == 2
+            assert_one_error_line(err)
+
 
 class TestGalois:
     def test_su2_1(self, capsys):
@@ -82,6 +111,13 @@ class TestGalois:
         code, _, err = run(capsys, "galois", "--model", "su2:1",
                            "--l", "5,apple", "--samples", "2")
         assert code == 2 and "malformed" in err
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_below_one_is_parse_error(self, capsys, samples):
+        code, out, err = run(capsys, "galois", "--model", "su2:1",
+                             "--l", "5", "--samples", samples)
+        assert code == 2 and out == ""
+        assert_one_error_line(err)
 
 
 class TestLambda:
@@ -116,6 +152,20 @@ class TestLambda:
         code, _, err = run(capsys, "lambda", "--model", "su2:1",
                            "--r", "0", "--approx", "50")
         assert code == 2
+
+    def test_order_cap_is_parse_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("MODATA_MAX_ORDER", "4096")
+        code, _, err = run(capsys, "lambda", "--model", "su2:1",
+                           "--r", "1/5000")
+        assert code == 2 and "exceeds MODATA_MAX_ORDER=4096" in err
+        assert_one_error_line(err)
+
+    def test_non_integer_order_cap_is_parse_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("MODATA_MAX_ORDER", "lots")
+        code, _, err = run(capsys, "lambda", "--model", "su2:1",
+                           "--r", "1/4999")
+        assert code == 2 and "MODATA_MAX_ORDER='lots'" in err
+        assert_one_error_line(err)
 
 
 class TestOrbifold:

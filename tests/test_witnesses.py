@@ -1,0 +1,246 @@
+"""The witness a failing check reports.
+
+Each case forces one check to fail, through a monkeypatch that is a pure
+function of its arguments or through a corrupted cache entry or table, and
+pins the whole report it lands in: the failing record, its first witness,
+and the records around it.  The congruence case also pins the checks that
+run after a failing scan, whose witnesses depend on the position in the
+shared random stream.
+"""
+
+import pytest
+
+import modata.cli as cli
+import modata.galois as galois
+import modata.matrixops as mx
+import modata.orbifold as orb
+from modata.cyclo import CycloNum
+from modata.errors import AxiomViolationError
+from modata.modular_data import ModularData, builtin_model
+
+
+def lines(records):
+    return [r.human_line() for r in records]
+
+
+@pytest.fixture(scope="module")
+def su2_1():
+    return builtin_model("su2", 1)
+
+
+def perturb_s_entry(monkeypatch, hit):
+    """Double every orbifold S entry whose labels satisfy `hit`."""
+    real = orb.orb_s_entry
+
+    def entry(slice_, a, b):
+        val = real(slice_, a, b)
+        return val * 2 if hit(a, b) else val
+
+    monkeypatch.setattr(orb, "orb_s_entry", entry)
+
+
+def conventions(n):
+    return (f"pass  orbifold.conventions  n={n}  [distinguished automorphism "
+            f"= label '0' (theorem), orbifold c0 = {n}]")
+
+
+class TestOrbifold:
+    def test_hat_closure(self, monkeypatch, su2_1):
+        perturb_s_entry(monkeypatch, lambda a, b: (
+            (a.base, b.base, b.twist, a.charge) == (1, 0, 2, 0)))
+        assert lines(orb.consistency_report(orb.OrbSlice(su2_1, 3))) == [
+            conventions(3),
+            "FAIL  orbifold.hat_closure  n=3  [i=2, entry (1,0)]",
+            "pass  orbifold.route_independence  n=3",
+            "pass  orbifold.odd_coprime_factorization  n=3  "
+            "[no odd coprime split of 3]",
+            "pass  orbifold.hat_unitary  n=3",
+        ]
+
+    def test_route_independence(self, monkeypatch, su2_1):
+        perturb_s_entry(monkeypatch, lambda a, b: (
+            (a.base, b.base, a.twist, b.twist, a.charge) == (0, 1, 2, 1, 1)))
+        assert lines(orb.consistency_report(orb.OrbSlice(su2_1, 5))) == [
+            conventions(5),
+            "pass  orbifold.hat_closure  n=5",
+            "FAIL  orbifold.route_independence  n=5  "
+            "[twists (2,1), entry (0,1)]",
+            "pass  orbifold.odd_coprime_factorization  n=5  "
+            "[no odd coprime split of 5]",
+            "pass  orbifold.hat_unitary  n=5",
+        ]
+
+    def test_odd_coprime_factorization(self, monkeypatch, su2_1):
+        real = orb._factorization_entry
+        monkeypatch.setattr(orb, "_factorization_entry", lambda sl, a, b: (
+            real(sl, a, b) * (3 if (a.base, b.base) == (1, 1) else 1)))
+        assert lines(orb.consistency_report(orb.OrbSlice(su2_1, 15))) == [
+            conventions(15),
+            "pass  orbifold.hat_closure  n=15",
+            "pass  orbifold.route_independence  n=15",
+            "FAIL  orbifold.odd_coprime_factorization  k=3 n=5  "
+            "[entry (1,1)]",
+            "pass  orbifold.hat_unitary  n=15",
+        ]
+
+    def test_hat_unitary_from_corrupted_cache(self, su2_1):
+        sl = orb.OrbSlice(su2_1, 5)
+        sl._hat_cache[3] = mx.scalar_mul(2, sl.hat(3))
+        assert lines(orb.consistency_report(sl)) == [
+            conventions(5),
+            "pass  orbifold.hat_closure  n=5",
+            "FAIL  orbifold.route_independence  n=5  "
+            "[twists (1,2), entry (0,0)]",
+            "pass  orbifold.odd_coprime_factorization  n=5  "
+            "[no odd coprime split of 5]",
+            "FAIL  orbifold.hat_unitary  n=5  [i=3]",
+        ]
+
+    def test_charge_transport(self, monkeypatch, su2_1):
+        perturb_s_entry(monkeypatch, lambda a, b: (
+            (a.base, b.base, a.charge, b.charge % 5, b.twist)
+            == (1, 0, 2, 3, 2)))
+        assert lines(orb.charge_invariants(orb.OrbSlice(su2_1, 5))) == [
+            "FAIL  orbifold.charge_transport  n=5  "
+            "[twists (1,2) charges (2,3) entry (1,0)]",
+            "pass  orbifold.t_charge_shift  n=5",
+        ]
+
+    def test_t_charge_shift(self, monkeypatch, su2_1):
+        real = orb.orb_t_entry
+        monkeypatch.setattr(orb, "orb_t_entry", lambda sl, a: (
+            real(sl, a) * (-1 if (a.base, a.twist, a.charge) == (1, 3, 2)
+                           else 1)))
+        assert lines(orb.charge_invariants(orb.OrbSlice(su2_1, 5))) == [
+            "pass  orbifold.charge_transport  n=5",
+            "FAIL  orbifold.t_charge_shift  n=5  "
+            "[twist 3, label 1, charge 1]",
+        ]
+
+
+def test_congruence_witnesses_and_later_stream(monkeypatch, su2_1):
+    real = galois.rep_evaluate
+
+    def rep(md, m):
+        if abs(m.b) % 7 == 3:  # breaks level-n and word samples
+            return mx.scalar_mul(-1, real(md, m))
+        if m.b % 24 == 10:  # makes some intermediate samples act trivially
+            return mx.identity(md.rank)
+        return real(md, m)
+
+    monkeypatch.setattr(galois, "rep_evaluate", rep)
+    assert lines(galois.congruence_suite(su2_1, 12, 3, (5, 7, 11))) == [
+        "FAIL  congruence.level_subgroup_in_kernel  n=24 samples=12  "
+        "[sample 4: [-143, -3216, -96, -2159]]",
+        "FAIL  congruence.frobenius_equivariance  l=5 n=24 samples=12  "
+        "[sample 1: [-14, 3, -5, 1]]",
+        "FAIL  congruence.frobenius_equivariance  l=7 n=24 samples=12  "
+        "[sample 0: [-86, -15, 23, 4]]",
+        "FAIL  congruence.frobenius_equivariance  l=11 n=24 samples=12  "
+        "[sample 9: [65, -14, 14, -3]]",
+        "FAIL  congruence.intermediate_subgroup  n=24 samples=12  "
+        "[sample 7: [284689, 1750498, -561576, -3453023]]",
+    ]
+
+
+def test_kernel_criterion_witness(monkeypatch, capsys):
+    real = galois.kernel_test
+
+    def kernel_test(md, m):
+        res = real(md, m)
+        if m.a % 5 == 2:
+            return galois.KernelTestResult(
+                res.direct, not res.criterion, res.sigma_factorization)
+        return res
+
+    monkeypatch.setattr(cli, "kernel_test", kernel_test)
+    code = cli.main(["galois", "--model", "su2:1", "--l", "5,7",
+                     "--samples", "8", "--seed", "2"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert out[-6:] == [
+        "FAIL  galois.kernel_criterion_equivalence  samples=8  "
+        "[matrix [11087, 1932, -2898, -505]]",
+        "pass  congruence.level_subgroup_in_kernel  n=24 samples=8",
+        "pass  congruence.frobenius_equivariance  l=5 n=24 samples=8",
+        "pass  congruence.frobenius_equivariance  l=7 n=24 samples=8",
+        "pass  congruence.intermediate_subgroup  n=24 samples=8",
+        "11 checks, 1 failed",
+    ]
+
+
+class TestModularData:
+    def test_fusion_phase_matrix_from_corrupted_table(self):
+        md = builtin_model("su2", 2)
+        fusion = [[list(row) for row in rows] for rows in md.fusion]
+        fusion[1][1][2] = 2
+        md.fusion = tuple(tuple(tuple(r) for r in rows) for rows in fusion)
+        assert lines(md.c0_consistency()) == [
+            "pass  c0.phase_norm  ",
+            "pass  c0.phase_matches_c0  c0=3/2",
+            "FAIL  c0.fusion_phase_matrix    [entry (1,1)]",
+        ]
+
+    def test_ratio_constant_per_column_from_corrupted_s(self):
+        md = builtin_model("su2", 2)
+        s = [list(row) for row in md.s]
+        s[2][0] = s[2][0] * 3
+        md.s = mx.mat(s)
+        assert lines(md.automorphism_action_check(2)) == [
+            "FAIL  automorphism.ratio_constant_per_column  tau=2  "
+            "[column 0, row 1]",
+            "FAIL  automorphism.ratios_are_roots_of_unity  order=2 tau=2",
+        ]
+
+
+AXIOMS_BEFORE_FUSION = [
+    "pass  axioms.shape  ",
+    "pass  axioms.s_symmetric  ",
+    "pass  axioms.s_unitary  ",
+    "pass  axioms.s_square_is_conjugation  ",
+    "pass  axioms.vacuum_row_real_positive  ",
+    "pass  axioms.sts_twist_relation  ",
+    "pass  axioms.t_conjugation_invariant  ",
+    "pass  axioms.central_charge_residue    [c - c0 = 0]",
+]
+
+
+class TestAxioms:
+    def test_vacuum_row_sign(self, su2_1):
+        s = [list(row) for row in su2_1.s]
+        s[0][1] = -s[0][1]
+        s[1][0] = -s[1][0]
+        with pytest.raises(AxiomViolationError) as info:
+            ModularData(su2_1.labels, s, su2_1.delta, su2_1.c, su2_1.c0)
+        assert lines(info.value.report) == AXIOMS_BEFORE_FUSION[:4] + [
+            "FAIL  axioms.vacuum_row_real_positive    [S[0][1]]",
+        ]
+
+    def test_fusion_integral_witness(self, monkeypatch):
+        real = CycloNum.is_nonneg_integer
+        monkeypatch.setattr(CycloNum, "is_nonneg_integer",
+                            lambda self: real(self) and not self.is_zero())
+        with pytest.raises(AxiomViolationError) as info:
+            builtin_model("su2", 2)
+        assert lines(info.value.report) == AXIOMS_BEFORE_FUSION + [
+            "FAIL  axioms.fusion_integral_nonnegative    "
+            "[N(0,0;1) = CycloNum(0)]",
+        ]
+
+    def test_fusion_diagonalized_by_s(self, monkeypatch):
+        real = mx.mat_mul
+
+        def mat_mul(a, b):
+            # Only the integer fusion matrices are all-rational here.
+            if all(x.is_rational() for row in a for x in row) and a[0][0] == 0:
+                return mx.scalar_mul(2, real(a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(mx, "mat_mul", mat_mul)
+        with pytest.raises(AxiomViolationError) as info:
+            builtin_model("su2", 2)
+        assert lines(info.value.report) == AXIOMS_BEFORE_FUSION + [
+            "pass  axioms.fusion_integral_nonnegative  ",
+            "FAIL  axioms.fusion_diagonalized_by_s    [fusion matrix 1]",
+            "pass  axioms.vacuum_fusion_identity  ",
+        ]
