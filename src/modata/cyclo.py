@@ -9,7 +9,10 @@ order are equal exactly when their stored tuples are equal.
 
 Mixed-order arithmetic coerces both operands to the least common multiple of
 their orders; callers never manage orders by hand.  All values are immutable
-and every operation is pure.
+and every operation is pure.  A value keeps its own multiplicative inverse
+once it has been asked for it, so code that divides by the same value many
+times (a vacuum row, a root of unity) pays for one extended Euclid; the
+memo is a cache invisible to equality, hashing and serialization.
 
 Reduction modulo Phi_M is sparse: a context keeps Phi_M and its nonzero low
 terms, O(phi) memory per order, and one routine reduces every product, Galois
@@ -185,7 +188,8 @@ def _normalize(den: int, nums: list[int]) -> tuple[int, tuple[int, ...]]:
 class CycloNum:
     """An exact element of Q(zeta_order); immutable."""
 
-    __slots__ = ("order", "den", "nums", "_hash")
+    # `_inv` is left unset by __init__ and filled by the first inverse().
+    __slots__ = ("order", "den", "nums", "_hash", "_inv")
 
     def __init__(self, order: int, den: int, nums):
         ctx = _context(order)
@@ -314,17 +318,25 @@ class CycloNum:
 
     def inverse(self) -> "CycloNum":
         """Multiplicative inverse via the extended Euclidean algorithm
-        on polynomials over Q modulo the cyclotomic polynomial."""
+        on polynomials over Q modulo the cyclotomic polynomial; computed
+        once per value and then returned from the `_inv` slot."""
+        inv = getattr(self, "_inv", None)
+        if inv is not None:
+            return inv
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
-            return CycloNum.rational(1 / self.as_fraction(), self.order)
-        ctx = _context(self.order)
-        mod = [Fraction(c) for c in ctx.poly]
-        a = [Fraction(n, self.den) for n in self.nums]
-        inv = _poly_modinv(a, mod)
-        nums, den = _clear_denominators(inv + [Fraction(0)] * (ctx.phi - len(inv)))
-        return CycloNum(self.order, den, nums)
+            inv = CycloNum.rational(1 / self.as_fraction(), self.order)
+        else:
+            ctx = _context(self.order)
+            mod = [Fraction(c) for c in ctx.poly]
+            a = [Fraction(n, self.den) for n in self.nums]
+            coeffs = _poly_modinv(a, mod)
+            nums, den = _clear_denominators(
+                coeffs + [Fraction(0)] * (ctx.phi - len(coeffs)))
+            inv = CycloNum(self.order, den, nums)
+        object.__setattr__(self, "_inv", inv)
+        return inv
 
     def __truediv__(self, other) -> "CycloNum":
         other = _as_cyclo(other, self.order)
@@ -671,8 +683,13 @@ def cyclo_from_obj(obj) -> CycloNum:
     """Inverse of CycloNum.to_obj; raises ModelFormatError when `obj` does
     not have that shape."""
     try:
-        order = int(obj["order"])
-        coeffs = [Fraction(c) for c in obj["coeffs"]]
+        order = obj["order"]
+        coeffs = obj["coeffs"]
+        if not isinstance(order, int) or isinstance(order, bool):
+            raise TypeError(f"order {order!r} is not an integer")
+        if not isinstance(coeffs, list):
+            raise TypeError(f"coeffs {coeffs!r} is not a list")
+        coeffs = [Fraction(c) for c in coeffs]
     except (KeyError, TypeError, ValueError, ZeroDivisionError,
             OverflowError) as exc:
         raise ModelFormatError(

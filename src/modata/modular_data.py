@@ -32,6 +32,12 @@ from .reporting import CheckRecord, first_failure
 _POSITIVITY_MARGIN = 1e-12
 
 
+def is_real_positive(x: CycloNum) -> bool:
+    """x is exactly real, and positive beyond a floating margin under the
+    embedding zeta_M -> exp(2*pi*i/M)."""
+    return x.conjugate() == x and x.embed().real > _POSITIVITY_MARGIN
+
+
 @dataclass(frozen=True)
 class ConductorInfo:
     """Order data of the diagonal part: full order n, weight order n0,
@@ -42,14 +48,20 @@ class ConductorInfo:
     e: int
 
 
-def _verlinde_value(s: mx.Matrix, s_col_inv, lam: int, mu: int,
-                    nu: int) -> CycloNum:
+def _verlinde_value(s: mx.Matrix, lam: int, mu: int, nu: int) -> CycloNum:
     """The character sum over S columns d of
-    S[lam][d] S[mu][d] conj(S[nu][d]) / S[0][d], with `s_col_inv[d]` the
-    inverse of the vacuum-row entry S[0][d]."""
+    S[lam][d] S[mu][d] conj(S[nu][d]) / S[0][d].
+
+    The vacuum-row entries keep their inverses (see `CycloNum.inverse`), so
+    each is inverted once however many sums divide by it.  For an S that is
+    symmetric and unitary with S^2 = C, a conjugation permutation, one has
+    S^dagger = S C, so conj(S[nu][d]) = S[conj(nu)][d] and the sum is fully
+    symmetric in (lam, mu, conj(nu)); `_axiom_checks` evaluates it once per
+    orbit of that symmetry, C(rank + 2, 3) sums instead of rank^3.
+    """
     acc = None
     for d in range(len(s)):
-        term = s[lam][d] * s[mu][d] * s[nu][d].conjugate() * s_col_inv[d]
+        term = s[lam][d] * s[mu][d] * s[nu][d].conjugate() * s[0][d].inverse()
         acc = term if acc is None else acc + term
     return acc
 
@@ -60,8 +72,7 @@ def verlinde_sum(s: mx.Matrix, lam: int, mu: int, nu: int) -> int:
     Raises NonIntegralFusionError when the sum is not a nonnegative integer,
     which signals corrupt input data.
     """
-    s_col_inv = tuple(x.inverse() for x in s[0])
-    acc = _verlinde_value(s, s_col_inv, lam, mu, nu)
+    acc = _verlinde_value(s, lam, mu, nu)
     if not acc.is_nonneg_integer():
         raise NonIntegralFusionError(
             f"fusion ({lam},{mu};{nu}) is {acc!r}, not a nonnegative integer"
@@ -93,7 +104,6 @@ class ModularData:
         self.fusion = derived["fusion"]  # fusion[lam][mu][nu] -> int
         self.chat = derived["chat"]
         self.validation_report = records
-        self._s_col_inv = derived["s_col_inv"]
         self._t_cache: dict[Fraction, tuple[CycloNum, ...]] = {}
         self._conductor: ConductorInfo | None = None
         self._conductor_records: list[CheckRecord] | None = None
@@ -134,11 +144,11 @@ class ModularData:
 
     def s00_inv(self) -> CycloNum:
         """1/S_00, the real positive square root of the total index."""
-        return self._s_col_inv[0]
+        return self.s[0][0].inverse()
 
     def s0_inv(self, idx: int) -> CycloNum:
         """1/S_0idx, the inverse of a vacuum-row entry."""
-        return self._s_col_inv[idx]
+        return self.s[0][idx].inverse()
 
     def fuse_auto(self, tau: int, lam: int) -> int:
         """The unique product label of an automorphism with lam."""
@@ -379,8 +389,8 @@ def _axiom_checks(labels, s, delta, c, c0, tau2):
 
     records.append(first_failure(
         suite, "vacuum_row_real_positive",
-        (f"S[0][{lam}]" for lam in range(rank) for x in [s[0][lam]]
-         if x.conjugate() != x or x.embed().real <= _POSITIVITY_MARGIN),
+        (f"S[0][{lam}]" for lam in range(rank)
+         if not is_real_positive(s[0][lam])),
     ))
     if not records[-1].passed:
         return records, derived
@@ -406,17 +416,23 @@ def _axiom_checks(labels, s, delta, c, c0, tau2):
     if not all(r.passed for r in records):
         return records, derived
 
-    s_col_inv = tuple(s[0][d].inverse() for d in range(rank))
-    derived["s_col_inv"] = s_col_inv
     # The table is filled while it is checked, so this scan stays a loop.
+    # The checks above make N(lam,mu;nu) symmetric in (lam, mu, conj[nu]):
+    # one sum per orbit, met first in scan order, so a failing orbit fails
+    # at the same triple, with the same value, as a scan of every triple.
     coeffs = []
+    orbit_value: dict[tuple[int, int, int], int] = {}
     fus_witness = ""
     for lam, mu, nu in itertools.product(range(rank), repeat=3):
-        acc = _verlinde_value(s, s_col_inv, lam, mu, nu)
-        if not acc.is_nonneg_integer():
-            fus_witness = f"N({lam},{mu};{nu}) = {acc!r}"
-            break
-        coeffs.append(acc.nums[0])
+        key = tuple(sorted((lam, mu, conj[nu])))
+        n = orbit_value.get(key)
+        if n is None:
+            acc = _verlinde_value(s, lam, mu, nu)
+            if not acc.is_nonneg_integer():
+                fus_witness = f"N({lam},{mu};{nu}) = {acc!r}"
+                break
+            n = orbit_value[key] = acc.nums[0]
+        coeffs.append(n)
     if not rec("fusion_integral_nonnegative", not fus_witness, fus_witness):
         return records, derived
     rows = [tuple(coeffs[i:i + rank]) for i in range(0, rank ** 3, rank)]
@@ -431,7 +447,7 @@ def _axiom_checks(labels, s, delta, c, c0, tau2):
          if mx.first_mismatch(
              mx.mat_mul(mx.mat([[CycloNum.rational(n) for n in row]
                                 for row in fusion[lam]]), s),
-             mx.scale_cols(s, tuple(s[lam][d] * s_col_inv[d]
+             mx.scale_cols(s, tuple(s[lam][d] * s[0][d].inverse()
                                     for d in range(rank))),
          )),
     ))

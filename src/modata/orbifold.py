@@ -27,7 +27,7 @@ from . import matrixops as mx
 from .cyclo import CycloNum, make, root_of_unity_exp
 from .errors import NonIntegralMultiplicityError, OutOfScopeError
 from .lambdamat import lambda_hat
-from .modular_data import ModularData
+from .modular_data import ModularData, is_real_positive
 from .reporting import CheckRecord, first_failure, notice
 
 
@@ -162,6 +162,7 @@ def mu_scaling_check(slice_: OrbSlice) -> list[CheckRecord]:
     mu_pow = parent.s00_inv() ** (2 * n_cyc)  # parent total index to the N
     phi_n = sum(1 for t in range(n_cyc) if math.gcd(t, n_cyc) == 1)
     expected = mu_pow * (phi_n * n_cyc)
+    scaled_total = mu_pow * (n_cyc * n_cyc)
     records = [
         CheckRecord(
             suite, "unit_twist_index_sum",
@@ -170,7 +171,7 @@ def mu_scaling_check(slice_: OrbSlice) -> list[CheckRecord]:
         ),
         CheckRecord(
             suite, "index_sum_below_scaled_total",
-            phi_n * n_cyc <= n_cyc * n_cyc,
+            is_real_positive(scaled_total - total),
             params={"n": n_cyc},
             witness="coprime part phi(N)*N*mu^N of the total N^2*mu^N",
         ),

@@ -84,8 +84,14 @@ class TestVerify:
         '{"labels": ["0"], "S": [[{"order": 10000000000000000000000000000'
         '000000000000000000000000000000001, "coeffs": []}]], '
         '"delta": ["0"], "c": "0", "c0": "0"}',
+        '{"labels": ["0"], "S": [[{"order": 4, "coeffs": "12"}]], '
+        '"delta": ["0"], "c": "0", "c0": "0"}',
+        '{"labels": ["0"], "S": [[{"order": 1.9, "coeffs": ["1"]}]], '
+        '"delta": ["0"], "c": "0", "c0": "0"}',
+        '{"labels": ["0"], "S": [[{"order": true, "coeffs": ["1"]}]], '
+        '"delta": ["0"], "c": "0", "c0": "0"}',
     ], ids=["missing-keys", "top-level-list", "coefficient-x", "tau2-x",
-            "huge-order"])
+            "huge-order", "coeffs-string", "order-float", "order-bool"])
     def test_malformed_file_is_parse_error(self, capsys, tmp_path, text):
         path = tmp_path / "model.json"
         path.write_text(text)

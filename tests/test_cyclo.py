@@ -210,6 +210,30 @@ class TestHashing:
         assert hash(x) == hash(Fraction(3, 7))
 
 
+class TestInverseMemo:
+    @pytest.mark.parametrize("x", [
+        zeta(4), make(12, [(0, "1/2"), (2, -3), (3, "5/7")]),
+        sqrt_nonneg_rational(Fraction(2, 5)), CycloNum.rational(-3, 8),
+    ], ids=["i", "order-12", "sqrt-2/5", "rational"])
+    def test_memo_is_invisible(self, x):
+        fresh = CycloNum(x.order, x.den, x.nums)
+        before = (hash(x), x.to_obj(), repr(x))
+        inv = x.inverse()
+        assert x.inverse() is inv
+        assert inv == CycloNum(x.order, x.den, x.nums).inverse()
+        assert x * inv == 1
+        assert x == fresh and fresh == x
+        assert (hash(x), x.to_obj(), repr(x)) == before
+        assert hash(x) == hash(fresh)
+        assert 1 / x == inv and x / x == 1
+
+    def test_zero_still_raises(self):
+        z = CycloNum.zero(4)
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError):
+                z.inverse()
+
+
 class TestSerialization:
     def test_round_trip(self):
         x = make(12, [(0, "1/2"), (2, -3), (3, "5/7")])

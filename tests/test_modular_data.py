@@ -1,10 +1,14 @@
 """Modular datum validation, fusion, phase class, conductor, builtins."""
 
+import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from modata import matrixops as mx
+from modata import modular_data
 from modata.cyclo import CycloNum, embed_complex, make, sqrt_nonneg_rational
 from modata.errors import (
     AxiomViolationError,
@@ -14,6 +18,7 @@ from modata.errors import (
 )
 from modata.modular_data import (
     ModularData,
+    _verlinde_value,
     builtin_model,
     from_obj,
     loads,
@@ -129,6 +134,66 @@ class TestVerlinde:
                                 for y in range(r)
                             )
                             assert lhs == rhs
+
+
+def _permuted(md, seed):
+    """The same datum with its non-vacuum labels shuffled, through a file."""
+    perm = [0] + random.Random(seed).sample(range(1, md.rank), md.rank - 1)
+    obj = md.to_obj()
+    obj["labels"] = [obj["labels"][p] for p in perm]
+    obj["S"] = [[obj["S"][p][q] for q in perm] for p in perm]
+    obj["delta"] = [obj["delta"][p] for p in perm]
+    return perm, loads(json.dumps(obj))
+
+
+def _full_fusion_table(s):
+    def coefficient(lam, mu, nu):
+        value = _verlinde_value(s, lam, mu, nu)
+        assert value.is_nonneg_integer()
+        return value.nums[0]
+
+    r = len(s)
+    return tuple(
+        tuple(tuple(coefficient(lam, mu, nu) for nu in range(r))
+              for mu in range(r))
+        for lam in range(r)
+    )
+
+
+class TestFusionOrbits:
+    """The table built from one sum per (lam, mu, conj nu) orbit against
+    every one of the rank^3 sums."""
+
+    @pytest.mark.parametrize("name,param", [
+        *(("su2", k) for k in range(1, 9)),
+        *(("cyclic_odd", n) for n in (3, 5, 7, 9, 11)),
+    ])
+    def test_orbit_table_equals_full_table(self, name, param):
+        md = builtin_model(name, param)
+        assert md.fusion == _full_fusion_table(md.s)
+        perm, moved = _permuted(md, param)
+        assert moved.fusion == _full_fusion_table(moved.s)
+        r = md.rank
+        assert all(
+            moved.fusion[a][b][c] == md.fusion[perm[a]][perm[b]][perm[c]]
+            for a in range(r) for b in range(r) for c in range(r)
+        )
+        if name == "cyclic_odd":
+            assert moved.conj != tuple(range(r))
+
+    @pytest.mark.parametrize("name,param,sums", [
+        ("su2", 10, 286), ("cyclic_odd", 9, 165),
+    ])
+    def test_one_sum_per_orbit(self, monkeypatch, name, param, sums):
+        calls = []
+
+        def counted(s, lam, mu, nu):
+            calls.append((lam, mu, nu))
+            return _verlinde_value(s, lam, mu, nu)
+
+        monkeypatch.setattr(modular_data, "_verlinde_value", counted)
+        md = builtin_model(name, param)
+        assert len(calls) == sums == math.comb(md.rank + 2, 3)
 
 
 class TestQdimMu:

@@ -8,6 +8,8 @@ run after a failing scan, whose witnesses depend on the position in the
 shared random stream.
 """
 
+from fractions import Fraction
+
 import pytest
 
 import modata.cli as cli
@@ -116,6 +118,19 @@ class TestOrbifold:
             "FAIL  orbifold.t_charge_shift  n=5  "
             "[twist 3, label 1, charge 1]",
         ]
+
+
+@pytest.mark.parametrize("factor,below", [(3, "FAIL"), (Fraction(6, 5), "pass")])
+def test_index_sum_below_scaled_total(monkeypatch, su2_1, factor, below):
+    # Scaling every dimension by f scales the unit-twist sum 2*3*mu^3 by f^2,
+    # which exceeds the total 9*mu^3 at f = 3 and stays below it at f = 6/5.
+    real = orb.orb_qdim
+    monkeypatch.setattr(orb, "orb_qdim", lambda sl, a: real(sl, a) * factor)
+    assert lines(orb.mu_scaling_check(orb.OrbSlice(su2_1, 3))) == [
+        "FAIL  orbifold.unit_twist_index_sum  n=3 phi_n=2",
+        f"{below}  orbifold.index_sum_below_scaled_total  n=3  "
+        "[coprime part phi(N)*N*mu^N of the total N^2*mu^N]",
+    ]
 
 
 def test_congruence_witnesses_and_later_stream(monkeypatch, su2_1):
