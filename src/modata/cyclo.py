@@ -14,6 +14,12 @@ once it has been asked for it, so code that divides by the same value many
 times (a vacuum row, a root of unity) pays for one extended Euclid; the
 memo is a cache invisible to equality, hashing and serialization.
 
+A sum of products, such as a matrix product entry, is one `dot`: the terms
+accumulate unreduced over one common denominator and the sum is reduced
+and normalised once.  Reduction is linear, so reducing the sum equals
+summing the reduced products, and the canonical form makes the result the
+one a chain of `*` and `+` gives, at a fraction of the per-term cost.
+
 Reduction modulo Phi_M is sparse: a context keeps Phi_M and its nonzero low
 terms, O(phi) memory per order, and one routine reduces every product, Galois
 image, coercion and constructed element.  The ambient order is capped by the
@@ -487,6 +493,36 @@ def _align(a: CycloNum, b: CycloNum) -> tuple[CycloNum, CycloNum]:
         return a, b
     m = math.lcm(a.order, b.order)
     return a.coerce(m), b.coerce(m)
+
+
+def dot(xs, ys) -> CycloNum:
+    """sum x * y over the pairs of `xs` and `ys` where both factors are
+    nonzero, at the lcm of those pairs' orders; zero (order 1) if none is.
+
+    Each operand is lifted to that order by substitution and the products
+    accumulate unreduced over one integer common denominator, so the sum
+    costs one reduction and one constructed value however many terms it
+    has.  The canonical form is unique at a given order, so the result is
+    the one a chain of `*` and `+` would give.
+    """
+    pairs = [(x, y) for x, y in zip(xs, ys) if any(x.nums) and any(y.nums)]
+    if not pairs:
+        return CycloNum.zero()
+    m = math.lcm(*(x.order for x, _ in pairs), *(y.order for _, y in pairs))
+    den = math.lcm(*(x.den * y.den for x, y in pairs))
+    ctx = _context(m)
+    acc = [0] * (2 * ctx.phi - 1)
+    for x, y in pairs:
+        xn = x.nums if x.order == m else ctx.substitute(x.nums, m // x.order)
+        yn = y.nums if y.order == m else ctx.substitute(y.nums, m // y.order)
+        ys_nz = [(j, d) for j, d in enumerate(yn) if d]
+        f = den // (x.den * y.den)
+        for i, c in enumerate(xn):
+            if c:
+                c *= f
+                for j, d in ys_nz:
+                    acc[i + j] += c * d
+    return CycloNum(m, den, ctx.reduce(acc))
 
 
 def _clear_denominators(coeffs) -> tuple[list[int], int]:

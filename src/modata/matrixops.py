@@ -1,12 +1,14 @@
 """Small exact-matrix helpers over CycloNum.
 
-Matrices are tuples of tuples (rows).  Nothing here is clever: sizes are
-desk scale and every operation is exact.
+Matrices are tuples of tuples (rows); sizes are desk scale and every
+operation is exact.  A product entry is one `cyclo.dot` of a row and a
+column: the whole sum of products is reduced and normalised once, instead
+of once per term and once per partial sum.
 """
 
 from fractions import Fraction
 
-from .cyclo import CycloNum
+from .cyclo import CycloNum, dot
 
 Matrix = tuple[tuple[CycloNum, ...], ...]
 
@@ -34,23 +36,8 @@ def diagonal(entries) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        arow = a[i]
-        row = []
-        for j in range(m):
-            acc = None
-            for t in range(k):
-                x = arow[t]
-                y = b[t][j]
-                if x.is_zero() or y.is_zero():
-                    continue
-                term = x * y
-                acc = term if acc is None else acc + term
-            row.append(CycloNum.zero() if acc is None else acc)
-        out.append(tuple(row))
-    return tuple(out)
+    cols = tuple(zip(*b))
+    return tuple(tuple(dot(row, col) for col in cols) for row in a)
 
 
 def scale_rows(entries, a: Matrix) -> Matrix:

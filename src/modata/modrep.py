@@ -129,19 +129,29 @@ def decompose(m: SL2ZMat) -> GenWord:
 def rep_evaluate(md: ModularData, m: SL2ZMat) -> mx.Matrix:
     """The representation matrix D(m), as a product of S and diagonal
     T powers along a generator word; -I contributes the conjugation
-    permutation S^2."""
+    permutation S^2.
+
+    Each syllable t^k s of the word is one product by the matrix T^k S,
+    which `ModularData.ts_syllable` caches under the integer exponent k;
+    every token of the word is still evaluated.
+    """
     word = decompose(m)
     acc = None
+    pending = None  # the exponent of a t^k waiting for the s after it
     for kind, k in word.tokens:
-        if kind == "s":
-            acc = md.s if acc is None else mx.mat_mul(acc, md.s)
-        else:
-            entries = md.t_entries(k)
-            acc = (
-                mx.diagonal(entries)
-                if acc is None
-                else mx.scale_cols(acc, entries)
-            )
+        if kind == "t":
+            pending = k
+            continue
+        step = md.s if pending is None else md.ts_syllable(pending)
+        pending = None
+        acc = step if acc is None else mx.mat_mul(acc, step)
+    if pending is not None:  # a final t^k scales the columns
+        entries = md.t_entries(pending)
+        acc = (
+            mx.diagonal(entries)
+            if acc is None
+            else mx.scale_cols(acc, entries)
+        )
     if acc is None:
         acc = mx.identity(md.rank)
     if word.sign < 0:

@@ -105,6 +105,7 @@ class ModularData:
         self.chat = derived["chat"]
         self.validation_report = records
         self._t_cache: dict[Fraction, tuple[CycloNum, ...]] = {}
+        self._ts_cache: dict[int, mx.Matrix] = {}
         self._conductor: ConductorInfo | None = None
         self._conductor_records: list[CheckRecord] | None = None
 
@@ -119,6 +120,14 @@ class ModularData:
                 root_of_unity_exp((d - self.c0 / 24) * r) for d in self.delta
             )
             self._t_cache[r] = cached
+        return cached
+
+    def ts_syllable(self, k: int) -> mx.Matrix:
+        """D(t^k s) = T^k S for an integer exponent k, cached per k."""
+        cached = self._ts_cache.get(k)
+        if cached is None:
+            cached = mx.mat_mul(mx.diagonal(self.t_entries(k)), self.s)
+            self._ts_cache[k] = cached
         return cached
 
     def t_power(self, r) -> mx.Matrix:
@@ -573,7 +582,9 @@ def from_obj(obj: dict) -> ModularData:
         delta = [Fraction(d) for d in obj["delta"]]
         c = Fraction(obj["c"])
         c0 = Fraction(obj["c0"])
-        tau2 = int(obj.get("tau2", 0))
+        tau2 = obj.get("tau2", 0)
+        if not isinstance(tau2, int) or isinstance(tau2, bool):
+            raise TypeError(f"tau2 {tau2!r} is not an integer")
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ModelFormatError(
             f"malformed model field: {type(exc).__name__}: {exc}"

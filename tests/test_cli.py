@@ -90,8 +90,15 @@ class TestVerify:
         '"delta": ["0"], "c": "0", "c0": "0"}',
         '{"labels": ["0"], "S": [[{"order": true, "coeffs": ["1"]}]], '
         '"delta": ["0"], "c": "0", "c0": "0"}',
+        '{"labels": ["0"], "S": [[{"order": 1, "coeffs": ["1"]}]], '
+        '"delta": ["0"], "c": "0", "c0": "0", "tau2": 0.9}',
+        '{"labels": ["0"], "S": [[{"order": 1, "coeffs": ["1"]}]], '
+        '"delta": ["0"], "c": "0", "c0": "0", "tau2": false}',
+        '{"labels": ["0"], "S": [[{"order": 1, "coeffs": ["1"]}]], '
+        '"delta": ["0"], "c": "0", "c0": "0", "tau2": "0"}',
     ], ids=["missing-keys", "top-level-list", "coefficient-x", "tau2-x",
-            "huge-order", "coeffs-string", "order-float", "order-bool"])
+            "huge-order", "coeffs-string", "order-float", "order-bool",
+            "tau2-float", "tau2-bool", "tau2-string"])
     def test_malformed_file_is_parse_error(self, capsys, tmp_path, text):
         path = tmp_path / "model.json"
         path.write_text(text)

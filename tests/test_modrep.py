@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from modata import galois
 from modata import matrixops as mx
 from modata.errors import NotCoprimeError
 from modata.modrep import (
@@ -111,6 +112,73 @@ class TestRepresentation:
         for md in (su2_1, su2_2):
             n = md.conductor_n()
             assert mx.is_identity(rep_evaluate(md, t_gen(n)))
+
+
+def rep_evaluate_by_token(md, m):
+    """D(m) one token at a time: a product by S for each s and a column
+    scaling by T^k for each t^k; the oracle for the syllable cache."""
+    word = decompose(m)
+    acc = None
+    for kind, k in word.tokens:
+        if kind == "s":
+            acc = md.s if acc is None else mx.mat_mul(acc, md.s)
+        else:
+            entries = md.t_entries(k)
+            acc = (
+                mx.diagonal(entries)
+                if acc is None
+                else mx.scale_cols(acc, entries)
+            )
+    if acc is None:
+        acc = mx.identity(md.rank)
+    if word.sign < 0:
+        acc = mx.mat_mul(acc, md.chat)
+    return acc
+
+
+def serialized(matrix):
+    return [[x.to_obj() for x in row] for row in matrix]
+
+
+class TestSyllableCache:
+    @pytest.mark.parametrize("name,param", [
+        ("su2", 1), ("su2", 2), ("su2", 3), ("su2", 4),
+        ("cyclic_odd", 3), ("cyclic_odd", 5),
+    ])
+    def test_matches_token_by_token(self, name, param):
+        md = builtin_model(name, param)
+        n = md.conductor_n()
+        rng = Lcg(param)
+        cases = [IDENTITY, -IDENTITY, S_GEN, t_gen(5), S_GEN * t_gen(-2)]
+        assert decompose(cases[-1]).tokens[-1][0] == "t"
+        cases += [random_word_matrix(rng) for _ in range(50)]
+        cases += [sample_gamma(n, rng) for _ in range(50)]
+        for m in cases:
+            assert serialized(rep_evaluate(md, m)) == \
+                serialized(rep_evaluate_by_token(md, m)), m
+
+    def test_keyed_by_integer_exponent(self):
+        md = builtin_model("su2", 1)
+        n = md.conductor_n()
+        for k in (1, 1 + n, -1):
+            rep_evaluate(md, t_gen(k) * S_GEN)
+        assert sorted(md._ts_cache) == [-1, 1, 1 + n]
+
+    def test_corrupt_syllable_fails_level_check(self):
+        md = builtin_model("su2", 1)
+        n = md.conductor_n()
+        seed = 3
+        tokens = decompose(sample_gamma(n, Lcg(seed))).tokens
+        k = next(k for (kind, k), nxt in zip(tokens, tokens[1:])
+                 if kind == "t" and nxt[0] == "s")
+        line = "pass  congruence.level_subgroup_in_kernel  n=24 samples=1"
+        suite = galois.congruence_suite(md, 1, seed, ())
+        assert suite[0].human_line() == line
+        md._ts_cache[k] = mx.scalar_mul(2, md.ts_syllable(k))
+        suite = galois.congruence_suite(md, 1, seed, ())
+        assert suite[0].human_line().startswith(
+            "FAIL  congruence.level_subgroup_in_kernel  n=24 samples=1  "
+            "[sample 0: ")
 
 
 class TestSampling:
