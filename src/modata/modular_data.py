@@ -10,16 +10,34 @@ consumes validated instances only.
 
 The fractional power T^r always means the diagonal matrix with entries
 exp(2*pi*i*(delta_lam - c0/24)*r); no logarithm branches exist anywhere.
+
+The fusion rules are the Verlinde character sums in matrix form:
+N_lam = S diag(S[lam][d] / S[0][d]) S^dagger, one column scaling and one
+matrix product per label, so every coefficient is one `cyclo.dot` of r
+terms, reduced once; `dot` skips the zero terms, so a sum is held at the
+lcm of the orders of its nonzero terms.  The scalar character sums (the
+total index, the statistical phase sum, the fused phase, the soliton
+multiplicity) are `sum(terms, CycloNum.zero())`: each term is a product of
+three or more factors (or a square), which `dot` cannot fuse, and each sum
+runs once per check over at most rank terms, so `+` keeps them one line
+each at the value, order included, of the term-by-term chain.
 """
 
-import itertools
+import functools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import matrixops as mx
-from .cyclo import CycloNum, cyclo_from_obj, make, root_of_unity_exp, sqrt_nonneg_rational
+from .cyclo import (
+    CycloNum,
+    cyclo_from_obj,
+    dot,
+    make,
+    root_of_unity_exp,
+    sqrt_nonneg_rational,
+)
 from .errors import (
     AxiomViolationError,
     ConductorMismatchError,
@@ -48,36 +66,43 @@ class ConductorInfo:
     e: int
 
 
-def _verlinde_value(s: mx.Matrix, lam: int, mu: int, nu: int) -> CycloNum:
-    """The character sum over S columns d of
-    S[lam][d] S[mu][d] conj(S[nu][d]) / S[0][d].
-
-    The vacuum-row entries keep their inverses (see `CycloNum.inverse`), so
-    each is inverted once however many sums divide by it.  For an S that is
-    symmetric and unitary with S^2 = C, a conjugation permutation, one has
-    S^dagger = S C, so conj(S[nu][d]) = S[conj(nu)][d] and the sum is fully
-    symmetric in (lam, mu, conj(nu)); `_axiom_checks` evaluates it once per
-    orbit of that symmetry, C(rank + 2, 3) sums instead of rank^3.
-    """
-    acc = None
-    for d in range(len(s)):
-        term = s[lam][d] * s[mu][d] * s[nu][d].conjugate() * s[0][d].inverse()
-        acc = term if acc is None else acc + term
-    return acc
+def eigenvalues(s: mx.Matrix, lam: int) -> tuple[CycloNum, ...]:
+    """S[lam][d] / S[0][d] over the columns d: the eigenvalues of the fusion
+    matrix N_lam, whose eigenvector for d is column d of S.  The vacuum-row
+    entries keep their inverses (see `CycloNum.inverse`)."""
+    return tuple(s[lam][d] * s[0][d].inverse() for d in range(len(s)))
 
 
 def verlinde_sum(s: mx.Matrix, lam: int, mu: int, nu: int) -> int:
-    """One fusion coefficient as the exact character sum over S columns.
+    """One fusion coefficient, the Verlinde character sum over S columns d
+    of S[mu][d] (S[lam][d] / S[0][d]) conj(S[nu][d]), as one `dot`: the
+    (mu, nu) entry of S diag(eigenvalues(s, lam)) S^dagger, exactly the
+    coefficient the validated table holds.  Its terms are pairwise
+    products, which `dot` fuses; the scalar character sums, whose terms
+    have more factors, use `sum` (see the module docstring).
 
     Raises NonIntegralFusionError when the sum is not a nonnegative integer,
     which signals corrupt input data.
     """
-    acc = _verlinde_value(s, lam, mu, nu)
+    acc = dot(
+        [x * e for x, e in zip(s[mu], eigenvalues(s, lam))],
+        [x.conjugate() for x in s[nu]],
+    )
     if not acc.is_nonneg_integer():
         raise NonIntegralFusionError(
             f"fusion ({lam},{mu};{nu}) is {acc!r}, not a nonnegative integer"
         )
     return acc.nums[0]
+
+
+def phase_sum(s: mx.Matrix, delta) -> CycloNum:
+    """The statistical phase sum over lam of d_lam^2 exp(-2*pi*i*delta_lam),
+    with d_lam = S[0][lam] / S[0][0]."""
+    dims = [x / s[0][0] for x in s[0]]
+    return sum(
+        (d * d * root_of_unity_exp(-dl) for d, dl in zip(dims, delta)),
+        CycloNum.zero(),
+    )
 
 
 class ModularData:
@@ -133,9 +158,10 @@ class ModularData:
     def t_power(self, r) -> mx.Matrix:
         return mx.diagonal(self.t_entries(r))
 
-    @property
+    @functools.cached_property
     def s_inv(self) -> mx.Matrix:
-        # S^2 equals the conjugation permutation, so S^-1 = S @ Chat.
+        """S^-1 = S @ Chat, since S^2 is the conjugation permutation;
+        computed on first read."""
         return mx.mat_mul(self.s, self.chat)
 
     def verlinde(self, lam: int, mu: int, nu: int) -> int:
@@ -145,11 +171,11 @@ class ModularData:
         return self.s[0][lam] / self.s[0][0]
 
     def mu_index(self) -> CycloNum:
-        acc = None
-        for lam in range(self.rank):
-            d = self.qdim(lam)
-            acc = d * d if acc is None else acc + d * d
-        return acc
+        """The total index: the sum of the squared quantum dimensions."""
+        return sum(
+            (d * d for d in map(self.qdim, range(self.rank))),
+            CycloNum.zero(),
+        )
 
     def s00_inv(self) -> CycloNum:
         """1/S_00, the real positive square root of the total index."""
@@ -174,19 +200,12 @@ class ModularData:
         formula for the unnormalized S matrix."""
         suite = "c0"
         omega = [root_of_unity_exp(d) for d in self.delta]
-        aa = None
-        mu_tot = None
-        for lam in range(self.rank):
-            d = self.qdim(lam)
-            d2 = d * d
-            term = d2 * omega[lam].conjugate()
-            aa = term if aa is None else aa + term
-            mu_tot = d2 if mu_tot is None else mu_tot + d2
+        aa = phase_sum(self.s, self.delta)
         records = [
             CheckRecord(
                 suite,
                 "phase_norm",
-                aa * aa.conjugate() == mu_tot,
+                aa * aa.conjugate() == self.mu_index(),
                 witness="",
             ),
             CheckRecord(
@@ -198,16 +217,11 @@ class ModularData:
         ]
 
         def fused_phase(lam, mu):
-            acc = None
-            for nu in range(self.rank):
-                n = self.fusion[lam][mu][nu]
-                if n:
-                    term = (
-                        n * omega[lam] * omega[mu]
-                        / omega[nu] * self.qdim(nu)
-                    )
-                    acc = term if acc is None else acc + term
-            return CycloNum.zero() if acc is None else acc
+            return sum(
+                (n * omega[lam] * omega[mu] / omega[nu] * self.qdim(nu)
+                 for nu, n in enumerate(self.fusion[lam][mu]) if n),
+                CycloNum.zero(),
+            )
 
         s00 = self.s[0][0]
         records.append(first_failure(
@@ -425,29 +439,28 @@ def _axiom_checks(labels, s, delta, c, c0, tau2):
     if not all(r.passed for r in records):
         return records, derived
 
-    # The table is filled while it is checked, so this scan stays a loop.
-    # The checks above make N(lam,mu;nu) symmetric in (lam, mu, conj[nu]):
-    # one sum per orbit, met first in scan order, so a failing orbit fails
-    # at the same triple, with the same value, as a scan of every triple.
-    coeffs = []
-    orbit_value: dict[tuple[int, int, int], int] = {}
+    # N_lam = S diag(eigenvalues) S^dagger, one matrix product per label,
+    # turned into integers at once; the scan runs over (lam, mu, nu) in
+    # lexicographic order and stops at the first entry that is not a
+    # nonnegative integer.
+    s_dag = mx.dagger(s)
+    ratios = [eigenvalues(s, lam) for lam in range(rank)]
+    fusion = []
     fus_witness = ""
-    for lam, mu, nu in itertools.product(range(rank), repeat=3):
-        key = tuple(sorted((lam, mu, conj[nu])))
-        n = orbit_value.get(key)
-        if n is None:
-            acc = _verlinde_value(s, lam, mu, nu)
-            if not acc.is_nonneg_integer():
-                fus_witness = f"N({lam},{mu};{nu}) = {acc!r}"
-                break
-            n = orbit_value[key] = acc.nums[0]
-        coeffs.append(n)
+    for lam in range(rank):
+        n_lam = mx.mat_mul(mx.scale_cols(s, ratios[lam]), s_dag)
+        fus_witness = next(
+            (f"N({lam},{mu};{nu}) = {x!r}"
+             for mu, row in enumerate(n_lam) for nu, x in enumerate(row)
+             if not x.is_nonneg_integer()),
+            "",
+        )
+        if fus_witness:
+            break
+        fusion.append(tuple(tuple(x.nums[0] for x in row) for row in n_lam))
     if not rec("fusion_integral_nonnegative", not fus_witness, fus_witness):
         return records, derived
-    rows = [tuple(coeffs[i:i + rank]) for i in range(0, rank ** 3, rank)]
-    fusion = tuple(
-        tuple(rows[i:i + rank]) for i in range(0, rank * rank, rank)
-    )
+    fusion = tuple(fusion)
     derived["fusion"] = fusion
 
     records.append(first_failure(
@@ -456,8 +469,7 @@ def _axiom_checks(labels, s, delta, c, c0, tau2):
          if mx.first_mismatch(
              mx.mat_mul(mx.mat([[CycloNum.rational(n) for n in row]
                                 for row in fusion[lam]]), s),
-             mx.scale_cols(s, tuple(s[lam][d] * s[0][d].inverse()
-                                    for d in range(rank))),
+             mx.scale_cols(s, ratios[lam]),
          )),
     ))
 
@@ -481,12 +493,7 @@ def _axiom_checks(labels, s, delta, c, c0, tau2):
 
 def _compute_c0(s: mx.Matrix, delta) -> Fraction:
     """Representative in [0, 8) of the statistical phase class."""
-    rank = len(s)
-    aa = None
-    for lam in range(rank):
-        d = s[0][lam] / s[0][0]
-        term = d * d * root_of_unity_exp(-delta[lam])
-        aa = term if aa is None else aa + term
+    aa = phase_sum(s, delta)
     u = aa * s[0][0]  # aa / |aa|, a root of unity
     m = u.order
     for j in range(m):

@@ -19,6 +19,7 @@ convention was active.  The orbifold phase representative scales as
 c0(orbifold) = N * c0(parent).
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,11 +155,10 @@ def mu_scaling_check(slice_: OrbSlice) -> list[CheckRecord]:
     n_cyc = slice_.n
     parent = slice_.parent
     _, units = sector_set(slice_)
-    total = None
-    for a in units:
-        d = orb_qdim(slice_, a)
-        d2 = d * d
-        total = d2 if total is None else total + d2
+    total = sum(
+        (d * d for d in (orb_qdim(slice_, a) for a in units)),
+        CycloNum.zero(),
+    )
     mu_pow = parent.s00_inv() ** (2 * n_cyc)  # parent total index to the N
     phi_n = sum(1 for t in range(n_cyc) if math.gcd(t, n_cyc) == 1)
     expected = mu_pow * (phi_n * n_cyc)
@@ -190,12 +190,12 @@ def soliton_multiplicity(md: ModularData, labels) -> int:
         raise ValueError("need at least two labels")
     genus = (n - 1) * (n - 2) // 2
     inv_power = n + 2 * genus - 2  # vacuum-row inverse appears to this power
-    acc = None
-    for d in range(md.rank):
-        term = md.s0_inv(d) ** inv_power
-        for lam in labels:
-            term = term * md.s[lam][d]
-        acc = term if acc is None else acc + term
+    acc = sum(
+        (math.prod((md.s[lam][d] for lam in labels),
+                   start=md.s0_inv(d) ** inv_power)
+         for d in range(md.rank)),
+        CycloNum.zero(),
+    )
     if not acc.is_nonneg_integer():
         raise NonIntegralMultiplicityError(
             f"multiplicity of {labels} is {acc!r}, not a nonnegative integer"
@@ -359,16 +359,7 @@ def multiplicity_report(md: ModularData, max_factors: int = 4,
 
     def tuples(n):
         if rank <= full_rank_bound:
-            idx = [0] * n
-            while True:
-                yield tuple(idx)
-                j = n - 1
-                while j >= 0 and idx[j] == rank - 1:
-                    idx[j] = 0
-                    j -= 1
-                if j < 0:
-                    return
-                idx[j] += 1
+            yield from itertools.product(range(rank), repeat=n)
         else:
             for _ in range(200):
                 yield tuple(rng.below(rank) for _ in range(n))

@@ -1,10 +1,18 @@
 """Command-line surface: exit codes, file IO, notices, determinism."""
 
+import contextlib
+import copy
+import functools
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modata.cli import main
 from modata.modular_data import builtin_model
@@ -231,3 +239,94 @@ class TestDeterminism:
             capture_output=True, text=True, check=True,
         )
         assert proc.stdout == inproc
+
+
+@functools.cache
+def _dump(spec):
+    name, param = spec
+    return builtin_model(name, param).dumps()
+
+
+def _slots(node):
+    """Every (container, key) pair of a JSON tree, parents first."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return
+    for key, child in items:
+        yield node, key
+        yield from _slots(child)
+
+
+_JUNK = st.sampled_from([
+    None, 0, -1, 2, 1.5, True, "", "x", "1/0", "4", [], {}, ["1"],
+    {"order": 1, "coeffs": ["1"]},
+])
+_NUMBERS = st.sampled_from(["0", "1", "-1", "1/2", "-3/4", "7/3", "2"])
+
+
+@st.composite
+def corrupted_models(draw):
+    """A dump of su2:2 or cyclic_odd:3 after one to three corruptions:
+    a dropped key, a value of another type, a changed number, a truncated
+    list, or permuted labels."""
+    obj = json.loads(_dump(draw(st.sampled_from([("su2", 2),
+                                                 ("cyclic_odd", 3)]))))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(
+            ["drop", "retype", "number", "truncate", "permute", "relabel"]))
+        slots = list(_slots(obj))
+        if kind == "drop":
+            slots = [(c, k) for c, k in slots if isinstance(c, dict)]
+        elif kind == "number":
+            slots = [(c, k) for c, k in slots if isinstance(c[k], str)]
+        elif kind in ("truncate", "permute"):
+            slots = [(c, k) for c, k in slots if isinstance(c[k], list)]
+        elif kind == "relabel":
+            slots = [(obj, "labels")] if isinstance(obj.get("labels"),
+                                                     list) else []
+        if not slots:
+            continue
+        container, key = draw(st.sampled_from(slots))
+        if kind == "drop":
+            del container[key]
+        elif kind == "retype":
+            container[key] = copy.deepcopy(draw(_JUNK))  # shared values
+        elif kind == "number":
+            container[key] = draw(_NUMBERS)
+        elif kind == "truncate":
+            del container[key][draw(st.integers(0, len(container[key]))):]
+        elif kind == "permute":
+            container[key] = draw(st.permutations(container[key]))
+        else:  # the same datum under other labels, where the shape allows
+            perm = draw(st.permutations(range(len(obj["labels"]))))
+            for k in ("labels", "delta", "S"):
+                if isinstance(obj.get(k), list) and len(obj[k]) == len(perm):
+                    obj[k] = [obj[k][p] for p in perm]
+            if isinstance(obj.get("S"), list):
+                obj["S"] = [
+                    [row[p] for p in perm]
+                    if isinstance(row, list) and len(row) == len(perm)
+                    else row
+                    for row in obj["S"]
+                ]
+    return obj
+
+
+class TestCorruptedModelFiles:
+    @settings(max_examples=60, deadline=None)
+    @given(corrupted_models())
+    def test_verify_exits_cleanly(self, obj):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+            out, err = io.StringIO(), io.StringIO()
+            with (contextlib.redirect_stdout(out),
+                  contextlib.redirect_stderr(err)):
+                code = main(["verify", path])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert_one_error_line(err.getvalue())

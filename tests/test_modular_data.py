@@ -1,15 +1,20 @@
 """Modular datum validation, fusion, phase class, conductor, builtins."""
 
+import itertools
 import json
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from modata import matrixops as mx
-from modata import modular_data
-from modata.cyclo import CycloNum, embed_complex, make, sqrt_nonneg_rational
+from modata.cyclo import (
+    CycloNum,
+    embed_complex,
+    make,
+    root_of_unity_exp,
+    sqrt_nonneg_rational,
+)
 from modata.errors import (
     AxiomViolationError,
     ConductorMismatchError,
@@ -18,12 +23,14 @@ from modata.errors import (
 )
 from modata.modular_data import (
     ModularData,
-    _verlinde_value,
     builtin_model,
+    eigenvalues,
     from_obj,
     loads,
+    phase_sum,
     verlinde_sum,
 )
+from modata.orbifold import soliton_multiplicity
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +153,15 @@ def _permuted(md, seed):
     return perm, loads(json.dumps(obj))
 
 
+def _verlinde_value(s, lam, mu, nu):
+    """The Verlinde sum term by term, as a chain of products and sums."""
+    acc = None
+    for d in range(len(s)):
+        term = s[lam][d] * s[mu][d] * s[nu][d].conjugate() * s[0][d].inverse()
+        acc = term if acc is None else acc + term
+    return acc
+
+
 def _full_fusion_table(s):
     def coefficient(lam, mu, nu):
         value = _verlinde_value(s, lam, mu, nu)
@@ -160,9 +176,13 @@ def _full_fusion_table(s):
     )
 
 
+def _exact(x):
+    return x.order, x.den, x.nums
+
+
 class TestFusionOrbits:
-    """The table built from one sum per (lam, mu, conj nu) orbit against
-    every one of the rank^3 sums."""
+    """The table built as r matrix products N_lam = S diag(S[lam]/S[0])
+    S^dagger against every one of the rank^3 term-by-term sums."""
 
     @pytest.mark.parametrize("name,param", [
         *(("su2", k) for k in range(1, 9)),
@@ -181,19 +201,155 @@ class TestFusionOrbits:
         if name == "cyclic_odd":
             assert moved.conj != tuple(range(r))
 
-    @pytest.mark.parametrize("name,param,sums", [
-        ("su2", 10, 286), ("cyclic_odd", 9, 165),
+    @pytest.mark.parametrize("name,param", [
+        ("su2", 10), ("cyclic_odd", 9),
     ])
-    def test_one_sum_per_orbit(self, monkeypatch, name, param, sums):
+    def test_one_product_per_label(self, monkeypatch, name, param):
         calls = []
+        real = mx.mat_mul
 
-        def counted(s, lam, mu, nu):
-            calls.append((lam, mu, nu))
-            return _verlinde_value(s, lam, mu, nu)
+        def counted(a, b):
+            calls.append(b)
+            return real(a, b)
 
-        monkeypatch.setattr(modular_data, "_verlinde_value", counted)
+        monkeypatch.setattr(mx, "mat_mul", counted)
         md = builtin_model(name, param)
-        assert len(calls) == sums == math.comb(md.rank + 2, 3)
+        r = md.rank
+        # s_unitary, S^2 and S T S make three, then the table one per label
+        # (all by one S^dagger), then fusion_diagonalized_by_s one per label.
+        assert len(calls) == 3 + 2 * r
+        table = calls[3:3 + r]
+        assert all(b is table[0] for b in table)
+        assert mx.mat_eq(table[0], mx.dagger(md.s))
+
+    @pytest.mark.parametrize("name,param", [
+        *(("su2", k) for k in range(1, 5)),
+        *(("cyclic_odd", n) for n in (3, 5)),
+    ])
+    def test_verlinde_sum_equals_term_sum(self, name, param):
+        md = builtin_model(name, param)
+        for lam, mu, nu in itertools.product(range(md.rank), repeat=3):
+            value = _verlinde_value(md.s, lam, mu, nu)
+            assert verlinde_sum(md.s, lam, mu, nu) == value.nums[0]
+            assert value.is_nonneg_integer()
+
+    def test_non_integral_sum_reports_term_sum(self, su2_2):
+        s = [list(row) for row in su2_2.s]
+        s[2][1] = s[1][2] = s[2][1] * Fraction(1, 3)
+        s = mx.mat(s)
+        failed = 0
+        for lam, mu, nu in itertools.product(range(3), repeat=3):
+            value = _verlinde_value(s, lam, mu, nu)
+            if value.is_nonneg_integer():
+                assert verlinde_sum(s, lam, mu, nu) == value.nums[0]
+                continue
+            failed += 1
+            with pytest.raises(NonIntegralFusionError) as exc:
+                verlinde_sum(s, lam, mu, nu)
+            assert f"is {value!r}, not" in str(exc.value)
+        assert failed
+
+    @pytest.mark.parametrize("name,param", [
+        ("su2", 2), ("su2", 4), ("su2", 7), ("cyclic_odd", 3),
+        ("cyclic_odd", 9),
+    ])
+    @pytest.mark.parametrize("rejected", [0, 1, 2])
+    def test_first_failing_triple(self, monkeypatch, name, param, rejected):
+        # Declaring one integer value non-integral fails the table at the
+        # first triple, in (lam, mu, nu) order, that holds it.
+        table = builtin_model(name, param).fusion
+        r = len(table)
+        first = next(
+            ((lam, mu, nu)
+             for lam, mu, nu in itertools.product(range(r), repeat=3)
+             if table[lam][mu][nu] == rejected),
+            None,
+        )
+        real = CycloNum.is_nonneg_integer
+        monkeypatch.setattr(CycloNum, "is_nonneg_integer",
+                            lambda self: real(self) and self != rejected)
+        if first is None:
+            builtin_model(name, param)
+            return
+        with pytest.raises(AxiomViolationError) as exc:
+            builtin_model(name, param)
+        record = exc.value.report[-1]
+        assert record.check == "fusion_integral_nonnegative"
+        assert record.witness == "N({},{};{}) = CycloNum({})".format(
+            *first, rejected)
+
+    def test_witness_at_order_of_nonzero_terms(self):
+        # `dot` skips zero terms, so a zero entry kept at order 8 no longer
+        # lifts the printed value i from Q(zeta_4) to Q(zeta_8).
+        s = mx.mat([[CycloNum.one(), CycloNum.one()],
+                    [make(4, [(1, 1)]), CycloNum.zero(8)]])
+        assert repr(_verlinde_value(s, 1, 0, 0)) == "CycloNum((1)*z8^2)"
+        with pytest.raises(NonIntegralFusionError,
+                           match=r"is CycloNum\(\(1\)\*z4\^1\), not"):
+            verlinde_sum(s, 1, 0, 0)
+
+    def test_eigenvalues_are_ratios(self, su2_2):
+        for lam in range(3):
+            assert eigenvalues(su2_2.s, lam) == tuple(
+                su2_2.s[lam][d] / su2_2.s[0][d] for d in range(3))
+
+
+_SUM_MODELS = [
+    *(("su2", k) for k in range(1, 9)),
+    *(("cyclic_odd", n) for n in (3, 5, 7, 9, 11)),
+]
+
+
+class TestCharacterSums:
+    """Each one-line character sum against the term-by-term chain it
+    replaced, in order, denominator and numerators."""
+
+    @pytest.mark.parametrize("name,param", _SUM_MODELS)
+    def test_mu_index_and_phase_sum(self, name, param):
+        md = builtin_model(name, param)
+        for m in (md, loads(md.dumps())):  # mixed orders, one order
+            mu = aa = None
+            for lam in range(m.rank):
+                d = m.s[0][lam] / m.s[0][0]
+                d2 = d * d
+                term = d2 * root_of_unity_exp(m.delta[lam]).conjugate()
+                mu = d2 if mu is None else mu + d2
+                aa = term if aa is None else aa + term
+            assert _exact(m.mu_index()) == _exact(mu)
+            assert _exact(phase_sum(m.s, m.delta)) == _exact(aa)
+
+    @pytest.mark.parametrize("name,param", [
+        *(("su2", k) for k in range(1, 5)),
+        ("cyclic_odd", 3),
+    ])
+    def test_soliton_multiplicity(self, monkeypatch, name, param):
+        md = builtin_model(name, param)
+        seen = []
+        real = CycloNum.is_nonneg_integer
+        monkeypatch.setattr(CycloNum, "is_nonneg_integer",
+                            lambda self: seen.append(self) or real(self))
+        for n in (2, 3, 4):
+            inv_power = n + (n - 1) * (n - 2) - 2
+            for labels in itertools.product(range(md.rank), repeat=n):
+                acc = None
+                for d in range(md.rank):
+                    term = md.s0_inv(d) ** inv_power
+                    for lam in labels:
+                        term = term * md.s[lam][d]
+                    acc = term if acc is None else acc + term
+                assert soliton_multiplicity(md, labels) == acc.nums[0]
+                assert _exact(seen[-1]) == _exact(acc)
+
+
+def test_s_inv_computed_once(monkeypatch):
+    md = builtin_model("su2", 3)
+    calls = []
+    real = mx.mat_mul
+    monkeypatch.setattr(
+        mx, "mat_mul", lambda a, b: calls.append(b) or real(a, b))
+    first, second = md.s_inv, md.s_inv
+    assert first is second and len(calls) == 1
+    assert mx.is_identity(real(md.s, first))
 
 
 class TestQdimMu:
