@@ -1,0 +1,39 @@
+"""Canonical --json reports, byte for byte.
+
+Each file under tests/golden/ holds the stdout of one invocation, recorded
+before the sampling checks moved to the packed evaluator; a change to the
+evaluators must leave every byte of these reports as it was.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from modata import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "galois-su2-1": ["galois", "--model", "su2:1", "--l", "5,7,11,13",
+                     "--samples", "10", "--seed", "7", "--json"],
+    "galois-su2-2": ["galois", "--model", "su2:2", "--l", "3,5,7,9",
+                     "--samples", "10", "--seed", "7", "--json"],
+    "galois-cyclic_odd-3": ["galois", "--model", "cyclic_odd:3",
+                            "--l", "5,7,11,13", "--samples", "10",
+                            "--seed", "7", "--json"],
+    "galois-su2-4": ["galois", "--model", "su2:4", "--l", "5,7,11,13",
+                     "--samples", "10", "--seed", "7", "--json"],
+    "lambda-su2-2-hat": ["lambda", "--model", "su2:2", "--r=2/5", "--hat",
+                         "--json"],
+    "orbifold-su2-1-order5": ["orbifold", "--model", "su2:1", "--order", "5",
+                              "--json"],
+    "verify-su2-10": ["verify", "--model", "su2:10", "--json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_is_byte_identical(name, capsysbinary):
+    assert cli.main(CASES[name]) == 0
+    out = capsysbinary.readouterr()
+    assert out.err == b""
+    assert out.out == (GOLDEN / f"{name}.json").read_bytes()
