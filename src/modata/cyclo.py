@@ -312,12 +312,11 @@ class CycloNum:
         a, b = _align(self, other)
         ctx = _context(a.order)
         acc = [0] * (2 * ctx.phi - 1)
-        bnums = b.nums
+        b_nz = [(j, bj) for j, bj in enumerate(b.nums) if bj]
         for i, ai in enumerate(a.nums):
             if ai:
-                for j, bj in enumerate(bnums):
-                    if bj:
-                        acc[i + j] += ai * bj
+                for j, bj in b_nz:
+                    acc[i + j] += ai * bj
         return CycloNum(a.order, a.den * b.den, ctx.reduce(acc))
 
     __rmul__ = __mul__
@@ -718,6 +717,15 @@ def embed_complex(a: CycloNum, digits: int = MAX_EMBED_DIGITS) -> complex:
 def cyclo_from_obj(obj) -> CycloNum:
     """Inverse of CycloNum.to_obj; raises ModelFormatError when `obj` does
     not have that shape."""
+    shape = 'expected {"order": int, "coeffs": [...]}'
+    if not isinstance(obj, dict):
+        raise ModelFormatError(
+            f"malformed cyclotomic number: {shape}, not {type(obj).__name__}")
+    missing = [key for key in ("order", "coeffs") if key not in obj]
+    if missing:
+        raise ModelFormatError(
+            f"malformed cyclotomic number: {shape}, "
+            f"without {' or '.join(missing)}")
     try:
         order = obj["order"]
         coeffs = obj["coeffs"]
@@ -726,7 +734,7 @@ def cyclo_from_obj(obj) -> CycloNum:
         if not isinstance(coeffs, list):
             raise TypeError(f"coeffs {coeffs!r} is not a list")
         coeffs = [Fraction(c) for c in coeffs]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError,
+    except (TypeError, ValueError, ZeroDivisionError,
             OverflowError) as exc:
         raise ModelFormatError(
             f"malformed cyclotomic number: {type(exc).__name__}: {exc}"

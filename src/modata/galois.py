@@ -7,6 +7,16 @@ the representation kernel against the arithmetic criterion, runs the
 congruence-subgroup sampling suites, and extracts the diagonal phase
 matrices relating Frobenius images of the fractional modular matrices.
 
+The congruence sampling checks and `kernel_test` evaluate D(m) with
+`rep_evaluate_packed`: all of D(m), S^-1 and the T powers lie in one field
+Q(zeta_M), M the lcm of the conductor and the stored S orders, so the
+identity and equality tests and sigma_l there run on packed integer
+entries and build no CycloNum.  sigma_l acts on Q(zeta_M) through a lift
+l' = l (mod n) coprime to M, which is the same automorphism on the
+conductor field that contains every entry.  `sigma_matrix` and the
+CycloNum evaluator remain for S, T and the fractional matrices, whose
+entry orders are reported.
+
 Applying sigma_l to a matrix whose entries live at mixed ambient orders uses
 a lift l' = l (mod the field modulus that determines the action) chosen
 coprime to the working order; existence is guaranteed because every prime of
@@ -34,7 +44,7 @@ from .modrep import (
     in_gamma1,
     lift_to_sl2z,
     random_word_matrix,
-    rep_evaluate,
+    rep_evaluate_packed,
     sample_gamma,
     t_gen,
     tau_l,
@@ -189,8 +199,8 @@ class KernelTestResult:
 
 def kernel_test(md: ModularData, m: SL2ZMat) -> KernelTestResult:
     n = md.conductor_n()
-    dm = rep_evaluate(md, m)
-    direct = mx.is_identity(dm)
+    dm = rep_evaluate_packed(md, m)
+    direct = dm.is_identity()
     criterion = None
     factorization = None
     if math.gcd(m.d, n) == 1:
@@ -198,12 +208,11 @@ def kernel_test(md: ModularData, m: SL2ZMat) -> KernelTestResult:
         lhs = mx.scale_cols(sig_s, md.t_entries(m.b))
         rhs = mx.scale_rows(md.t_entries(m.e), md.s)
         criterion = mx.mat_eq(lhs, rhs)
-        sig_dm = sigma_matrix(m.d, dm, n)
-        rhs2 = mx.scale_rows(
-            md.t_entries(m.b),
-            mx.mat_mul(md.s_inv, mx.scale_rows(md.t_entries(-m.e), sig_s)),
-        )
-        factorization = mx.mat_eq(sig_dm, rhs2)
+        pk = md.packed
+        lp = coprime_lift(m.d, n, pk.order)
+        rhs2 = (pk.t_diagonal(m.b) @ pk.s_inv @ pk.t_diagonal(-m.e)
+                @ pk.s.sigma(lp))
+        factorization = dm.sigma(lp) == rhs2
     return KernelTestResult(direct, criterion, factorization)
 
 
@@ -224,7 +233,7 @@ def congruence_suite(md: ModularData, samples: int, seed: int,
     records.append(first_failure(
         suite, "level_subgroup_in_kernel",
         (f"sample {i}: {m.to_obj()}" for i, m in enumerate(drawn)
-         if not mx.is_identity(rep_evaluate(md, m))),
+         if not rep_evaluate_packed(md, m).is_identity()),
         n=n, samples=samples,
     ))
 
@@ -236,12 +245,13 @@ def congruence_suite(md: ModularData, samples: int, seed: int,
             )
             continue
         drawn = [random_word_matrix(rng) for _ in range(samples)]
+        lp = coprime_lift(l, n, md.packed.order)
         records.append(first_failure(
             suite, "frobenius_equivariance",
             (f"sample {i}: {m.to_obj()}" for i, m in enumerate(drawn)
              for lifted in [lift_to_sl2z(n, tau_l(m, l, n))]
-             if not mx.mat_eq(sigma_matrix(l, rep_evaluate(md, m), n),
-                              rep_evaluate(md, lifted))),
+             if rep_evaluate_packed(md, m).sigma(lp)
+             != rep_evaluate_packed(md, lifted)),
             l=l, n=n, samples=samples,
         ))
 
@@ -259,7 +269,7 @@ def congruence_suite(md: ModularData, samples: int, seed: int,
         (f"sample {i}: {m.to_obj()}" for i, m in enumerate(drawn)
          if not in_gamma1(n, m)
          or in_gamma(n, m)
-         or mx.is_identity(rep_evaluate(md, m))),
+         or rep_evaluate_packed(md, m).is_identity()),
         n=n, samples=samples,
     ))
     return records

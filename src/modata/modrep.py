@@ -5,6 +5,16 @@ entry of a matrix is written `e` (the letter c is taken by the central
 charge).  The representation sends s -> S, t -> T and the central -I to
 the conjugation permutation S^2.
 
+Two evaluators of the representation share one word walk (`syllables`:
+decompose, pair each t^k with the s after it, keep the final t^k and the
+sign).  `rep_evaluate` multiplies CycloNum matrices, so each entry keeps
+the order its products give it; those orders reach the `lambda --json`
+report, which is why `lambdamat` uses it, and the tests use it as the
+reference.  `rep_evaluate_packed` multiplies the same factors as packed
+matrices over the model's single field (see `modata.packed`) for the
+congruence and kernel sampling checks, which need only identity and
+equality tests and sigma_l.
+
 Sampling is reproducible: a fixed 64-bit linear congruential generator
 (multiplier 6364136223846793005, increment 1442695040888963407, state and
 outputs mod 2^64) is stepped once per draw; `below(n)` reduces the output
@@ -17,6 +27,7 @@ from dataclasses import dataclass
 from . import matrixops as mx
 from .errors import LiftNotFoundError, NotCoprimeError
 from .modular_data import ModularData
+from .packed import PackedMatrix
 
 
 @dataclass(frozen=True)
@@ -126,6 +137,32 @@ def decompose(m: SL2ZMat) -> GenWord:
     return word
 
 
+@dataclass(frozen=True)
+class Syllables:
+    """A generator word read as the factors of its representation matrix:
+    one T^k S per syllable t^k s (k is None for a bare s), then T^last_t
+    for a final t^k, then the conjugation S^2 when the word carries -I."""
+
+    steps: tuple[int | None, ...]
+    last_t: int | None
+    central: bool
+
+
+def syllables(m: SL2ZMat) -> Syllables:
+    """The word walk shared by both evaluators: decompose m, pair each t^k
+    with the s after it, and keep the final t^k and the sign apart."""
+    word = decompose(m)
+    steps = []
+    pending = None  # the exponent of a t^k waiting for the s after it
+    for kind, k in word.tokens:
+        if kind == "t":
+            pending = k
+        else:
+            steps.append(pending)
+            pending = None
+    return Syllables(tuple(steps), pending, word.sign < 0)
+
+
 def rep_evaluate(md: ModularData, m: SL2ZMat) -> mx.Matrix:
     """The representation matrix D(m), as a product of S and diagonal
     T powers along a generator word; -I contributes the conjugation
@@ -133,20 +170,18 @@ def rep_evaluate(md: ModularData, m: SL2ZMat) -> mx.Matrix:
 
     Each syllable t^k s of the word is one product by the matrix T^k S,
     which `ModularData.ts_syllable` caches under the integer exponent k;
-    every token of the word is still evaluated.
+    every token of the word is still evaluated.  Entries stay CycloNum
+    values at the orders the products give them, because those orders
+    reach the `lambda --json` report; the sampling checks use
+    `rep_evaluate_packed`.
     """
-    word = decompose(m)
+    w = syllables(m)
     acc = None
-    pending = None  # the exponent of a t^k waiting for the s after it
-    for kind, k in word.tokens:
-        if kind == "t":
-            pending = k
-            continue
-        step = md.s if pending is None else md.ts_syllable(pending)
-        pending = None
+    for k in w.steps:
+        step = md.s if k is None else md.ts_syllable(k)
         acc = step if acc is None else mx.mat_mul(acc, step)
-    if pending is not None:  # a final t^k scales the columns
-        entries = md.t_entries(pending)
+    if w.last_t is not None:  # a final t^k scales the columns
+        entries = md.t_entries(w.last_t)
         acc = (
             mx.diagonal(entries)
             if acc is None
@@ -154,9 +189,18 @@ def rep_evaluate(md: ModularData, m: SL2ZMat) -> mx.Matrix:
         )
     if acc is None:
         acc = mx.identity(md.rank)
-    if word.sign < 0:
+    if w.central:
         acc = mx.mat_mul(acc, md.chat)
     return acc
+
+
+def rep_evaluate_packed(md: ModularData, m: SL2ZMat) -> PackedMatrix:
+    """D(m) over the model's single field (see `modata.packed`): the same
+    syllables as `rep_evaluate`, a bare s being T^0 S, multiplied as
+    packed matrices."""
+    w = syllables(m)
+    return md.packed.product(
+        [0 if k is None else k for k in w.steps], w.last_t, w.central)
 
 
 # -- congruence subgroups ---------------------------------------------

@@ -45,6 +45,7 @@ from .errors import (
     NonIntegralFusionError,
     UnsupportedModelError,
 )
+from .packed import PackedModel
 from .reporting import CheckRecord, first_failure
 
 _POSITIVITY_MARGIN = 1e-12
@@ -148,7 +149,9 @@ class ModularData:
         return cached
 
     def ts_syllable(self, k: int) -> mx.Matrix:
-        """D(t^k s) = T^k S for an integer exponent k, cached per k."""
+        """D(t^k s) = T^k S for an integer exponent k, cached per k; the
+        CycloNum syllable of `rep_evaluate` (the packed one is
+        `packed.syllable`)."""
         cached = self._ts_cache.get(k)
         if cached is None:
             cached = mx.mat_mul(mx.diagonal(self.t_entries(k)), self.s)
@@ -163,6 +166,12 @@ class ModularData:
         """S^-1 = S @ Chat, since S^2 is the conjugation permutation;
         computed on first read."""
         return mx.mat_mul(self.s, self.chat)
+
+    @functools.cached_property
+    def packed(self) -> PackedModel:
+        """This model over the single field Q(zeta_M) of `modata.packed`,
+        with its T^k S syllables; built on first read."""
+        return PackedModel(self)
 
     def verlinde(self, lam: int, mu: int, nu: int) -> int:
         return self.fusion[lam][mu][nu]

@@ -321,10 +321,24 @@ def _int_matmul(a, b):
             for i in range(n)]
 
 
-def multiplicity_trace_oracle(md: ModularData, labels) -> int:
+def handle_operator(md: ModularData) -> list[list[int]]:
+    """The integer matrix sum over nu of N_nu N_conj(nu), which one handle
+    inserts into the fusion trace; it depends on the model only."""
+    handle = None
+    for nu in range(md.rank):
+        h = _int_matmul(_fusion_matrix(md, nu), _fusion_matrix(md, md.conj[nu]))
+        handle = h if handle is None else [
+            [x + y for x, y in zip(r1, r2)] for r1, r2 in zip(handle, h)
+        ]
+    return handle
+
+
+def multiplicity_trace_oracle(md: ModularData, labels, handle=None) -> int:
     """Independent integer oracle for the soliton multiplicity: the trace of
     the product of fusion matrices, with one handle operator sum(N_v N_vbar)
-    inserted per genus."""
+    inserted per genus beyond the first.  Pass `handle_operator(md)` as
+    `handle` to share it between calls; it is built here only when the
+    genus needs it and none is passed."""
     labels = tuple(labels)
     n = len(labels)
     genus = (n - 1) * (n - 2) // 2
@@ -333,12 +347,8 @@ def multiplicity_trace_oracle(md: ModularData, labels) -> int:
     prod = _fusion_matrix(md, labels[0])
     for lam in labels[1:]:
         prod = _int_matmul(prod, _fusion_matrix(md, lam))
-    handle = None
-    for nu in range(md.rank):
-        h = _int_matmul(_fusion_matrix(md, nu), _fusion_matrix(md, md.conj[nu]))
-        handle = h if handle is None else [
-            [x + y for x, y in zip(r1, r2)] for r1, r2 in zip(handle, h)
-        ]
+    if genus >= 2 and handle is None:
+        handle = handle_operator(md)
     for _ in range(genus - 1):
         prod = _int_matmul(prod, handle)
     return sum(prod[i][i] for i in range(md.rank))
@@ -356,6 +366,8 @@ def multiplicity_report(md: ModularData, max_factors: int = 4,
     rank = md.rank
     records = []
     rng = Lcg(sample_seed)
+    # four or more labels have genus >= 2, which inserts the handle
+    handle = handle_operator(md) if max_factors >= 4 else None
 
     def tuples(n):
         if rank <= full_rank_bound:
@@ -376,7 +388,7 @@ def multiplicity_report(md: ModularData, max_factors: int = 4,
                 ok = False
                 witness = str(exc)
                 break
-            expected = multiplicity_trace_oracle(md, labs)
+            expected = multiplicity_trace_oracle(md, labs, handle)
             if m != expected:
                 ok = False
                 witness = f"labels {labs}: {m} != oracle {expected}"

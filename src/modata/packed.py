@@ -1,0 +1,384 @@
+"""Packed matrices over one cyclotomic field, for the sampling checks.
+
+Every representation matrix D(m) of a model lies in Q(zeta_M), with M the
+lcm of the conductor and the orders of the stored S entries, so the
+congruence and kernel sampling checks run on one matrix type over that
+field.  An entry is one Python int: its phi(M) reduced power-basis
+coefficients are signed B-bit digits, sum_j c_j 2^(B*j) (Kronecker
+substitution), over one common denominator per matrix.  A product entry is
+the big-int sum of the products of a row and a column, which multiplies
+the coefficient polynomials, reduced on the packed int by folding
+x^phi = R (mod Phi_M) a fixed number of times per order.  Digits stay
+reduced, so an entry is zero exactly when its int is zero, the identity
+test compares each entry with den * delta, two matrices are equal when
+x * db == y * da entrywise, and sigma_l sums the packed images of
+x^(l*j mod M) weighted by the unpacked digits.  CycloNum values are read
+by `pack` and built only by `to_matrix`.
+
+A carry between digits would corrupt them silently, so every matrix holds
+a proven bound: all its digits are below 2^bits in absolute value, and
+`norm` bounds the l1 norm of the digits of each column.  A product is
+taken only at a width B with the bound of every intermediate fold below
+2^(B-1), using the fold-growth constants of the order; otherwise both
+operands are unpacked and packed again at a wider B first.
+
+Nothing is keyed on a group element or on an exponent mod n: the
+per-model cache holds T^k S under the integer exponent k.
+"""
+
+import functools
+import math
+from functools import lru_cache
+from operator import mul
+
+from .cyclo import CycloNum, _context
+
+#: Digit widths are multiples of this many bits.
+WIDTH_STEP = 32
+
+
+def _clog2(x: int) -> int:
+    """ceil(log2(x)) for a positive integer x."""
+    return (x - 1).bit_length()
+
+
+def width_for(bits: int) -> int:
+    """The narrowest digit width that holds digits below 2^bits as signed
+    digits, i.e. with bits <= B - 1."""
+    return WIDTH_STEP * (bits // WIDTH_STEP + 1)
+
+
+def _fold_list(p: list, low, phi: int) -> list:
+    """One fold lo + hi * R of the coefficient list p, where x^phi = R is
+    sum r * x^j over the (j, r) pairs of `low`; trailing zeros dropped."""
+    out = p[:phi]
+    for i, c in enumerate(p[phi:]):
+        for j, r in low:
+            if i + j >= len(out):
+                out.extend([0] * (i + j + 1 - len(out)))
+            out[i + j] += c * r
+    while len(out) > phi and not out[-1]:
+        out.pop()
+    return out
+
+
+@lru_cache(maxsize=None)
+def _fold_constants(order: int) -> tuple[int, int, int]:
+    """(folds, stage growth, reduce growth) for products at `order`.
+
+    A product of two reduced polynomials has degree at most 2*phi - 2;
+    `folds` rounds of lo + hi * R bring every such polynomial below degree
+    phi.  Folding is linear, so a coefficient after k rounds is at most
+    the input bound times the largest l1 norm of a row of the k-round map;
+    stage growth is the largest over all rounds (the input included) and
+    reduce growth the one after the last round.
+    """
+    ctx = _context(order)
+    phi = ctx.phi
+    polys = [[0] * i + [1] for i in range(2 * phi - 1)]
+    growth = [1]
+    while any(len(p) > phi for p in polys):
+        polys = [_fold_list(p, ctx.low, phi) for p in polys]
+        growth.append(max(
+            sum(abs(p[t]) for p in polys if t < len(p))
+            for t in range(max(map(len, polys)))
+        ))
+    return len(growth) - 1, max(growth), growth[-1]
+
+
+class Packing:
+    """Q(zeta_order) at digit width `width`: the constants of the packed
+    reduction.  Use `packing(order, width)`, which shares one per pair."""
+
+    __slots__ = ("order", "phi", "width", "ctx", "folds", "stage_growth",
+                 "reduce_growth", "_shift", "_mask", "_digit", "_half",
+                 "_offset", "_fold")
+
+    def __init__(self, order: int, width: int):
+        ctx = _context(order)
+        self.order = order
+        self.ctx = ctx
+        self.phi = phi = ctx.phi
+        self.width = width
+        self.folds, self.stage_growth, self.reduce_growth = \
+            _fold_constants(order)
+        self._shift = width * phi
+        self._mask = (1 << self._shift) - 1
+        self._digit = (1 << width) - 1
+        self._half = 1 << (width - 1)
+        # 2^(B-1) in each of the phi low digits: adding it makes them
+        # nonnegative, so they split off by a mask without a borrow
+        self._offset = self.pack([self._half] * phi)
+        self._fold = self.pack(
+            [dict(ctx.low).get(j, 0) for j in range(phi)])
+
+    def pack(self, digits) -> int:
+        """sum_j digits[j] * 2^(width*j), for digits of any sign."""
+        v = 0
+        for c in reversed(digits):
+            v = (v << self.width) + c
+        return v
+
+    def unpack(self, v: int) -> list[int]:
+        """The phi signed digits of a reduced packed int."""
+        t = v + self._offset
+        digit, half, width = self._digit, self._half, self.width
+        out = []
+        for _ in range(self.phi):
+            out.append((t & digit) - half)
+            t >>= width
+        return out
+
+    def reduce(self, v: int) -> int:
+        """v modulo Phi_order, for v of degree at most 2*phi - 2 whose
+        digits, and those of each fold, lie in [-2^(B-1), 2^(B-1))."""
+        mask, shift, fold = self._mask, self._shift, self._fold
+        t = v + self._offset
+        for _ in range(self.folds):
+            t = (t & mask) + (t >> shift) * fold
+        return t - self._offset
+
+
+@lru_cache(maxsize=None)
+def packing(order: int, width: int) -> Packing:
+    return Packing(order, width)
+
+
+class PackedMatrix:
+    """A matrix over Q(zeta_order): packed integer entries over `den`.
+
+    Every digit is below 2^bits in absolute value, bits <= width - 1, and
+    every column's digits have l1 norm at most `norm`.  A matrix packed from
+    digits keeps them, so that packing it again at another width costs no
+    unpacking.  Immutable.
+    """
+
+    __slots__ = ("packing", "den", "rows", "bits", "norm", "_digits")
+
+    def __init__(self, packing: Packing, den: int, rows, bits: int,
+                 norm: int, digits=None):
+        self.packing = packing
+        self.den = den
+        self.rows = rows
+        self.bits = bits
+        self.norm = norm
+        self._digits = digits
+
+    def digits(self) -> list[list[list[int]]]:
+        if self._digits is not None:
+            return self._digits
+        unpack = self.packing.unpack
+        return [[unpack(v) for v in row] for row in self.rows]
+
+    def lift(self, min_width: int = 0) -> "PackedMatrix":
+        """The same matrix packed again at the narrowest width that holds
+        its digits and is at least `min_width`; a product's bounds are
+        remeasured on its digits."""
+        if self._digits is None:
+            return from_digits(self.packing.order, self.den, self.digits(),
+                               min_width)
+        p = packing(self.packing.order,
+                    max(min_width, width_for(self.bits)))
+        rows = tuple(tuple(map(p.pack, row)) for row in self._digits)
+        return PackedMatrix(p, self.den, rows, self.bits, self.norm,
+                            self._digits)
+
+    def __matmul__(self, other: "PackedMatrix") -> "PackedMatrix":
+        """The matrix product; both operands are lifted to a common width
+        at which no fold of any entry can carry between digits."""
+        if other.packing.order != self.packing.order:
+            raise ValueError("packed matrices over different fields")
+        a, b = self, other
+        width = max(a.packing.width, b.packing.width)
+        need = a.bits + _clog2(b.norm * a.packing.stage_growth)
+        if need > width - 1:
+            width = width_for(need)
+        if a.packing.width != width:
+            a = a.lift(width)
+        if b.packing.width != width:
+            b = b.lift(width)
+        p = a.packing
+        reduce = p.reduce
+        cols = list(zip(*b.rows))
+        rows = tuple([
+            tuple([reduce(sum(map(mul, row, col))) for col in cols])
+            for row in a.rows
+        ])
+        bits = a.bits + _clog2(b.norm * p.reduce_growth)
+        return PackedMatrix(p, a.den * b.den, rows, bits,
+                            len(rows) * p.phi * ((1 << bits) - 1))
+
+    def is_identity(self) -> bool:
+        """Every diagonal entry equals den and every other entry is zero;
+        a den at or above 2^bits cannot be a digit of this matrix."""
+        den = self.den
+        return den.bit_length() <= self.bits and all(
+            v == (den if i == j else 0)
+            for i, row in enumerate(self.rows) for j, v in enumerate(row)
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PackedMatrix):
+            return NotImplemented
+        if other.packing.order != self.packing.order:
+            raise ValueError("packed matrices over different fields")
+        if len(self.rows) != len(other.rows) or any(
+                len(x) != len(y) for x, y in zip(self.rows, other.rows)):
+            return False
+        da, db = self.den, other.den
+        width = self.packing.width
+        # each digit of x*db - y*da is below 2^(max + 1) in absolute value;
+        # while that is at most 2^width, the difference is zero exactly when
+        # every digit is, otherwise compare the digits themselves
+        if (other.packing.width == width
+                and max(self.bits + db.bit_length(),
+                        other.bits + da.bit_length()) < width):
+            xs = [v for row in self.rows for v in row]
+            ys = [v for row in other.rows for v in row]
+        else:
+            xs = [c for row in self.digits() for d in row for c in d]
+            ys = [c for row in other.digits() for d in row for c in d]
+        return all(x * db == y * da for x, y in zip(xs, ys))
+
+    __hash__ = None
+
+    def sigma(self, l: int) -> "PackedMatrix":
+        """zeta -> zeta^l on every entry, for l coprime to the order: the
+        digits of an entry weight the packed images of x^(l*j mod order),
+        a sum whose digits grow at most by the largest l1 norm of a row of
+        that map."""
+        order, phi = self.packing.order, self.packing.phi
+        monomials = [_monomial(order, l * j % order) for j in range(phi)]
+        bits = self.bits + _clog2(max(
+            sum(abs(d[t]) for d in monomials) for t in range(phi)))
+        a = self if bits < self.packing.width else self.lift(width_for(bits))
+        images = [a.packing.pack(d) for d in monomials]
+        rows = tuple(tuple(sum(map(mul, d, images)) for d in row)
+                     for row in a.digits())
+        return PackedMatrix(a.packing, a.den, rows, bits, a.norm * max(
+            sum(map(abs, d)) for d in monomials))
+
+    def to_matrix(self):
+        """The entries as CycloNum values at the packing order."""
+        order, den = self.packing.order, self.den
+        return tuple(tuple(CycloNum(order, den, d) for d in row)
+                     for row in self.digits())
+
+
+def from_digits(order: int, den: int, rows, min_width: int = 0
+                ) -> PackedMatrix:
+    """Pack rows of reduced digit lists over `den`, measuring the bounds:
+    the width is the narrowest that holds them, and at least `min_width`."""
+    bits = max((max(map(abs, d)) for row in rows for d in row),
+               default=0).bit_length()
+    norm = max((sum(sum(map(abs, d)) for d in col) for col in zip(*rows)),
+               default=0)
+    p = packing(order, max(min_width, width_for(bits)))
+    packed = tuple(tuple(map(p.pack, row)) for row in rows)
+    return PackedMatrix(p, den, packed, bits, norm, rows)
+
+
+def diagonal(order: int, entries) -> PackedMatrix:
+    """The diagonal matrix of the reduced digit lists `entries`, over 1."""
+    bits = max(max(map(abs, d)) for d in entries).bit_length()
+    p = packing(order, width_for(bits))
+    zero = [0] * p.phi
+    rank = len(entries)
+    digits = [[d if i == j else zero for j in range(rank)]
+              for i, d in enumerate(entries)]
+    rows = tuple(tuple(p.pack(d) if i == j else 0 for j in range(rank))
+                 for i, d in enumerate(entries))
+    return PackedMatrix(p, 1, rows, bits,
+                        max(sum(map(abs, d)) for d in entries), digits)
+
+
+def pack(matrix, order: int) -> PackedMatrix:
+    """A CycloNum matrix whose entry orders divide `order`, packed over the
+    lcm of the entry denominators."""
+    ctx = _context(order)
+    den = math.lcm(*(x.den for row in matrix for x in row))
+    rows = [
+        [[c * (den // x.den)
+          for c in (x.nums if x.order == order
+                    else ctx.substitute(x.nums, order // x.order))]
+         for x in row]
+        for row in matrix
+    ]
+    return from_digits(order, den, rows)
+
+
+@lru_cache(maxsize=None)
+def _monomial(order: int, e: int) -> tuple[int, ...]:
+    """The digits of x^e modulo Phi_order, for 0 <= e < order."""
+    ctx = _context(order)
+    return tuple(ctx.reduce([0] * e + [1] + [0] * (ctx.phi - 1)))
+
+
+class PackedModel:
+    """One model's packed S, S^-1 and conjugation over Q(zeta_M), and its
+    T^k S syllables, cached under the integer exponent k."""
+
+    def __init__(self, md):
+        self.rank = md.rank
+        self.order = math.lcm(md.conductor_n(),
+                              *(x.order for row in md.s for x in row))
+        self.s = pack(md.s, self.order)
+        self.chat = pack(md.chat, self.order)
+        # T = diag(zeta_M^w) with w = (delta - c0/24) * M, an integer
+        # because the conductor divides M
+        self._t_weights = tuple(
+            int((d - md.c0 / 24) * self.order) for d in md.delta)
+        self._syllables: dict[int, PackedMatrix] = {}
+
+    @functools.cached_property
+    def s_inv(self) -> PackedMatrix:
+        """S^-1 = S Chat, as `ModularData.s_inv`; computed on first read."""
+        return (self.s @ self.chat).lift()
+
+    def identity(self) -> PackedMatrix:
+        return diagonal(self.order, [_monomial(self.order, 0)] * self.rank)
+
+    def t_diagonal(self, k: int) -> PackedMatrix:
+        """T^k for an integer k."""
+        order = self.order
+        return diagonal(order, [_monomial(order, w * k % order)
+                                for w in self._t_weights])
+
+    def syllable(self, k: int) -> PackedMatrix:
+        """T^k S, built once per integer k at the narrowest width that holds
+        it, and kept at the widest width a product has used it at."""
+        cached = self._syllables.get(k)
+        if cached is None:
+            cached = (self.t_diagonal(k) @ self.s).lift()
+            self._syllables[k] = cached
+        return cached
+
+    def product(self, syllables, last_t: int | None, central: bool
+                ) -> PackedMatrix:
+        """The product of T^k S over the exponents k in `syllables`, then
+        T^last_t when given, then the conjugation when `central`.  The width
+        is sized once, from the factors' bounds, so no product in the chain
+        has to widen it."""
+        factors = [self.syllable(k) for k in syllables]
+        if last_t is not None:
+            factors.append(self.t_diagonal(last_t))
+        if central:
+            factors.append(self.chat)
+        if not factors:
+            return self.identity()
+        _, stage, final = _fold_constants(self.order)
+        bits = factors[0].bits
+        need = max(f.packing.width - 1 for f in factors)
+        for f in factors[1:]:
+            need = max(need, bits + _clog2(f.norm * stage))
+            bits += _clog2(f.norm * final)
+        width = width_for(need)
+        for i, f in enumerate(factors):
+            if f.packing.width != width:
+                factors[i] = f.lift(width)
+                if i < len(syllables):
+                    self._syllables[syllables[i]] = factors[i]
+        acc = factors[0]
+        for f in factors[1:]:
+            acc = acc @ f
+        return acc

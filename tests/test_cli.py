@@ -115,6 +115,24 @@ class TestVerify:
             assert code == 2
             assert_one_error_line(err)
 
+    @pytest.mark.parametrize("entry,kind", [
+        ("1", "int"), ('[1, "0"]', "list"), ('"1"', "str"),
+        ("null", "NoneType"),
+    ], ids=["entry-int", "entry-list", "entry-string", "entry-null"])
+    def test_s_entry_not_an_object(self, capsys, tmp_path, entry, kind):
+        path = tmp_path / "model.json"
+        path.write_text(
+            '{"labels": ["0", "1"], "S": [[{"order": 1, "coeffs": ["1"]}, '
+            f'{entry}], [{entry}, {{"order": 1, "coeffs": ["-1"]}}]], '
+            '"delta": ["0", "1/2"], "c": "0", "c0": "0"}')
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert_one_error_line(err)
+        assert err == (
+            f"error: malformed model file {path}: malformed cyclotomic "
+            'number: expected {"order": int, "coeffs": [...]}, '
+            f"not {kind}\n")
+
 
 class TestGalois:
     def test_su2_1(self, capsys):

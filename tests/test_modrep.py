@@ -25,6 +25,7 @@ from modata.modrep import (
     tau_l,
 )
 from modata.modular_data import builtin_model
+from modata.packed import PackedMatrix
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +175,11 @@ class TestSyllableCache:
         line = "pass  congruence.level_subgroup_in_kernel  n=24 samples=1"
         suite = galois.congruence_suite(md, 1, seed, ())
         assert suite[0].human_line() == line
-        md._ts_cache[k] = mx.scalar_mul(2, md.ts_syllable(k))
+        syl = md.packed.syllable(k)
+        md.packed._syllables[k] = PackedMatrix(
+            syl.packing, syl.den,
+            tuple(tuple(2 * v for v in row) for row in syl.rows),
+            syl.bits + 1, 2 * syl.norm)
         suite = galois.congruence_suite(md, 1, seed, ())
         assert suite[0].human_line().startswith(
             "FAIL  congruence.level_subgroup_in_kernel  n=24 samples=1  "

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import modata.orbifold as orb
 from modata.cyclo import make, root_of_unity_exp, sqrt_nonneg_rational
 from modata.errors import OutOfScopeError
 from modata.lambdamat import lambda_hat
@@ -171,6 +172,55 @@ class TestMultiplicities:
     def test_too_few_labels(self, su2_1):
         with pytest.raises(ValueError):
             soliton_multiplicity(su2_1, (0,))
+
+    def test_handle_built_once_per_report(self, monkeypatch):
+        md = builtin_model("su2", 4)
+        real_matmul = orb._int_matmul
+        real_oracle = orb.multiplicity_trace_oracle
+        products = []
+        values = []
+
+        def counted(a, b):
+            products.append(1)
+            return real_matmul(a, b)
+
+        def recorded(md_, labels, handle=None):
+            value = real_oracle(md_, labels, handle)
+            values.append((labels, value))
+            return value
+
+        monkeypatch.setattr(orb, "_int_matmul", counted)
+        monkeypatch.setattr(orb, "multiplicity_trace_oracle", recorded)
+        assert all(r.passed for r in orb.multiplicity_report(md))
+        # 125 triples (2 products each), 625 quadruples (3 products and
+        # 2 handle insertions each) and one handle of 5 products
+        assert len(products) == 125 * 2 + 625 * 5 + 5
+        monkeypatch.undo()
+        assert len(values) == 25 + 125 + 625
+        for labels, value in values:
+            assert value == oracle_rebuilding_handle(md, labels), labels
+
+
+def oracle_rebuilding_handle(md, labels):
+    """The fusion-trace oracle with the handle operator rebuilt for every
+    label tuple, as it was before the report shared one."""
+    n = len(labels)
+    genus = (n - 1) * (n - 2) // 2
+    if n == 2:
+        return 1 if md.conj[labels[0]] == labels[1] else 0
+    prod = orb._fusion_matrix(md, labels[0])
+    for lam in labels[1:]:
+        prod = orb._int_matmul(prod, orb._fusion_matrix(md, lam))
+    handle = None
+    for nu in range(md.rank):
+        h = orb._int_matmul(orb._fusion_matrix(md, nu),
+                            orb._fusion_matrix(md, md.conj[nu]))
+        handle = h if handle is None else [
+            [x + y for x, y in zip(r1, r2)] for r1, r2 in zip(handle, h)
+        ]
+    for _ in range(genus - 1):
+        prod = orb._int_matmul(prod, handle)
+    return sum(prod[i][i] for i in range(md.rank))
 
 
 class TestConsistencyReports:

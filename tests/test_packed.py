@@ -1,0 +1,289 @@
+"""The packed single-field evaluator against the CycloNum one.
+
+`rep_evaluate` (CycloNum entries, one `cyclo.dot` per product entry) is the
+reference: every packed matrix must convert to the same values, give the
+same identity verdicts, and map under sigma_l to the CycloNum image.  The
+bound cases pin the widths at which a product, a comparison and an
+identity test stop trusting the packed ints.
+"""
+
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from modata import galois
+from modata import matrixops as mx
+from modata.cyclo import CycloNum, euler_phi, make
+from modata.modrep import (
+    IDENTITY,
+    Lcg,
+    S_GEN,
+    lift_to_sl2z,
+    random_word_matrix,
+    rep_evaluate,
+    rep_evaluate_packed,
+    sample_gamma,
+    syllables,
+    t_gen,
+    tau_l,
+)
+from modata.modular_data import builtin_model, loads
+from modata.packed import (
+    WIDTH_STEP,
+    PackedMatrix,
+    from_digits,
+    pack,
+    packing,
+)
+
+MODELS = [("su2", 1), ("su2", 2), ("su2", 3), ("su2", 4),
+          ("cyclic_odd", 3), ("cyclic_odd", 5)]
+
+
+def word_set(md, seed):
+    """The word set of the syllable-cache tests: the generators, a word
+    ending in t, 50 random words and 50 level-n elements."""
+    n = md.conductor_n()
+    rng = Lcg(seed)
+    cases = [IDENTITY, -IDENTITY, S_GEN, t_gen(5), S_GEN * t_gen(-2)]
+    cases += [random_word_matrix(rng) for _ in range(50)]
+    cases += [sample_gamma(n, rng) for _ in range(50)]
+    return cases
+
+
+def doubled_order(md):
+    """The model loaded from a file whose S entries are stored at twice
+    the order `dumps` writes."""
+    obj = md.to_obj()
+    order = 2 * obj["order"]
+    obj["order"] = order
+    obj["S"] = [[x.coerce(order).to_obj() for x in row] for row in md.s]
+    return loads(json.dumps(obj))
+
+
+def check_against_reference(md, cases):
+    n = md.conductor_n()
+    ls = [l for l in (5, 7, 11, 13) if math.gcd(l, n) == 1]
+    assert ls
+    for m in cases:
+        ref = rep_evaluate(md, m)
+        got = rep_evaluate_packed(md, m)
+        assert mx.mat_eq(got.to_matrix(), ref), m
+        assert got.is_identity() == mx.is_identity(ref), m
+        assert got == pack(ref, md.packed.order), m
+        for l in ls:
+            lp = galois.coprime_lift(l, n, md.packed.order)
+            assert mx.mat_eq(got.sigma(lp).to_matrix(),
+                             galois.sigma_matrix(l, ref, n)), (m, l)
+
+
+@pytest.mark.parametrize("name,param", MODELS)
+def test_matches_rep_evaluate(name, param):
+    md = builtin_model(name, param)
+    check_against_reference(md, word_set(md, param))
+
+
+@pytest.mark.parametrize("name,param,order", [
+    ("su2", 1, 48), ("su2", 2, 16), ("su2", 4, 24), ("cyclic_odd", 3, 24),
+])
+def test_matches_rep_evaluate_at_doubled_order(name, param, order):
+    builtin = builtin_model(name, param)
+    md = doubled_order(builtin)
+    assert {x.order for row in md.s for x in row} == {
+        2 * builtin.ambient_order()}
+    assert md.packed.order == order
+    check_against_reference(md, word_set(md, param)[:40])
+
+
+@pytest.mark.parametrize("name,param", [("su2", 1), ("su2", 2)])
+def test_frobenius_verdicts_match(name, param):
+    """sigma_l(D(m)) == D(lift of tau_l(m)) as packed matrices exactly when
+    it holds for the CycloNum matrices, on true and corrupted pairs."""
+    md = builtin_model(name, param)
+    n = md.conductor_n()
+    rng = Lcg(11)
+    for _ in range(20):
+        m = random_word_matrix(rng)
+        for l in (5, 7):
+            lifted = lift_to_sl2z(n, tau_l(m, l, n))
+            lp = galois.coprime_lift(l, n, md.packed.order)
+            left = rep_evaluate_packed(md, m).sigma(lp)
+            right = rep_evaluate_packed(md, lifted)
+            ref = mx.mat_eq(galois.sigma_matrix(l, rep_evaluate(md, m), n),
+                            rep_evaluate(md, lifted))
+            assert ref and left == right
+            assert not (left == rep_evaluate_packed(md, lifted * S_GEN))
+
+
+def test_long_word_widens():
+    md = builtin_model("su2", 4)
+    rng = Lcg(2024)
+    m = IDENTITY
+    for _ in range(230):
+        m = m * t_gen(rng.int_in(1, 6) * (1 if rng.below(2) else -1)) * S_GEN
+    w = syllables(m)
+    assert len(w.steps) >= 200
+    got = rep_evaluate_packed(md, m)
+    widths = {md.packed.syllable(0 if k is None else k).packing.width
+              for k in w.steps}
+    assert got.packing.width > 4 * WIDTH_STEP
+    assert widths == {got.packing.width}
+    ref = rep_evaluate(md, m)
+    assert mx.mat_eq(got.to_matrix(), ref)
+    assert got.is_identity() == mx.is_identity(ref)
+    assert got.sigma(5).to_matrix() == galois.sigma_matrix(5, ref, 24)
+    # the product with its inverse is the identity
+    inv = rep_evaluate_packed(md, m.inverse())
+    assert (got @ inv).is_identity()
+
+
+def test_syllables_keyed_by_integer_exponent():
+    md = builtin_model("su2", 1)
+    n = md.conductor_n()
+    for k in (1, 1 + n, -1):
+        rep_evaluate_packed(md, t_gen(k) * S_GEN)
+    rep_evaluate_packed(md, S_GEN)
+    assert sorted(md.packed._syllables) == [-1, 0, 1, 1 + n]
+
+
+class TestBounds:
+    """Products, comparisons and identity tests exactly at the widths where
+    a digit would stop fitting."""
+
+    def one(self, order, den, digits):
+        return from_digits(order, den, [[digits]])
+
+    @pytest.mark.parametrize("a,b,width", [(31, 32, 64), (31, 33, 96),
+                                           (2, 61, 64), (2, 62, 96)])
+    def test_product_width(self, a, b, width):
+        x = self.one(1, 1, [-(2 ** a - 1)])
+        y = self.one(1, 1, [2 ** b - 1])
+        z = x @ y
+        assert z.packing.width == width
+        value = -(2 ** a - 1) * (2 ** b - 1)
+        assert z.to_matrix()[0][0] == CycloNum.rational(value)
+        assert z.bits == a + b == abs(value).bit_length()
+
+    def test_product_width_with_folds(self):
+        # x^2 = -1 at order 4: each coefficient of the product is a sum of
+        # two products, one of them folded in
+        top = 2 ** 30 - 1
+        x = self.one(4, 1, [top, top])
+        y = self.one(4, 1, [top, -top])
+        z = x @ y
+        assert z.packing.width == 64
+        assert z.to_matrix()[0][0] == CycloNum(4, 1, [2 * top * top, 0])
+        assert all(abs(d) < 2 ** z.bits for d in z.digits()[0][0])
+
+    @pytest.mark.parametrize("order,l", [(12, 5), (20, 3), (24, 5),
+                                         (24, 7), (60, 7)])
+    def test_sigma_width(self, order, l):
+        # digits at their extreme with the signs of the row of the sigma
+        # map with the largest l1 norm reach that row's bound exactly
+        images = [make(order, [(l * j % order, 1)]).nums
+                  for j in range(euler_phi(order))]
+        row = max(range(len(images)),
+                  key=lambda t: sum(abs(d[t]) for d in images))
+        growth = sum(abs(d[row]) for d in images)
+        for bits, width in ((31, 32), (32, 64)):
+            a = bits - (growth - 1).bit_length()
+            x = self.one(order, 1, [(-1 if d[row] < 0 else 1) * (2 ** a - 1)
+                                    for d in images])
+            assert x.packing.width == 32
+            y = x.sigma(l)
+            assert y.packing.width == width
+            assert y.bits == bits == max(
+                abs(c) for c in y.digits()[0][0]).bit_length()
+            assert y.to_matrix()[0][0] == x.to_matrix()[0][0].galois(l)
+
+    def test_bounds_hold_on_random_products(self):
+        for name, param in MODELS:
+            md = builtin_model(name, param)
+            rng = Lcg(param)
+            for _ in range(10):
+                got = rep_evaluate_packed(md, random_word_matrix(rng, 8))
+                digits = [c for row in got.digits() for d in row for c in d]
+                assert max(map(abs, digits)) < 2 ** got.bits
+                assert got.bits < got.packing.width
+                for col in zip(*got.digits()):
+                    assert sum(abs(c) for d in col for c in d) <= got.norm
+
+    def test_comparison_falls_back_to_digits(self):
+        # 3 * (2^30 - 2, 1) and 2 * (-2^29 - 3, 2) agree as 32-bit packed
+        # ints by a carry, although the digits (and the values) differ
+        x = self.one(4, 2, [2 ** 30 - 2, 1])
+        y = self.one(4, 3, [-2 ** 29 - 3, 2])
+        assert x.packing.width == y.packing.width == 32
+        assert x.rows[0][0] * 3 == y.rows[0][0] * 2
+        assert not (x == y)
+        assert x == self.one(4, 4, [2 ** 31 - 4, 2]).lift(32)
+
+    def test_identity_needs_den_as_a_digit(self):
+        # at width 32, 2^32 - 1 is the packed int of the digits (-1, 1)
+        p = packing(4, 32)
+        v = p.pack([-1, 1])
+        assert v == 2 ** 32 - 1
+        m = PackedMatrix(p, v, ((v,),), 1, 2)
+        assert not m.is_identity()
+        assert from_digits(4, 7, [[[7, 0]]]).is_identity()
+
+    def test_fold_count(self):
+        for order in (1, 2, 3, 4, 8, 12, 16, 24, 48, 60):
+            p = packing(order, 64)
+            q = [(-1) ** j * (j + 1) for j in range(p.phi)]
+            v = p.pack(q) * p.pack(q[::-1])
+            want = CycloNum(order, 1, q) * CycloNum(order, 1, q[::-1])
+            got = CycloNum(order, 1, p.unpack(p.reduce(v)))
+            assert got == want, order
+
+
+@st.composite
+def digit_matrices(draw, order, rows, cols):
+    """Matrices of reduced digit lists with digits up to 2^80, many of them
+    at their extremes, and a random denominator."""
+    phi = euler_phi(order)
+    top = draw(st.sampled_from([1, 2 ** 20, 2 ** 31 - 1, 2 ** 63, 2 ** 80]))
+    digit = st.one_of(st.integers(-top, top), st.sampled_from([-top, top, 0]))
+    digits = draw(st.lists(
+        st.lists(st.lists(digit, min_size=phi, max_size=phi),
+                 min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows))
+    return from_digits(order, draw(st.integers(1, 10 ** 6)), digits)
+
+
+@st.composite
+def packed_pairs(draw):
+    order = draw(st.sampled_from([1, 3, 4, 5, 8, 12, 16, 24]))
+    r, k, c = (draw(st.integers(1, 3)) for _ in range(3))
+    return (draw(digit_matrices(order, r, k)),
+            draw(digit_matrices(order, k, c)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_pairs())
+def test_products_match_cyclonum_on_adversarial_digits(pair):
+    a, b = pair
+    order = a.packing.order
+    prod = a @ b
+    ref = mx.mat_mul(a.to_matrix(), b.to_matrix())
+    assert mx.mat_eq(prod.to_matrix(), ref)
+    digits = [c for row in prod.digits() for d in row for c in d]
+    assert max(map(abs, digits)) < 2 ** prod.bits <= 2 ** (
+        prod.packing.width - 1)
+    for l in (l for l in (5, 7, 11) if math.gcd(l, order) == 1):
+        assert mx.mat_eq(prod.sigma(l).to_matrix(),
+                         galois.sigma_matrix(l, ref, order))
+    same = from_digits(order, 3 * prod.den,
+                       [[[3 * c for c in d] for d in row]
+                        for row in prod.digits()])
+    assert prod == same and same == prod
+    digits = same.digits()
+    digits[-1][-1] = [c + 1 for c in digits[-1][-1]]
+    assert not (prod == from_digits(order, same.den, digits))
+    other = a @ b.lift(b.packing.width + WIDTH_STEP)
+    assert other == prod
+    if len(ref) == len(ref[0]):
+        assert prod.is_identity() == mx.is_identity(ref)

@@ -19,6 +19,7 @@ import modata.orbifold as orb
 from modata.cyclo import CycloNum
 from modata.errors import AxiomViolationError
 from modata.modular_data import ModularData, builtin_model
+from modata.packed import PackedMatrix
 
 
 def lines(records):
@@ -134,16 +135,18 @@ def test_index_sum_below_scaled_total(monkeypatch, su2_1, factor, below):
 
 
 def test_congruence_witnesses_and_later_stream(monkeypatch, su2_1):
-    real = galois.rep_evaluate
+    real = galois.rep_evaluate_packed
 
     def rep(md, m):
         if abs(m.b) % 7 == 3:  # breaks level-n and word samples
-            return mx.scalar_mul(-1, real(md, m))
+            d = real(md, m)
+            rows = tuple(tuple(-v for v in row) for row in d.rows)
+            return PackedMatrix(d.packing, d.den, rows, d.bits, d.norm)
         if m.b % 24 == 10:  # makes some intermediate samples act trivially
-            return mx.identity(md.rank)
+            return md.packed.identity()
         return real(md, m)
 
-    monkeypatch.setattr(galois, "rep_evaluate", rep)
+    monkeypatch.setattr(galois, "rep_evaluate_packed", rep)
     assert lines(galois.congruence_suite(su2_1, 12, 3, (5, 7, 11))) == [
         "FAIL  congruence.level_subgroup_in_kernel  n=24 samples=12  "
         "[sample 4: [-143, -3216, -96, -2159]]",
