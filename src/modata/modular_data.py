@@ -12,11 +12,18 @@ The fractional power T^r always means the diagonal matrix with entries
 exp(2*pi*i*(delta_lam - c0/24)*r); no logarithm branches exist anywhere.
 
 The fusion rules are the Verlinde character sums in matrix form:
-N_lam = S diag(S[lam][d] / S[0][d]) S^dagger, one column scaling and one
-matrix product per label, so every coefficient is one `cyclo.dot` of r
-terms, reduced once; `dot` skips the zero terms, so a sum is held at the
-lcm of the orders of its nonzero terms.  The scalar character sums (the
-total index, the statistical phase sum, the fused phase, the soliton
+N_lam = S diag(S[lam][d] / S[0][d]) S^dagger, computed on S packed over the
+model's single field (see `modata.packed`): two packed products per label,
+each table read as integers straight off the packed ints.  The
+diagonalization check N_lam S == S diag(...) and c0_consistency's
+fusion-phase check run on the same packed S.  CycloNum values enter these
+checks only as a failing record's witness: the first failing fusion entry
+is recomputed as one `verlinde_value`, a `cyclo.dot` of r terms, which is
+also the value `verlinde_sum` returns; `dot` skips the zero terms, so a sum
+is held at the lcm of the orders of its nonzero terms.  S S^dagger, S T S
+and the conjugation S^2 stay CycloNum products, because the entry orders
+of S^2 reach `rep_evaluate` and `lambda --json`.  The scalar character
+sums (the total index, the statistical phase sum, the soliton
 multiplicity) are `sum(terms, CycloNum.zero())`: each term is a product of
 three or more factors (or a square), which `dot` cannot fuse, and each sum
 runs once per check over at most rank terms, so `+` keeps them one line
@@ -45,7 +52,15 @@ from .errors import (
     NonIntegralFusionError,
     UnsupportedModelError,
 )
-from .packed import PackedModel
+from .packed import (
+    PackedMatrix,
+    PackedModel,
+    diagonal,
+    field_order,
+    integers,
+    pack,
+    roots_diagonal,
+)
 from .reporting import CheckRecord, first_failure
 
 _POSITIVITY_MARGIN = 1e-12
@@ -74,21 +89,26 @@ def eigenvalues(s: mx.Matrix, lam: int) -> tuple[CycloNum, ...]:
     return tuple(s[lam][d] * s[0][d].inverse() for d in range(len(s)))
 
 
+def verlinde_value(s: mx.Matrix, lam: int, mu: int, nu: int) -> CycloNum:
+    """The Verlinde character sum over S columns d of
+    S[mu][d] (S[lam][d] / S[0][d]) conj(S[nu][d]), as one `dot`: the
+    (mu, nu) entry of S diag(eigenvalues(s, lam)) S^dagger.  Its terms are
+    pairwise products, which `dot` fuses; the scalar character sums, whose
+    terms have more factors, use `sum` (see the module docstring)."""
+    return dot(
+        [x * e for x, e in zip(s[mu], eigenvalues(s, lam))],
+        [x.conjugate() for x in s[nu]],
+    )
+
+
 def verlinde_sum(s: mx.Matrix, lam: int, mu: int, nu: int) -> int:
-    """One fusion coefficient, the Verlinde character sum over S columns d
-    of S[mu][d] (S[lam][d] / S[0][d]) conj(S[nu][d]), as one `dot`: the
-    (mu, nu) entry of S diag(eigenvalues(s, lam)) S^dagger, exactly the
-    coefficient the validated table holds.  Its terms are pairwise
-    products, which `dot` fuses; the scalar character sums, whose terms
-    have more factors, use `sum` (see the module docstring).
+    """One fusion coefficient, `verlinde_value`, exactly the coefficient
+    the validated table holds.
 
     Raises NonIntegralFusionError when the sum is not a nonnegative integer,
     which signals corrupt input data.
     """
-    acc = dot(
-        [x * e for x, e in zip(s[mu], eigenvalues(s, lam))],
-        [x.conjugate() for x in s[nu]],
-    )
+    acc = verlinde_value(s, lam, mu, nu)
     if not acc.is_nonneg_integer():
         raise NonIntegralFusionError(
             f"fusion ({lam},{mu};{nu}) is {acc!r}, not a nonnegative integer"
@@ -130,6 +150,7 @@ class ModularData:
         self.fusion = derived["fusion"]  # fusion[lam][mu][nu] -> int
         self.chat = derived["chat"]
         self.validation_report = records
+        self._packed_s = derived["packed_s"]
         self._t_cache: dict[Fraction, tuple[CycloNum, ...]] = {}
         self._ts_cache: dict[int, mx.Matrix] = {}
         self._conductor: ConductorInfo | None = None
@@ -170,8 +191,9 @@ class ModularData:
     @functools.cached_property
     def packed(self) -> PackedModel:
         """This model over the single field Q(zeta_M) of `modata.packed`,
-        with its T^k S syllables; built on first read."""
-        return PackedModel(self)
+        with its T^k S syllables; built on first read around the S matrix
+        packed by validation."""
+        return PackedModel(self, self._packed_s)
 
     def verlinde(self, lam: int, mu: int, nu: int) -> int:
         return self.fusion[lam][mu][nu]
@@ -208,7 +230,6 @@ class ModularData:
         """The statistical phase sum against the stored c0, plus the fusion
         formula for the unnormalized S matrix."""
         suite = "c0"
-        omega = [root_of_unity_exp(d) for d in self.delta]
         aa = phase_sum(self.s, self.delta)
         records = [
             CheckRecord(
@@ -225,19 +246,25 @@ class ModularData:
             ),
         ]
 
-        def fused_phase(lam, mu):
-            return sum(
-                (n * omega[lam] * omega[mu] / omega[nu] * self.qdim(nu)
-                 for nu, n in enumerate(self.fusion[lam][mu]) if n),
-                CycloNum.zero(),
-            )
-
-        s00 = self.s[0][0]
+        # omega_lam omega_mu F[lam][mu] == S[lam][mu], where
+        # F[lam][mu] = sum_nu N(lam,mu;nu) conj(omega_nu) S[0][nu], with N
+        # read from `self.fusion`, is entry mu of N_lam w for the column
+        # w = conj(Omega) S[:, 0]; it is compared with entry mu of column lam
+        # of conj(Omega) S conj(Omega).  The omegas lie in Q(zeta_M) when
+        # delta_0 is an integer, as in every builtin; otherwise S is packed
+        # again over the field that holds them.
+        pk = self.packed
+        order = math.lcm(pk.order, *(d.denominator for d in self.delta))
+        s = pk.s if order == pk.order else pack(self.s, order)
+        omega_bar = roots_diagonal(order, [-d for d in self.delta])
+        target = omega_bar @ s @ omega_bar
+        w = omega_bar @ s.column(0)
         records.append(first_failure(
             suite, "fusion_phase_matrix",
             (f"entry ({lam},{mu})"
-             for lam in range(self.rank) for mu in range(self.rank)
-             if fused_phase(lam, mu) * s00 != self.s[lam][mu]),
+             for lam in range(self.rank)
+             for mu, _ in (integers(order, self.fusion[lam]) @ w)
+             .mismatches(target.column(lam))),
         ))
         return records
 
@@ -448,39 +475,13 @@ def _axiom_checks(labels, s, delta, c, c0, tau2):
     if not all(r.passed for r in records):
         return records, derived
 
-    # N_lam = S diag(eigenvalues) S^dagger, one matrix product per label,
-    # turned into integers at once; the scan runs over (lam, mu, nu) in
-    # lexicographic order and stops at the first entry that is not a
-    # nonnegative integer.
-    s_dag = mx.dagger(s)
-    ratios = [eigenvalues(s, lam) for lam in range(rank)]
-    fusion = []
-    fus_witness = ""
-    for lam in range(rank):
-        n_lam = mx.mat_mul(mx.scale_cols(s, ratios[lam]), s_dag)
-        fus_witness = next(
-            (f"N({lam},{mu};{nu}) = {x!r}"
-             for mu, row in enumerate(n_lam) for nu, x in enumerate(row)
-             if not x.is_nonneg_integer()),
-            "",
-        )
-        if fus_witness:
-            break
-        fusion.append(tuple(tuple(x.nums[0] for x in row) for row in n_lam))
-    if not rec("fusion_integral_nonnegative", not fus_witness, fus_witness):
+    ps = pack(s, field_order(s, delta, c0))
+    derived["packed_s"] = ps
+    fusion_records, fusion = _fusion_checks(s, ps)
+    records.extend(fusion_records)
+    if fusion is None:
         return records, derived
-    fusion = tuple(fusion)
     derived["fusion"] = fusion
-
-    records.append(first_failure(
-        suite, "fusion_diagonalized_by_s",
-        (f"fusion matrix {lam}" for lam in range(rank)
-         if mx.first_mismatch(
-             mx.mat_mul(mx.mat([[CycloNum.rational(n) for n in row]
-                                for row in fusion[lam]]), s),
-             mx.scale_cols(s, ratios[lam]),
-         )),
-    ))
 
     vacuum_ok = all(
         fusion[0][mu][nu] == (1 if mu == nu else 0)
@@ -495,6 +496,46 @@ def _axiom_checks(labels, s, delta, c, c0, tau2):
         rec("tau2_is_order_two_automorphism", tau_ok, f"tau2={tau2}")
 
     return records, derived
+
+
+def _fusion_checks(s: mx.Matrix, ps: PackedMatrix):
+    """The fusion table of S and its two checks, on S packed as `ps`.
+
+    N_lam = S diag(eigenvalues(s, lam)) S^dagger takes two packed products
+    per label and is read as integers off the packed ints.  The scan runs
+    over (lam, mu, nu) in lexicographic order and stops at the first entry
+    that is not a nonnegative integer; that entry's `verlinde_value` is the
+    witness.  fusion_diagonalized_by_s compares N_lam S with the
+    S diag(eigenvalues) of the table.  Returns the records, the second only
+    when the table is integral, and the table or None.
+    """
+    suite = "axioms"
+    order = ps.packing.order
+    s_dag = pack(mx.dagger(s), order)
+    fusion, scaled = [], []
+    witness = ""
+    for lam in range(len(s)):
+        ev = pack([eigenvalues(s, lam)], order)
+        sd = ps @ diagonal(order, ev.digits()[0], ev.den)
+        table = (sd @ s_dag).nonneg_integers()
+        bad = next(((mu, nu) for mu, row in enumerate(table)
+                    for nu, n in enumerate(row) if n is None), None)
+        if bad is not None:
+            witness = "N({},{};{}) = {!r}".format(
+                lam, *bad, verlinde_value(s, lam, *bad))
+            break
+        fusion.append(table)
+        scaled.append(sd)
+    records = [CheckRecord(suite, "fusion_integral_nonnegative", not witness,
+                           witness=witness)]
+    if witness:
+        return records, None
+    records.append(first_failure(
+        suite, "fusion_diagonalized_by_s",
+        (f"fusion matrix {lam}" for lam in range(len(s))
+         if integers(order, fusion[lam]) @ ps != scaled[lam]),
+    ))
+    return records, tuple(fusion)
 
 
 # -- builtin exact models -----------------------------------------------

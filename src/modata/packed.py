@@ -1,19 +1,23 @@
-"""Packed matrices over one cyclotomic field, for the sampling checks.
+"""Packed matrices over one cyclotomic field, for validation and sampling.
 
-Every representation matrix D(m) of a model lies in Q(zeta_M), with M the
-lcm of the conductor and the orders of the stored S entries, so the
-congruence and kernel sampling checks run on one matrix type over that
-field.  An entry is one Python int: its phi(M) reduced power-basis
-coefficients are signed B-bit digits, sum_j c_j 2^(B*j) (Kronecker
-substitution), over one common denominator per matrix.  A product entry is
-the big-int sum of the products of a row and a column, which multiplies
-the coefficient polynomials, reduced on the packed int by folding
-x^phi = R (mod Phi_M) a fixed number of times per order.  Digits stay
-reduced, so an entry is zero exactly when its int is zero, the identity
-test compares each entry with den * delta, two matrices are equal when
-x * db == y * da entrywise, and sigma_l sums the packed images of
-x^(l*j mod M) weighted by the unpacked digits.  CycloNum values are read
-by `pack` and built only by `to_matrix`.
+The S and T entries of a model, and so every representation matrix D(m)
+and every fusion table, lie in Q(zeta_M), with M the lcm of the orders of
+the stored S entries and of the T entries (`field_order`).  Model
+validation (the Verlinde table, its diagonalization by S and the
+fusion-phase check) and the congruence and kernel sampling checks run on
+one matrix type over that field.  An entry is one Python int: its phi(M)
+reduced power-basis coefficients are signed B-bit digits,
+sum_j c_j 2^(B*j) (Kronecker substitution), over one common denominator
+per matrix.  A product entry is the big-int sum of the products of a row
+and a column, which multiplies the coefficient polynomials, reduced on the
+packed int by folding x^phi = R (mod Phi_M) a fixed number of times per
+order.  Digits stay reduced, so an entry is zero exactly when its int is
+zero, the identity test compares each entry with den * delta, two matrices
+are equal when x * db == y * da entrywise, an entry is a nonnegative
+integer exactly when its int lies in [0, 2^(B-1)) and den divides it, and
+sigma_l sums the packed images of x^(l*j mod M) weighted by the unpacked
+digits.  CycloNum values are read by `pack` and built only by `to_matrix`;
+validation builds one only to print the witness of a failing check.
 
 A carry between digits would corrupt them silently, so every matrix holds
 a proven bound: all its digits are below 2^bits in absolute value, and
@@ -29,9 +33,10 @@ per-model cache holds T^k S under the integer exponent k.
 import functools
 import math
 from functools import lru_cache
+from itertools import zip_longest
 from operator import mul
 
-from .cyclo import CycloNum, _context
+from .cyclo import CycloNum, _context, _factorize
 
 #: Digit widths are multiples of this many bits.
 WIDTH_STEP = 32
@@ -51,12 +56,11 @@ def width_for(bits: int) -> int:
 def _fold_list(p: list, low, phi: int) -> list:
     """One fold lo + hi * R of the coefficient list p, where x^phi = R is
     sum r * x^j over the (j, r) pairs of `low`; trailing zeros dropped."""
-    out = p[:phi]
+    out = p[:phi] + [0] * (len(p) - phi)
     for i, c in enumerate(p[phi:]):
-        for j, r in low:
-            if i + j >= len(out):
-                out.extend([0] * (i + j + 1 - len(out)))
-            out[i + j] += c * r
+        if c:
+            for j, r in low:
+                out[i + j] += c * r
     while len(out) > phi and not out[-1]:
         out.pop()
     return out
@@ -72,17 +76,24 @@ def _fold_constants(order: int) -> tuple[int, int, int]:
     the input bound times the largest l1 norm of a row of the k-round map;
     stage growth is the largest over all rounds (the input included) and
     reduce growth the one after the last round.
+
+    Phi_order(x) is Phi_rad(y) at y = x^(order/rad), rad the radical of
+    the order, so a fold maps each class of exponents modulo order/rad to
+    itself, as a fold of a polynomial in y modulo Phi_rad.  The class of
+    x^0 holds y^0 .. y^top, with top = 2*phi(rad) - 1 when rad < order and
+    2*phi - 2 when the order is squarefree, and every other class holds a
+    part of that range; so the constants are those of y^0 .. y^top.
     """
-    ctx = _context(order)
+    rad = math.prod(_factorize(order))
+    ctx = _context(rad)
     phi = ctx.phi
-    polys = [[0] * i + [1] for i in range(2 * phi - 1)]
+    top = 2 * phi - 1 if rad < order else 2 * phi - 2
+    polys = [[0] * i + [1] for i in range(top + 1)]
     growth = [1]
     while any(len(p) > phi for p in polys):
         polys = [_fold_list(p, ctx.low, phi) for p in polys]
         growth.append(max(
-            sum(abs(p[t]) for p in polys if t < len(p))
-            for t in range(max(map(len, polys)))
-        ))
+            sum(map(abs, col)) for col in zip_longest(*polys, fillvalue=0)))
     return len(growth) - 1, max(growth), growth[-1]
 
 
@@ -217,14 +228,35 @@ class PackedMatrix:
             for i, row in enumerate(self.rows) for j, v in enumerate(row)
         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PackedMatrix):
-            return NotImplemented
+    def nonneg_integers(self) -> tuple[tuple[int | None, ...], ...]:
+        """Each entry as an int when it is a nonnegative integer, else None.
+
+        Every digit is below 2^(width-1) in absolute value, so a packed int
+        v with 0 <= v < 2^(width-1) has no digit but the constant one (a
+        nonzero higher digit would put v at or above 2^(width-1), or below
+        0); the entry is then the integer v / den when den divides v, and
+        no other packed int is a nonnegative integer.
+        """
+        half, den = self.packing._half, self.den
+        return tuple(
+            tuple(v // den if 0 <= v < half and not v % den else None
+                  for v in row)
+            for row in self.rows
+        )
+
+    def column(self, j: int) -> "PackedMatrix":
+        """Column j, as a one-column matrix under the bounds of this one."""
+        digits = (None if self._digits is None
+                  else [[row[j]] for row in self._digits])
+        return PackedMatrix(self.packing, self.den,
+                            tuple((row[j],) for row in self.rows),
+                            self.bits, self.norm, digits)
+
+    def mismatches(self, other: "PackedMatrix"):
+        """The (i, j) of the entries where this matrix and `other`, of one
+        shape, differ, in row-major order."""
         if other.packing.order != self.packing.order:
             raise ValueError("packed matrices over different fields")
-        if len(self.rows) != len(other.rows) or any(
-                len(x) != len(y) for x, y in zip(self.rows, other.rows)):
-            return False
         da, db = self.den, other.den
         width = self.packing.width
         # each digit of x*db - y*da is below 2^(max + 1) in absolute value;
@@ -233,12 +265,27 @@ class PackedMatrix:
         if (other.packing.width == width
                 and max(self.bits + db.bit_length(),
                         other.bits + da.bit_length()) < width):
-            xs = [v for row in self.rows for v in row]
-            ys = [v for row in other.rows for v in row]
+            xs, ys = self.rows, other.rows
+
+            def differ(x, y):
+                return x * db != y * da
         else:
-            xs = [c for row in self.digits() for d in row for c in d]
-            ys = [c for row in other.digits() for d in row for c in d]
-        return all(x * db == y * da for x, y in zip(xs, ys))
+            xs, ys = self.digits(), other.digits()
+
+            def differ(x, y):
+                return any(a * db != b * da for a, b in zip(x, y))
+        for i, (rx, ry) in enumerate(zip(xs, ys)):
+            for j, (x, y) in enumerate(zip(rx, ry)):
+                if differ(x, y):
+                    yield i, j
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PackedMatrix):
+            return NotImplemented
+        if len(self.rows) != len(other.rows) or any(
+                len(x) != len(y) for x, y in zip(self.rows, other.rows)):
+            return False
+        return next(self.mismatches(other), None) is None
 
     __hash__ = None
 
@@ -278,8 +325,9 @@ def from_digits(order: int, den: int, rows, min_width: int = 0
     return PackedMatrix(p, den, packed, bits, norm, rows)
 
 
-def diagonal(order: int, entries) -> PackedMatrix:
-    """The diagonal matrix of the reduced digit lists `entries`, over 1."""
+def diagonal(order: int, entries, den: int = 1) -> PackedMatrix:
+    """The diagonal matrix of the reduced digit lists `entries`, over
+    `den`."""
     bits = max(max(map(abs, d)) for d in entries).bit_length()
     p = packing(order, width_for(bits))
     zero = [0] * p.phi
@@ -288,8 +336,34 @@ def diagonal(order: int, entries) -> PackedMatrix:
               for i, d in enumerate(entries)]
     rows = tuple(tuple(p.pack(d) if i == j else 0 for j in range(rank))
                  for i, d in enumerate(entries))
-    return PackedMatrix(p, 1, rows, bits,
+    return PackedMatrix(p, den, rows, bits,
                         max(sum(map(abs, d)) for d in entries), digits)
+
+
+def roots_diagonal(order: int, exponents) -> PackedMatrix:
+    """diag(exp(2*pi*i*q)) over the fractions q of `exponents`, each with
+    q * order an integer."""
+    return diagonal(order, [_monomial(order, int(q * order) % order)
+                            for q in exponents])
+
+
+class IntegerMatrix(PackedMatrix):
+    """A matrix of integers over 1: an integer is its own packed int at
+    every width, so packing it again moves no digit."""
+
+    __slots__ = ()
+
+    def lift(self, min_width: int = 0) -> "IntegerMatrix":
+        p = packing(self.packing.order, max(min_width, width_for(self.bits)))
+        return IntegerMatrix(p, 1, self.rows, self.bits, self.norm)
+
+
+def integers(order: int, rows) -> IntegerMatrix:
+    """The integer matrix `rows` over Q(zeta_order)."""
+    rows = tuple(map(tuple, rows))
+    bits = max(abs(n) for row in rows for n in row).bit_length()
+    return IntegerMatrix(packing(order, width_for(bits)), 1, rows, bits,
+                         max(sum(map(abs, col)) for col in zip(*rows)))
 
 
 def pack(matrix, order: int) -> PackedMatrix:
@@ -307,6 +381,14 @@ def pack(matrix, order: int) -> PackedMatrix:
     return from_digits(order, den, rows)
 
 
+def field_order(s, delta, c0) -> int:
+    """The order M of the single field of a model with S matrix `s`: the
+    lcm of the orders of the S entries and of the T entries, the
+    denominators of delta - c0/24."""
+    return math.lcm(*(x.order for row in s for x in row),
+                    *((d - c0 / 24).denominator for d in delta))
+
+
 @lru_cache(maxsize=None)
 def _monomial(order: int, e: int) -> tuple[int, ...]:
     """The digits of x^e modulo Phi_order, for 0 <= e < order."""
@@ -316,16 +398,16 @@ def _monomial(order: int, e: int) -> tuple[int, ...]:
 
 class PackedModel:
     """One model's packed S, S^-1 and conjugation over Q(zeta_M), and its
-    T^k S syllables, cached under the integer exponent k."""
+    T^k S syllables, cached under the integer exponent k.  `s` is the S
+    matrix packed over that field when the model was validated."""
 
-    def __init__(self, md):
+    def __init__(self, md, s: PackedMatrix):
         self.rank = md.rank
-        self.order = math.lcm(md.conductor_n(),
-                              *(x.order for row in md.s for x in row))
-        self.s = pack(md.s, self.order)
+        self.order = s.packing.order
+        self.s = s
         self.chat = pack(md.chat, self.order)
         # T = diag(zeta_M^w) with w = (delta - c0/24) * M, an integer
-        # because the conductor divides M
+        # because the orders of the T entries divide M
         self._t_weights = tuple(
             int((d - md.c0 / 24) * self.order) for d in md.delta)
         self._syllables: dict[int, PackedMatrix] = {}

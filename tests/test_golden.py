@@ -1,8 +1,9 @@
 """Canonical --json reports, byte for byte.
 
 Each file under tests/golden/ holds the stdout of one invocation, recorded
-before the sampling checks moved to the packed evaluator; a change to the
-evaluators must leave every byte of these reports as it was.
+before the code it reports on moved to packed matrices (the sampling
+checks, then model validation); a change to the evaluators must leave
+every byte of these reports as it was.
 """
 
 from pathlib import Path
@@ -27,6 +28,9 @@ CASES = {
                          "--json"],
     "orbifold-su2-1-order5": ["orbifold", "--model", "su2:1", "--order", "5",
                               "--json"],
+    "verify-cyclic_odd-9": ["verify", "--model", "cyclic_odd:9", "--json"],
+    "verify-cyclic_odd-11": ["verify", "--model", "cyclic_odd:11", "--json"],
+    "verify-su2-7": ["verify", "--model", "su2:7", "--json"],
     "verify-su2-10": ["verify", "--model", "su2:10", "--json"],
 }
 

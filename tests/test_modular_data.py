@@ -1,13 +1,17 @@
 """Modular datum validation, fusion, phase class, conductor, builtins."""
 
+import functools
 import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modata import matrixops as mx
+from modata import modular_data
 from modata.cyclo import (
     CycloNum,
     embed_complex,
@@ -31,6 +35,8 @@ from modata.modular_data import (
     verlinde_sum,
 )
 from modata.orbifold import soliton_multiplicity
+from modata.packed import PackedMatrix, field_order, pack
+from modata.reporting import CheckRecord, first_failure
 
 
 @pytest.fixture(scope="module")
@@ -205,22 +211,33 @@ class TestFusionOrbits:
         ("su2", 10), ("cyclic_odd", 9),
     ])
     def test_one_product_per_label(self, monkeypatch, name, param):
-        calls = []
-        real = mx.mat_mul
+        exact, products, reads = [], [], []
+        real_mul, real_matmul = mx.mat_mul, PackedMatrix.__matmul__
+        real_read = PackedMatrix.nonneg_integers
 
-        def counted(a, b):
-            calls.append(b)
-            return real(a, b)
+        def matmul(a, b):
+            products.append(b)
+            return real_matmul(a, b)
 
-        monkeypatch.setattr(mx, "mat_mul", counted)
+        def read(self):
+            reads.append(self)
+            return real_read(self)
+
+        monkeypatch.setattr(
+            mx, "mat_mul", lambda a, b: exact.append(b) or real_mul(a, b))
+        monkeypatch.setattr(PackedMatrix, "__matmul__", matmul)
+        monkeypatch.setattr(PackedMatrix, "nonneg_integers", read)
         md = builtin_model(name, param)
         r = md.rank
-        # s_unitary, S^2 and S T S make three, then the table one per label
-        # (all by one S^dagger), then fusion_diagonalized_by_s one per label.
-        assert len(calls) == 3 + 2 * r
-        table = calls[3:3 + r]
+        # s_unitary, S^2 and S T S make the three CycloNum products; per
+        # label the table takes S diag(eigenvalues) and its product with
+        # S^dagger, read once, then fusion_diagonalized_by_s takes N_lam S.
+        assert len(exact) == 3
+        assert len(products) == 3 * r and len(reads) == r
+        table = products[1:2 * r:2]
         assert all(b is table[0] for b in table)
-        assert mx.mat_eq(table[0], mx.dagger(md.s))
+        assert table[0] == pack(mx.dagger(md.s), md.packed.order)
+        assert all(b is md.packed.s for b in products[2 * r:])
 
     @pytest.mark.parametrize("name,param", [
         *(("su2", k) for k in range(1, 5)),
@@ -265,18 +282,11 @@ class TestFusionOrbits:
              if table[lam][mu][nu] == rejected),
             None,
         )
-        real = CycloNum.is_nonneg_integer
-        monkeypatch.setattr(CycloNum, "is_nonneg_integer",
-                            lambda self: real(self) and self != rejected)
-        if first is None:
-            builtin_model(name, param)
-            return
-        with pytest.raises(AxiomViolationError) as exc:
-            builtin_model(name, param)
-        record = exc.value.report[-1]
-        assert record.check == "fusion_integral_nonnegative"
-        assert record.witness == "N({},{};{}) = CycloNum({})".format(
-            *first, rejected)
+        real = PackedMatrix.nonneg_integers
+        monkeypatch.setattr(
+            PackedMatrix, "nonneg_integers",
+            lambda self: tuple(tuple(None if n == rejected else n
+                                     for n in row) for row in real(self)))
 
     def test_witness_at_order_of_nonzero_terms(self):
         # `dot` skips zero terms, so a zero entry kept at order 8 no longer
@@ -339,6 +349,147 @@ class TestCharacterSums:
                     acc = term if acc is None else acc + term
                 assert soliton_multiplicity(md, labels) == acc.nums[0]
                 assert _exact(seen[-1]) == _exact(acc)
+
+
+def _cyclonum_fusion_checks(s):
+    """The CycloNum fusion loop the packed one replaced: one scale_cols and
+    one mat_mul per label, each entry tested with is_nonneg_integer, then
+    N_lam S against S diag(eigenvalues) as CycloNum products."""
+    suite = "axioms"
+    rank = len(s)
+    s_dag = mx.dagger(s)
+    ratios = [eigenvalues(s, lam) for lam in range(rank)]
+    fusion = []
+    witness = ""
+    for lam in range(rank):
+        n_lam = mx.mat_mul(mx.scale_cols(s, ratios[lam]), s_dag)
+        witness = next(
+            (f"N({lam},{mu};{nu}) = {x!r}"
+             for mu, row in enumerate(n_lam) for nu, x in enumerate(row)
+             if not x.is_nonneg_integer()),
+            "",
+        )
+        if witness:
+            break
+        fusion.append(tuple(tuple(x.nums[0] for x in row) for row in n_lam))
+    records = [CheckRecord(suite, "fusion_integral_nonnegative", not witness,
+                           witness=witness)]
+    if witness:
+        return records, None
+    records.append(first_failure(
+        suite, "fusion_diagonalized_by_s",
+        (f"fusion matrix {lam}" for lam in range(rank)
+         if mx.first_mismatch(
+             mx.mat_mul(mx.mat([[CycloNum.rational(n) for n in row]
+                                for row in fusion[lam]]), s),
+             mx.scale_cols(s, ratios[lam]),
+         )),
+    ))
+    return records, tuple(fusion)
+
+
+def _cyclonum_c0_consistency(md):
+    """c0_consistency with the fused phase of every (lam, mu) a CycloNum
+    sum over the nonzero coefficients of the fusion table."""
+    suite = "c0"
+    omega = [root_of_unity_exp(d) for d in md.delta]
+    aa = phase_sum(md.s, md.delta)
+    records = [
+        CheckRecord(suite, "phase_norm", aa * aa.conjugate() == md.mu_index(),
+                    witness=""),
+        CheckRecord(suite, "phase_matches_c0",
+                    aa * root_of_unity_exp(md.c0 / 8) == md.s00_inv(),
+                    params={"c0": md.c0}),
+    ]
+
+    def fused_phase(lam, mu):
+        return sum(
+            (n * omega[lam] * omega[mu] / omega[nu] * md.qdim(nu)
+             for nu, n in enumerate(md.fusion[lam][mu]) if n),
+            CycloNum.zero(),
+        )
+
+    records.append(first_failure(
+        suite, "fusion_phase_matrix",
+        (f"entry ({lam},{mu})"
+         for lam in range(md.rank) for mu in range(md.rank)
+         if fused_phase(lam, mu) * md.s[0][0] != md.s[lam][mu]),
+    ))
+    return records
+
+
+@functools.cache
+def _diff_model(spec):
+    return builtin_model(*spec)
+
+
+@st.composite
+def corrupted_data(draw):
+    """A model's data with S corrupted one to three times: a symmetric pair
+    or the whole matrix scaled by a nonzero rational, a row and its column
+    negated, or two labels swapped in S and delta; delta shifted by a constant (with c and
+    c0, so T is unchanged); and an optional changed fusion coefficient."""
+    md = _diff_model(draw(st.sampled_from([
+        ("su2", 2), ("su2", 3), ("su2", 4), ("cyclic_odd", 3),
+        ("cyclic_odd", 5)])))
+    r = md.rank
+    s = [list(row) for row in md.s]
+    delta = list(md.delta)
+    label = st.integers(0, r - 1)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["scale", "overall", "negate", "swap"]))
+        i, j = draw(label), draw(label)
+        q = Fraction(draw(st.sampled_from([-3, -1, 1, 2, 3, 4])),
+                     draw(st.integers(1, 4)))
+        if kind == "scale":
+            s[i][j] = s[j][i] = s[i][j] * q
+        elif kind == "overall":
+            s = [[x * q for x in row] for row in s]
+        elif kind == "negate":
+            s[i] = [-x for x in s[i]]
+            for row in s:
+                row[i] = -row[i]
+        else:
+            perm = list(range(r))
+            perm[i], perm[j] = j, i
+            s = [[s[a][b] for b in perm] for a in perm]
+            delta = [delta[a] for a in perm]
+    shift = draw(st.sampled_from([Fraction(0), Fraction(1, 5),
+                                  Fraction(2, 7), Fraction(1, 2)]))
+    fusion_change = draw(st.none() | st.tuples(label, label, label,
+                                               st.integers(0, 2)))
+    return (md, mx.mat(s), [d + shift for d in delta], md.c + 24 * shift,
+            md.c0 + 24 * shift, fusion_change)
+
+
+class TestPackedValidation:
+    """The packed fusion checks against the CycloNum loop they replaced, on
+    corrupted S matrices: records, witnesses and tables."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(corrupted_data())
+    def test_matches_cyclonum_loop(self, case):
+        md, s, delta, c, c0, fusion_change = case
+        if all(s[0]):  # both loops divide by the vacuum row
+            assert modular_data._fusion_checks(
+                s, pack(s, field_order(s, delta, c0))
+            ) == _cyclonum_fusion_checks(s)
+        got = modular_data._axiom_checks(md.labels, s, delta, c, c0, 0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(modular_data, "_fusion_checks",
+                       lambda s, ps: _cyclonum_fusion_checks(s))
+            want = modular_data._axiom_checks(md.labels, s, delta, c, c0, 0)
+        assert got[0] == want[0]
+        assert got[1].get("fusion") == want[1].get("fusion")
+        if not all(r.passed for r in got[0]):
+            return
+        built = ModularData(md.labels, s, delta, c, c0)
+        if fusion_change is not None:
+            lam, mu, nu, n = fusion_change
+            table = [[list(row) for row in rows] for rows in built.fusion]
+            table[lam][mu][nu] = n
+            built.fusion = tuple(tuple(map(tuple, rows)) for rows in table)
+        assert built.c0_consistency() == _cyclonum_c0_consistency(built)
 
 
 def test_s_inv_computed_once(monkeypatch):

@@ -9,6 +9,7 @@ identity test stop trusting the packed ints.
 
 import json
 import math
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from modata import galois
 from modata import matrixops as mx
-from modata.cyclo import CycloNum, euler_phi, make
+from modata.cyclo import CycloNum, _context, _factorize, euler_phi, make
 from modata.modrep import (
     IDENTITY,
     Lcg,
@@ -34,7 +35,9 @@ from modata.modular_data import builtin_model, loads
 from modata.packed import (
     WIDTH_STEP,
     PackedMatrix,
+    _fold_constants,
     from_digits,
+    integers,
     pack,
     packing,
 )
@@ -287,3 +290,97 @@ def test_products_match_cyclonum_on_adversarial_digits(pair):
     assert other == prod
     if len(ref) == len(ref[0]):
         assert prod.is_identity() == mx.is_identity(ref)
+
+
+def direct_fold_constants(order):
+    """(folds, stage growth, reduce growth) folding x^0 .. x^(2*phi - 2)
+    modulo Phi_order itself, the computation `_fold_constants` does on the
+    radical."""
+    ctx = _context(order)
+    phi = ctx.phi
+
+    def fold(p):
+        out = p[:phi] + [0] * (len(p) - phi)
+        for i, c in enumerate(p[phi:]):
+            if c:
+                for j, r in ctx.low:
+                    out[i + j] += c * r
+        while len(out) > phi and not out[-1]:
+            out.pop()
+        return out
+
+    polys = [[0] * i + [1] for i in range(2 * phi - 1)]
+    growth = [1]
+    while any(len(p) > phi for p in polys):
+        polys = [fold(p) for p in polys]
+        growth.append(max(sum(map(abs, col))
+                          for col in zip_longest(*polys, fillvalue=0)))
+    return len(growth) - 1, max(growth), growth[-1]
+
+
+def test_fold_constants_on_the_radical():
+    orders = [m for m in range(1, 300) if math.prod(_factorize(m)) <= 70]
+    for order in orders + [360, 720, 1200]:
+        assert _fold_constants(order) == direct_fold_constants(order), order
+
+
+class TestIntegerRead:
+    """`nonneg_integers` against the CycloNum value of the entry, at the
+    bounds of the packed int: the read trusts 0 <= v < 2^(width-1) and den
+    dividing v, and nothing else."""
+
+    def read(self, order, den, v, bits=31):
+        m = PackedMatrix(packing(order, 32), den, ((v,),), bits, 2 ** bits)
+        x = m.to_matrix()[0][0]
+        want = x.nums[0] if x.is_nonneg_integer() else None
+        got = m.nonneg_integers()[0][0]
+        assert got == want
+        return got
+
+    @pytest.mark.parametrize("den", [1, 2, 3, 2 ** 31 - 1])
+    def test_largest_digit(self, den):
+        top = 2 ** 31 - 1
+        assert self.read(4, 1, top) == top
+        # den * (2^31 - 1) has a nonzero higher digit once den > 1
+        assert self.read(4, den, den * top) == (top if den == 1 else None)
+
+    @pytest.mark.parametrize("order", [1, 4, 12])
+    @pytest.mark.parametrize("value", [-1, -2, -(2 ** 30)])
+    def test_negative_integers(self, order, value):
+        for den in (1, 3):
+            assert self.read(order, den, den * value) is None
+
+    @pytest.mark.parametrize("order", [4, 12, 60])
+    def test_zero_low_digit(self, order):
+        p = packing(order, 32)
+        for k in range(1, p.phi):
+            for low, high in ((0, 1), (0, -1), (6, 1), (0, 2 ** 30)):
+                digits = [low] + [0] * (p.phi - 1)
+                digits[k] = high
+                assert self.read(order, 1, p.pack(digits)) is None
+                assert self.read(order, 2, 2 * p.pack(digits)) is None
+
+    @pytest.mark.parametrize("den,v", [(2, 7), (3, 2 ** 31 - 1), (6, 9),
+                                       (2 ** 31 - 1, 2 ** 30)])
+    def test_den_not_dividing(self, den, v):
+        assert self.read(4, den, v) is None
+
+    def test_exact_multiples(self):
+        for den in (1, 2, 5, 2 ** 20):
+            for n in (0, 1, 7, (2 ** 31 - 1) // den):
+                assert self.read(12, den, den * n) == n
+
+    def test_integer_matrix_is_its_own_packing(self):
+        m = integers(12, [[0, 3], [-2, 2 ** 40]])
+        assert m.packing.width == 64
+        assert mx.mat_eq(m.to_matrix(), mx.mat(
+            [[CycloNum.rational(n, 12) for n in row]
+             for row in [[0, 3], [-2, 2 ** 40]]]))
+        assert m.nonneg_integers() == ((0, 3), (None, 2 ** 40))
+        wide = m.lift(128)
+        assert wide.packing.width == 128 and wide.rows == m.rows
+        assert mx.mat_eq(wide.to_matrix(), m.to_matrix())
+        # a product that widens the integer operand
+        x = from_digits(12, 5, [[[2 ** 60, -1, 0, 7]], [[1, 2, 3, -(2 ** 61)]]])
+        assert mx.mat_eq((m @ x).to_matrix(),
+                         mx.mat_mul(m.to_matrix(), x.to_matrix()))
