@@ -253,9 +253,10 @@ class ModularData:
         # of conj(Omega) S conj(Omega).  The omegas lie in Q(zeta_M) when
         # delta_0 is an integer, as in every builtin; otherwise S is packed
         # again over the field that holds them.
-        pk = self.packed
-        order = math.lcm(pk.order, *(d.denominator for d in self.delta))
-        s = pk.s if order == pk.order else pack(self.s, order)
+        ps = self._packed_s
+        order = math.lcm(ps.packing.order,
+                         *(d.denominator for d in self.delta))
+        s = ps if order == ps.packing.order else pack(self.s, order)
         omega_bar = roots_diagonal(order, [-d for d in self.delta])
         target = omega_bar @ s @ omega_bar
         w = omega_bar @ s.column(0)

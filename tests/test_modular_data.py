@@ -287,6 +287,15 @@ class TestFusionOrbits:
             PackedMatrix, "nonneg_integers",
             lambda self: tuple(tuple(None if n == rejected else n
                                      for n in row) for row in real(self)))
+        if first is None:
+            builtin_model(name, param)
+            return
+        with pytest.raises(AxiomViolationError) as exc:
+            builtin_model(name, param)
+        record = exc.value.report[-1]
+        assert record.check == "fusion_integral_nonnegative"
+        assert record.witness == "N({},{};{}) = CycloNum({})".format(
+            *first, rejected)
 
     def test_witness_at_order_of_nonzero_terms(self):
         # `dot` skips zero terms, so a zero entry kept at order 8 no longer
