@@ -11,11 +11,12 @@ The congruence sampling checks and `kernel_test` evaluate D(m) with
 `rep_evaluate_packed`: all of D(m), S^-1 and the T powers lie in one field
 Q(zeta_M), M the lcm of the conductor and the stored S orders, so the
 identity and equality tests and sigma_l there run on packed integer
-entries and build no CycloNum.  sigma_l acts on Q(zeta_M) through a lift
-l' = l (mod n) coprime to M, which is the same automorphism on the
-conductor field that contains every entry.  `sigma_matrix` and the
-CycloNum evaluator remain for S, T and the fractional matrices, whose
-entry orders are reported.
+entries and build no CycloNum.  `kernel_test`'s arithmetic criterion
+sigma_d(S) T^b == T^e S is a packed equality on the same field.  sigma_l
+acts on Q(zeta_M) through a lift l' = l (mod n) coprime to M, which is the
+same automorphism on the conductor field that contains every entry.
+`sigma_matrix` and the CycloNum evaluator remain for S, T and the
+fractional matrices, whose entry orders are reported.
 
 Applying sigma_l to a matrix whose entries live at mixed ambient orders uses
 a lift l' = l (mod the field modulus that determines the action) chosen
@@ -201,18 +202,15 @@ def kernel_test(md: ModularData, m: SL2ZMat) -> KernelTestResult:
     n = md.conductor_n()
     dm = rep_evaluate_packed(md, m)
     direct = dm.is_identity()
-    criterion = None
-    factorization = None
+    criterion = factorization = None
     if math.gcd(m.d, n) == 1:
-        sig_s = sigma_matrix(m.d, md.s, n)
-        lhs = mx.scale_cols(sig_s, md.t_entries(m.b))
-        rhs = mx.scale_rows(md.t_entries(m.e), md.s)
-        criterion = mx.mat_eq(lhs, rhs)
         pk = md.packed
         lp = coprime_lift(m.d, n, pk.order)
-        rhs2 = (pk.t_diagonal(m.b) @ pk.s_inv @ pk.t_diagonal(-m.e)
-                @ pk.s.sigma(lp))
-        factorization = dm.sigma(lp) == rhs2
+        sig_s = pk.s.sigma(lp)
+        criterion = (sig_s @ pk.t_diagonal(m.b)
+                     == pk.t_diagonal(m.e) @ pk.s)
+        rhs = pk.t_diagonal(m.b) @ pk.s_inv @ pk.t_diagonal(-m.e) @ sig_s
+        factorization = dm.sigma(lp) == rhs
     return KernelTestResult(direct, criterion, factorization)
 
 

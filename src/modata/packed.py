@@ -21,10 +21,14 @@ validation builds one only to print the witness of a failing check.
 
 A carry between digits would corrupt them silently, so every matrix holds
 a proven bound: all its digits are below 2^bits in absolute value, and
-`norm` bounds the l1 norm of the digits of each column.  A product is
-taken only at a width B with the bound of every intermediate fold below
-2^(B-1), using the fold-growth constants of the order; otherwise both
-operands are unpacked and packed again at a wider B first.
+`norm` bounds the l1 norm of the digits of each column.  One rule, `_fit`,
+sets every width: an operation takes its operands to one width B with
+bits + growth <= B - 1.  The growth is ceil(log2(g)), g the right
+factor's norm times the fold growth for a product and the largest row l1
+norm of the map for sigma_l, and the other denominator's bit length for
+a comparison.  The bits of a product or a sigma_l image are a claim;
+before the width grows, it is remeasured on its digits, and widened only
+if the measured bound still needs it.
 
 Nothing is keyed on a group element or on an exponent mod n: the
 per-model cache holds T^k S under the integer exponent k.
@@ -34,7 +38,7 @@ import functools
 import math
 from functools import lru_cache
 from itertools import zip_longest
-from operator import mul
+from operator import matmul, mul
 
 from .cyclo import CycloNum, _context, _factorize
 
@@ -195,19 +199,12 @@ class PackedMatrix:
                             self._digits)
 
     def __matmul__(self, other: "PackedMatrix") -> "PackedMatrix":
-        """The matrix product; both operands are lifted to a common width
-        at which no fold of any entry can carry between digits."""
+        """The matrix product, at a width at which no fold of any entry can
+        carry between digits."""
         if other.packing.order != self.packing.order:
             raise ValueError("packed matrices over different fields")
-        a, b = self, other
-        width = max(a.packing.width, b.packing.width)
-        need = a.bits + _clog2(b.norm * a.packing.stage_growth)
-        if need > width - 1:
-            width = width_for(need)
-        if a.packing.width != width:
-            a = a.lift(width)
-        if b.packing.width != width:
-            b = b.lift(width)
+        stage = self.packing.stage_growth
+        a, b = _fit(lambda a, b: a.bits + _clog2(b.norm * stage), self, other)
         p = a.packing
         reduce = p.reduce
         cols = list(zip(*b.rows))
@@ -254,29 +251,22 @@ class PackedMatrix:
 
     def mismatches(self, other: "PackedMatrix"):
         """The (i, j) of the entries where this matrix and `other`, of one
-        shape, differ, in row-major order."""
+        shape, differ, in row-major order.
+
+        x / da == y / db exactly when x * db - y * da is zero.  Each digit
+        of x * db is below 2^(bits + db.bit_length()) in absolute value,
+        and so for y * da; at a width above both, every digit of the
+        difference is below 2^width in absolute value, so the difference
+        is zero exactly when its packed int is.
+        """
         if other.packing.order != self.packing.order:
             raise ValueError("packed matrices over different fields")
         da, db = self.den, other.den
-        width = self.packing.width
-        # each digit of x*db - y*da is below 2^(max + 1) in absolute value;
-        # while that is at most 2^width, the difference is zero exactly when
-        # every digit is, otherwise compare the digits themselves
-        if (other.packing.width == width
-                and max(self.bits + db.bit_length(),
-                        other.bits + da.bit_length()) < width):
-            xs, ys = self.rows, other.rows
-
-            def differ(x, y):
-                return x * db != y * da
-        else:
-            xs, ys = self.digits(), other.digits()
-
-            def differ(x, y):
-                return any(a * db != b * da for a, b in zip(x, y))
-        for i, (rx, ry) in enumerate(zip(xs, ys)):
+        a, b = _fit(lambda a, b: max(a.bits + db.bit_length(),
+                                     b.bits + da.bit_length()), self, other)
+        for i, (rx, ry) in enumerate(zip(a.rows, b.rows)):
             for j, (x, y) in enumerate(zip(rx, ry)):
-                if differ(x, y):
+                if x * db != y * da:
                     yield i, j
 
     def __eq__(self, other) -> bool:
@@ -296,20 +286,36 @@ class PackedMatrix:
         that map."""
         order, phi = self.packing.order, self.packing.phi
         monomials = [_monomial(order, l * j % order) for j in range(phi)]
-        bits = self.bits + _clog2(max(
+        growth = _clog2(max(
             sum(abs(d[t]) for d in monomials) for t in range(phi)))
-        a = self if bits < self.packing.width else self.lift(width_for(bits))
+        a, = _fit(lambda a: a.bits + growth, self)
         images = [a.packing.pack(d) for d in monomials]
         rows = tuple(tuple(sum(map(mul, d, images)) for d in row)
                      for row in a.digits())
-        return PackedMatrix(a.packing, a.den, rows, bits, a.norm * max(
-            sum(map(abs, d)) for d in monomials))
+        return PackedMatrix(a.packing, a.den, rows, a.bits + growth,
+                            a.norm * max(sum(map(abs, d)) for d in monomials))
 
     def to_matrix(self):
         """The entries as CycloNum values at the packing order."""
         order, den = self.packing.order, self.den
         return tuple(tuple(CycloNum(order, den, d) for d in row)
                      for row in self.digits())
+
+
+def _fit(need, *operands) -> list[PackedMatrix]:
+    """The operands at one width at which `need(*operands)` bits fit as
+    signed digits: the widest of their widths, or the narrowest that holds
+    the need when that is wider.  Before the width grows, every operand
+    without digits (its bits are a claim) is remeasured by `lift`, and the
+    width grows only if the measured bounds still need it."""
+    width = max(m.packing.width for m in operands)
+    if need(*operands) >= width and any(m._digits is None for m in operands):
+        operands = [m if m._digits is not None else m.lift()
+                    for m in operands]
+        width = max(m.packing.width for m in operands)
+    width = max(width, width_for(need(*operands)))
+    return [m if m.packing.width == width else m.lift(width)
+            for m in operands]
 
 
 def from_digits(order: int, den: int, rows, min_width: int = 0
@@ -428,7 +434,7 @@ class PackedModel:
 
     def syllable(self, k: int) -> PackedMatrix:
         """T^k S, built once per integer k at the narrowest width that holds
-        it, and kept at the widest width a product has used it at."""
+        it."""
         cached = self._syllables.get(k)
         if cached is None:
             cached = (self.t_diagonal(k) @ self.s).lift()
@@ -438,9 +444,7 @@ class PackedModel:
     def product(self, syllables, last_t: int | None, central: bool
                 ) -> PackedMatrix:
         """The product of T^k S over the exponents k in `syllables`, then
-        T^last_t when given, then the conjugation when `central`.  The width
-        is sized once, from the factors' bounds, so no product in the chain
-        has to widen it."""
+        T^last_t when given, then the conjugation when `central`."""
         factors = [self.syllable(k) for k in syllables]
         if last_t is not None:
             factors.append(self.t_diagonal(last_t))
@@ -448,19 +452,4 @@ class PackedModel:
             factors.append(self.chat)
         if not factors:
             return self.identity()
-        _, stage, final = _fold_constants(self.order)
-        bits = factors[0].bits
-        need = max(f.packing.width - 1 for f in factors)
-        for f in factors[1:]:
-            need = max(need, bits + _clog2(f.norm * stage))
-            bits += _clog2(f.norm * final)
-        width = width_for(need)
-        for i, f in enumerate(factors):
-            if f.packing.width != width:
-                factors[i] = f.lift(width)
-                if i < len(syllables):
-                    self._syllables[syllables[i]] = factors[i]
-        acc = factors[0]
-        for f in factors[1:]:
-            acc = acc @ f
-        return acc
+        return functools.reduce(matmul, factors)

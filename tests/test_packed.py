@@ -40,6 +40,7 @@ from modata.packed import (
     integers,
     pack,
     packing,
+    width_for,
 )
 
 MODELS = [("su2", 1), ("su2", 2), ("su2", 3), ("su2", 4),
@@ -130,10 +131,10 @@ def test_long_word_widens():
     w = syllables(m)
     assert len(w.steps) >= 200
     got = rep_evaluate_packed(md, m)
-    widths = {md.packed.syllable(0 if k is None else k).packing.width
-              for k in w.steps}
     assert got.packing.width > 4 * WIDTH_STEP
-    assert widths == {got.packing.width}
+    # a product widens its operands without writing them back to the cache
+    for syllable in md.packed._syllables.values():
+        assert syllable.packing.width == width_for(syllable.bits)
     ref = rep_evaluate(md, m)
     assert mx.mat_eq(got.to_matrix(), ref)
     assert got.is_identity() == mx.is_identity(ref)
@@ -141,6 +142,44 @@ def test_long_word_widens():
     # the product with its inverse is the identity
     inv = rep_evaluate_packed(md, m.inverse())
     assert (got @ inv).is_identity()
+
+
+def test_twelve_syllable_word_stays_narrow():
+    # 12 syllables t^k s as written, 10 once reduced: the digits of the
+    # product stay below 2^31, so a remeasured bound keeps 32-bit digits
+    md = builtin_model("su2", 4)
+    m = IDENTITY
+    for k in (5, 3, 5, 5, 3, 3, 1, 3, 5, 5, 3, 5):
+        m = m * t_gen(k) * S_GEN
+    assert len(syllables(m).steps) == 10
+    got = rep_evaluate_packed(md, m)
+    assert got.packing.width == 32
+    assert mx.mat_eq(got.to_matrix(), rep_evaluate(md, m))
+
+
+def kernel_criterion_oracle(md, m):
+    """sigma_d(S) T^b == T^e S on the CycloNum matrices."""
+    n = md.conductor_n()
+    lhs = mx.scale_cols(galois.sigma_matrix(m.d, md.s, n), md.t_entries(m.b))
+    return mx.mat_eq(lhs, mx.scale_rows(md.t_entries(m.e), md.s))
+
+
+@pytest.mark.parametrize("name,param,doubled", [
+    *((name, param, False) for name, param in MODELS),
+    ("su2", 1, True), ("su2", 4, True), ("cyclic_odd", 3, True),
+])
+def test_kernel_criterion_matches_cyclonum(name, param, doubled):
+    md = builtin_model(name, param)
+    if doubled:
+        md = doubled_order(md)
+    n = md.conductor_n()
+    verdicts = set()
+    for m in word_set(md, param)[:60]:
+        if math.gcd(m.d, n) == 1:
+            want = kernel_criterion_oracle(md, m)
+            assert galois.kernel_test(md, m).criterion == want, m
+            verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_syllables_keyed_by_integer_exponent():
