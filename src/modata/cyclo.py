@@ -9,10 +9,12 @@ order are equal exactly when their stored tuples are equal.
 
 Mixed-order arithmetic coerces both operands to the least common multiple of
 their orders; callers never manage orders by hand.  All values are immutable
-and every operation is pure.  A value keeps its own multiplicative inverse
+and every operation is pure.  The inverse is the norm inverse: the product
+of the other Galois conjugates of x, divided by the norm, which is that
+product times x and rational.  A value keeps its own multiplicative inverse
 once it has been asked for it, so code that divides by the same value many
-times (a vacuum row, a root of unity) pays for one extended Euclid; the
-memo is a cache invisible to equality, hashing and serialization.
+times (a vacuum row, a root of unity) pays for one norm; the memo is a
+cache invisible to equality, hashing and serialization.
 
 A sum of products, such as a matrix product entry, is one `dot`: the terms
 accumulate unreduced over one common denominator and the sum is reduced
@@ -322,9 +324,10 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        on polynomials over Q modulo the cyclotomic polynomial; computed
-        once per value and then returned from the `_inv` slot."""
+        """Multiplicative inverse by the norm: with c the product of
+        sigma_l(x) over the units l = 2..M-1, c*x = N(x) is rational and
+        1/x = c / N(x).  Computed once per value and then returned from the
+        `_inv` slot."""
         inv = getattr(self, "_inv", None)
         if inv is not None:
             return inv
@@ -333,13 +336,12 @@ class CycloNum:
         if self.is_rational():
             inv = CycloNum.rational(1 / self.as_fraction(), self.order)
         else:
-            ctx = _context(self.order)
-            mod = [Fraction(c) for c in ctx.poly]
-            a = [Fraction(n, self.den) for n in self.nums]
-            coeffs = _poly_modinv(a, mod)
-            nums, den = _clear_denominators(
-                coeffs + [Fraction(0)] * (ctx.phi - len(coeffs)))
-            inv = CycloNum(self.order, den, nums)
+            m = self.order
+            cofactor = CycloNum.one(m)
+            for l in range(2, m):
+                if math.gcd(l, m) == 1:
+                    cofactor = cofactor * self.galois(l)
+            inv = cofactor * (1 / (cofactor * self).as_fraction())
         object.__setattr__(self, "_inv", inv)
         return inv
 
@@ -563,44 +565,6 @@ def _solve_exact(cols, target, nrows):
     for i, c in enumerate(pivot_cols):
         sol[c] = rows[i][ncols]
     return sol
-
-
-def _poly_modinv(a, mod):
-    # Extended Euclid over Q[x]: returns a^-1 modulo mod.
-    def trim(p):
-        while p and not p[-1]:
-            p.pop()
-        return p
-
-    def polydivmod(p, q):
-        p = p[:]
-        out = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-        lead = q[-1]
-        for i in range(len(p) - len(q), -1, -1):
-            f = p[i + len(q) - 1] / lead
-            out[i] = f
-            if f:
-                for j, c in enumerate(q):
-                    p[i + j] -= f * c
-        return out, trim(p)
-
-    r0, r1 = [Fraction(c) for c in mod], trim([Fraction(c) for c in a])
-    s0, s1 = [], [Fraction(1)]
-    while r1:
-        q, rem = polydivmod(r0, r1)
-        r0, r1 = r1, rem
-        prod = [Fraction(0)] * (len(q) + len(s1) - 1) if s1 else []
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    prod[i + j] += qi * sj
-        new_s = [x - y for x, y in zip(s0 + [Fraction(0)] * max(0, len(prod) - len(s0)),
-                                       prod + [Fraction(0)] * max(0, len(s0) - len(prod)))]
-        s0, s1 = s1, trim(new_s)
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is not invertible")
-    scale = 1 / r0[0]
-    return [c * scale for c in s0]
 
 
 # -- module-level operation surface ------------------------------------------

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modata.cyclo import (
@@ -16,6 +16,7 @@ from modata.cyclo import (
     conjugate,
     cyclo_from_obj,
     cyclotomic_polynomial,
+    divisors,
     embed_complex,
     euler_phi,
     field_arithmetic,
@@ -305,6 +306,58 @@ def test_coerce_round_trip_property(data, k):
     up = coerce(a, k * order)
     assert coerce(up, order) == a
     assert minimal_order(up) == minimal_order(a)
+
+
+# -- the norm inverse -----------------------------------------------------
+# The inverse of a nonzero element is unique and the stored form is unique
+# at an order, so order and x * y == 1 pin down every stored coefficient.
+
+_inverse_orders = st.sampled_from(
+    [3, 5, 6, 8, 9, 10, 12, 16, 24, 25, 27, 30, 40, 60, 72, 120])
+
+
+@st.composite
+def _dense_elements(draw):
+    """An element with every power-basis coefficient nonzero, over a
+    denominator above 1, in Q(zeta_sub) for a divisor sub of the order and
+    stored at the order."""
+    order = draw(_inverse_orders)
+    sub = draw(st.sampled_from(
+        [d for d in divisors(order) if euler_phi(d) > 1]))
+    nums = draw(st.lists(
+        st.integers(min_value=-20, max_value=20).filter(bool),
+        min_size=euler_phi(sub), max_size=euler_phi(sub)))
+    den = draw(st.integers(min_value=2, max_value=60))
+    x = coerce(make(sub, [(j, Fraction(n, den)) for j, n in enumerate(nums)]),
+               order)
+    assume(x.den > 1)
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(_dense_elements())
+def test_inverse_is_the_unique_inverse(x):
+    y = CycloNum(x.order, x.den, x.nums).inverse()
+    assert y.order == x.order
+    assert x * y == 1
+
+
+def test_inverse_at_degree_96():
+    rnd = random.Random(96)
+    x = make(360, [(j, Fraction(rnd.randint(-9, 9), 7)) for j in range(96)])
+    assert euler_phi(x.order) == 96 and x.den > 1
+    y = x.inverse()
+    assert y.order == 360
+    assert x * y == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=360), st.integers(min_value=0))
+def test_root_of_unity_inverse_is_conjugate(order, e):
+    x = zeta(order, e)
+    y = x.inverse()
+    assert y.order == x.order
+    assert y == x.conjugate() and x * y == 1
 
 
 # -- independent reduction oracle ----------------------------------------

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from modata import matrixops as mx
-from modata.errors import NotCoprimeError
+from modata import galois
+from modata.errors import NoMonomialStructureError, NotCoprimeError
 from modata.galois import (
     MonomialSignedPerm,
     congruence_suite,
@@ -73,6 +74,29 @@ class TestParityDecompose:
     def test_multiplicativity(self, su2_2):
         assert g_multiplicative_check(su2_2, 3, 5).passed
         assert g_multiplicative_check(su2_2, 7, 9).passed
+
+
+class TestFaultInjection:
+    def test_left_factorization_failure_is_caught(self, su2_2, monkeypatch):
+        # columns 0 and 2 swapped, the second negated: every column still
+        # has one signed match in S, but no row is a signed row of S
+        def swapped(l, m, modulus):
+            return tuple((row[2], row[1], -row[0]) for row in m)
+
+        monkeypatch.setattr(galois, "sigma_matrix", swapped)
+        with pytest.raises(NoMonomialStructureError,
+                           match="left factorization failed"):
+            parity_decompose(su2_2, 3)
+
+    def test_t_conjugation_failure_is_caught(self):
+        md = builtin_model("su2", 2)
+        l = 3
+        t = list(md.t_entries(l * l))
+        t[1] = -t[1]
+        md._t_cache[Fraction(l * l)] = tuple(t)
+        passed = {r.check: r.passed for r in verify_galois_identities(md, l)}
+        assert not passed["t_conjugation_l_squared"]
+        assert passed["t_frobenius_power"] and passed["g_generator_word"]
 
 
 class TestGaloisIdentities:
