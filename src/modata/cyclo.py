@@ -22,9 +22,21 @@ and normalised once.  Reduction is linear, so reducing the sum equals
 summing the reduced products, and the canonical form makes the result the
 one a chain of `*` and `+` gives, at a fraction of the per-term cost.
 
+A root of unity built as make(M, [(k, 1)]) (so also root_of_unity_exp)
+carries its exponent k.  A product with it is an index shift: each
+coefficient of the other factor moves to its exponent plus k, at the lcm of
+the orders, with no polynomial product and no coercion; two roots multiply
+by adding exponents, and the Galois images and the inverse of a root are
+roots again.  A product with a rational held at order 1 scales the
+numerators and the denominator.  The stored form of every result is the
+one the generic product gives, and the tests compare each of these fast
+paths with a schoolbook product.
+
 Reduction modulo Phi_M is sparse: a context keeps Phi_M and its nonzero low
 terms, O(phi) memory per order, and one routine reduces every product, Galois
-image, coercion and constructed element.  The ambient order is capped by the
+image, coercion and constructed element.  One placement routine puts
+coefficients at their exponents mod M for coercion, Galois images and
+shifts; for even M it folds the upper half down by zeta^(M/2) = -1 first.  The ambient order is capped by the
 MODATA_MAX_ORDER environment variable (default 4096) as a time guard: dense
 products and the exact descent solve grow at least as phi^2.
 """
@@ -142,12 +154,14 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 class _FieldContext:
     """Phi_M for Q(zeta_M), with its nonzero low terms for sparse reduction."""
 
-    __slots__ = ("order", "phi", "poly", "low")
+    __slots__ = ("order", "phi", "half", "poly", "low")
 
     def __init__(self, order: int):
         self.order = order
         self.poly = cyclotomic_polynomial(order)
         self.phi = len(self.poly) - 1
+        # zeta^(M/2) = -1 when M is even; 0 marks an odd M
+        self.half = order // 2 if order % 2 == 0 else 0
         # x^phi = sum r * x^j over these (j, r) pairs, modulo Phi_M
         self.low = tuple((j, -c) for j, c in enumerate(self.poly[:-1]) if c)
 
@@ -164,14 +178,25 @@ class _FieldContext:
                     acc[base + j] += c * r
         return acc
 
-    def substitute(self, nums, step: int) -> list:
-        """sum_j nums[j] * zeta_M^(step*j), reduced."""
-        m, phi = self.order, self.phi
-        top = step * (len(nums) - 1) + 1
-        acc = [0] * (m if top > m else phi if top < phi else top)
+    def substitute(self, nums, step: int, offset: int = 0) -> list:
+        """sum_j nums[j] * zeta_M^(step*j + offset), reduced; 0 <= offset < M.
+
+        Exponents are taken mod M, and for even M those of the upper half
+        fold down by zeta^(M/2) = -1 (phi <= M/2), so the reduction starts
+        from at most M/2 coefficients."""
+        m, phi, half = self.order, self.phi, self.half
+        size = half or m
+        top = step * (len(nums) - 1) + offset + 1
+        if top < size:
+            size = phi if top < phi else top
+        acc = [0] * size
         for j, c in enumerate(nums):
             if c:
-                acc[step * j % m] += c
+                k = (step * j + offset) % m
+                if k < size:
+                    acc[k] += c
+                else:
+                    acc[k - half] -= c
         return self.reduce(acc)
 
 
@@ -198,6 +223,9 @@ class CycloNum:
 
     # `_inv` is left unset by __init__ and filled by the first inverse().
     __slots__ = ("order", "den", "nums", "_hash", "_inv")
+
+    #: k when the value is zeta_order^k (set on `_Root`), else None
+    exponent = None
 
     def __init__(self, order: int, den: int, nums):
         ctx = _context(order)
@@ -311,6 +339,16 @@ class CycloNum:
         other = _as_cyclo(other, self.order)
         if other is NotImplemented:
             return NotImplemented
+        if other.exponent is not None:
+            if self.exponent is not None:
+                return _root_product(self, other)
+            return _shift(self, other)
+        if self.exponent is not None:
+            return _shift(other, self)
+        if other.order == 1:
+            return _scale(self, other)
+        if self.order == 1:
+            return _scale(other, self)
         a, b = _align(self, other)
         ctx = _context(a.order)
         acc = [0] * (2 * ctx.phi - 1)
@@ -326,14 +364,16 @@ class CycloNum:
     def inverse(self) -> "CycloNum":
         """Multiplicative inverse by the norm: with c the product of
         sigma_l(x) over the units l = 2..M-1, c*x = N(x) is rational and
-        1/x = c / N(x).  Computed once per value and then returned from the
-        `_inv` slot."""
+        1/x = c / N(x); a root of unity zeta^k inverts to zeta^-k.  Computed
+        once per value and then returned from the `_inv` slot."""
         inv = getattr(self, "_inv", None)
         if inv is not None:
             return inv
-        if self.is_zero():
+        if self.exponent is not None:
+            inv = _root(self.order, -self.exponent)
+        elif self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        if self.is_rational():
+        elif self.is_rational():
             inv = CycloNum.rational(1 / self.as_fraction(), self.order)
         else:
             m = self.order
@@ -385,6 +425,8 @@ class CycloNum:
             raise NotCoprimeError(f"gcd({l}, {m}) != 1")
         if l == 1 or self.is_rational():
             return self
+        if self.exponent is not None:
+            return _root(m, self.exponent * l)
         return CycloNum(m, self.den, _context(m).substitute(self.nums, l))
 
     def conjugate(self) -> "CycloNum":
@@ -479,6 +521,40 @@ class CycloNum:
     def to_obj(self) -> dict:
         """Serializable form: {"order": M, "coeffs": ["p/q", ...]}."""
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
+
+
+class _Root(CycloNum):
+    """zeta_order^exponent: the same value as the generic CycloNum, which
+    products, Galois images and the inverse act on through the exponent."""
+
+    __slots__ = ("exponent",)
+
+
+def _root(order: int, e: int) -> _Root:
+    e %= order
+    r = _Root(order, 1, _context(order).substitute((1,), 0, e))
+    object.__setattr__(r, "exponent", e)
+    return r
+
+
+def _root_product(a: CycloNum, b: CycloNum) -> _Root:
+    m = math.lcm(a.order, b.order)
+    return _root(m, a.exponent * (m // a.order) + b.exponent * (m // b.order))
+
+
+def _shift(x: CycloNum, r: CycloNum) -> CycloNum:
+    # x * zeta_r^e moves each coefficient of x from zeta_x^j to
+    # zeta_m^(j*m/x.order + e*m/r.order), m = lcm of the orders
+    m = x.order if x.order == r.order else math.lcm(x.order, r.order)
+    nums = _context(m).substitute(
+        x.nums, m // x.order, r.exponent * (m // r.order))
+    return CycloNum(m, x.den, nums)
+
+
+def _scale(x: CycloNum, q: CycloNum) -> CycloNum:
+    # x * q for q at order 1, a rational
+    n = q.nums[0]
+    return CycloNum(x.order, x.den * q.den, [c * n for c in x.nums])
 
 
 def _as_cyclo(value, order_hint: int):
@@ -584,6 +660,8 @@ def make(order: int, terms) -> CycloNum:
         terms = terms.items()
     terms = [(exp % order, Fraction(coeff)) for exp, coeff in terms]
     terms = [(e, c) for e, c in terms if c]
+    if len(terms) == 1 and terms[0][1] == 1:
+        return _root(order, terms[0][0])
     den = math.lcm(*(c.denominator for _, c in terms))
     acc = [0] * max([ctx.phi] + [e + 1 for e, _ in terms])
     for e, c in terms:

@@ -1,6 +1,7 @@
 """Exact cyclotomic kernel: construction, field laws, Galois structure,
 square roots, coercion, and the independent reduction oracle."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -484,3 +485,188 @@ def test_cyclotomic_polynomial_against_sympy():
     for m in [*range(1, 401), 2310, 3600, 4096, 9240, 17160]:
         coeffs = sympy.cyclotomic_poly(m, polys=True).all_coeffs()
         assert cyclotomic_polynomial(m) == tuple(reversed(coeffs))
+
+
+# -- products by roots of unity and by rationals ---------------------------
+# A root of unity made by make(m, [(e, 1)]) carries its exponent, and a
+# product with it, or with a rational at order 1, moves or scales the other
+# factor's coefficients instead of multiplying polynomials.  Each fast path
+# is compared with the schoolbook product below: integer polynomial
+# arithmetic at the lcm of the orders and long division by the
+# Moebius-formula Phi_m, using none of the kernel's placement or reduction.
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_poly(m):
+    return tuple(_oracle_cyclotomic(m))
+
+
+def _schoolbook(a, b):
+    m = math.lcm(a.order, b.order)
+    pa = {j * (m // a.order): c for j, c in enumerate(a.nums) if c}
+    pb = {j * (m // b.order): c for j, c in enumerate(b.nums) if c}
+    prod = [0] * (2 * m)
+    for i, x in pa.items():
+        for j, y in pb.items():
+            prod[i + j] += x * y
+    return CycloNum(m, a.den * b.den, _oracle_reduce(prod, _oracle_poly(m)))
+
+
+def _oracle_root(m, e):
+    spread = [0] * m
+    spread[e % m] = 1
+    return CycloNum(m, 1, _oracle_reduce(spread, _oracle_poly(m)))
+
+
+def _stored(x):
+    # a tagged root must also equal the generic value of its exponent
+    if x.exponent is not None:
+        assert _stored(_oracle_root(x.order, x.exponent)) == (
+            x.order, x.den, x.nums)
+    return x.order, x.den, x.nums
+
+
+def _assert_products(x, y):
+    want = _stored(_schoolbook(x, y))
+    assert _stored(x * y) == want
+    assert _stored(y * x) == want
+
+
+_root_orders = st.sampled_from(
+    [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16, 20, 24, 30, 36, 45, 60])
+
+
+@st.composite
+def _roots(draw):
+    m = draw(_root_orders)
+    e = draw(st.one_of(
+        st.integers(min_value=-2 * m, max_value=3 * m),
+        st.sampled_from([m // 2, euler_phi(m), m - 1])))
+    r = make(m, [(e, 1)])
+    assert r.exponent == e % m
+    return r
+
+
+@st.composite
+def _fractional_elements(draw):
+    """Any element over a denominator that is not 1, at any order."""
+    m = draw(_root_orders)
+    nums = draw(st.lists(st.integers(min_value=-30, max_value=30),
+                         min_size=euler_phi(m), max_size=euler_phi(m)))
+    den = draw(st.integers(min_value=2, max_value=40))
+    return make(m, [(j, Fraction(n, den)) for j, n in enumerate(nums)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fractional_elements(), _roots())
+def test_root_times_element_is_the_schoolbook_product(x, r):
+    _assert_products(x, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_roots(), _roots())
+def test_root_times_root_is_the_schoolbook_product(a, b):
+    _assert_products(a, b)
+    assert (a * b).exponent is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(3, 4), (5, 8), (7, 9), (9, 20), (15, 16),
+                        (4, 45), (1, 7), (16, 15)]),
+       st.data())
+def test_root_at_a_coprime_order(orders, data):
+    m, n = orders
+    nums = data.draw(st.lists(st.integers(min_value=-9, max_value=9),
+                              min_size=euler_phi(m), max_size=euler_phi(m)))
+    x = make(m, [(j, Fraction(c, 6)) for j, c in enumerate(nums)])
+    r = make(n, [(data.draw(st.integers(0, 3 * n)), 1)])
+    _assert_products(x, r)
+
+
+@pytest.mark.parametrize("m", [3, 7, 9, 15, 45, 105, 4, 8, 12, 16, 36, 60,
+                               120, 360])
+def test_root_exponents_at_odd_and_even_orders(m):
+    rnd = random.Random(m)
+    phi = euler_phi(m)
+    x = make(m, [(j, Fraction(rnd.randint(-9, 9), 7)) for j in range(phi)])
+    zero = CycloNum.zero(m)
+    for e in {0, 1, phi - 1, phi, phi + 1, m // 2, m - 1, m, 2 * m + 3}:
+        r = make(m, [(e, 1)])
+        assert r.exponent == e % m
+        _assert_products(x, r)
+        _assert_products(zero, r)
+        _assert_products(CycloNum.zero(), r)
+        _assert_products(r, r)
+
+
+@pytest.mark.parametrize("q", [0, -3, Fraction(-5, 6), Fraction(7, 4)],
+                         ids=["zero", "negative", "neg-fraction", "fraction"])
+@pytest.mark.parametrize("m", [1, 2, 9, 12, 35])
+def test_rational_at_order_one_scales(q, m):
+    rnd = random.Random(m)
+    x = make(m, [(j, Fraction(rnd.randint(-9, 9), 5))
+                 for j in range(euler_phi(m))])
+    rational = CycloNum.rational(q)
+    want = _stored(_schoolbook(x, rational))
+    for got in (x * rational, rational * x, x * Fraction(q), Fraction(q) * x):
+        assert _stored(got) == want
+    _assert_products(rational, make(m, [(m - 1, 1)]))
+    if q:
+        assert _stored(x / Fraction(q)) == _stored(
+            _schoolbook(x, CycloNum.rational(1 / Fraction(q))))
+
+
+@pytest.mark.parametrize("m", [2, 9, 12, 35])
+def test_rational_above_order_one_takes_the_generic_product(m, monkeypatch):
+    import modata.cyclo as cyclo
+
+    def no_fast_path(*args):
+        raise AssertionError("fast path taken")
+
+    monkeypatch.setattr(cyclo, "_scale", no_fast_path)
+    monkeypatch.setattr(cyclo, "_shift", no_fast_path)
+    rnd = random.Random(m)
+    x = make(m, [(j, Fraction(rnd.randint(-6, 6), 7))
+                 for j in range(euler_phi(m))])
+    for q in (0, -3, Fraction(-5, 6)):
+        _assert_products(x, CycloNum.rational(q, order=m))
+        _assert_products(x, CycloNum.rational(q, order=3 * m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_roots(), st.integers(min_value=1, max_value=400))
+def test_galois_conjugate_and_inverse_of_a_root(r, l):
+    m = r.order
+    e = r.exponent
+    if math.gcd(l, m) == 1:
+        assert _stored(r.galois(l)) == _stored(_oracle_root(m, e * l))
+    assert _stored(r.conjugate()) == _stored(_oracle_root(m, -e))
+    inv = r.inverse()
+    assert _stored(inv) == _stored(_oracle_root(m, -e))
+    assert _stored(r * inv) == _stored(CycloNum.one(m))
+
+
+def test_root_at_order_3600_inverts_by_its_exponent(monkeypatch):
+    x = make(3600, [(7, 1)])
+    conj = x.conjugate()
+    calls = []
+    galois = CycloNum.galois
+
+    def counted(self, l):
+        calls.append(l)
+        return galois(self, l)
+
+    monkeypatch.setattr(CycloNum, "galois", counted)
+    inv = x.inverse()
+    assert calls == []
+    assert _stored(inv) == _stored(conj) == _stored(_oracle_root(3600, -7))
+
+
+def test_tagged_values_are_invisible():
+    for tagged in (make(12, [(5, 1)]), root_of_unity_exp(Fraction(5, 12))):
+        plain = CycloNum(12, 1, _oracle_root(12, 5).nums)
+        assert tagged.exponent == 5 and plain.exponent is None
+        assert tagged == plain and plain == tagged
+        assert hash(tagged) == hash(plain)
+        assert tagged.to_obj() == plain.to_obj()
+        assert repr(tagged) == repr(plain)

@@ -2,8 +2,9 @@
 
 Each file under tests/golden/ holds the stdout of one invocation, recorded
 before the code it reports on moved to packed matrices (the sampling
-checks, then model validation); a change to the evaluators must leave
-every byte of these reports as it was.
+checks, then model validation) or, for the su2:3 lambda and the N = 9
+orbifold, before products by roots of unity became exponent shifts; a
+change to the evaluators must leave every byte of these reports as it was.
 """
 
 from pathlib import Path
@@ -26,7 +27,11 @@ CASES = {
                      "--samples", "10", "--seed", "7", "--json"],
     "lambda-su2-2-hat": ["lambda", "--model", "su2:2", "--r=2/5", "--hat",
                          "--json"],
+    "lambda-su2-3-r3-10": ["lambda", "--model", "su2:3", "--r=3/10",
+                           "--json"],
     "orbifold-su2-1-order5": ["orbifold", "--model", "su2:1", "--order", "5",
+                              "--json"],
+    "orbifold-su2-2-order9": ["orbifold", "--model", "su2:2", "--order", "9",
                               "--json"],
     "verify-cyclic_odd-9": ["verify", "--model", "cyclic_odd:9", "--json"],
     "verify-cyclic_odd-11": ["verify", "--model", "cyclic_odd:11", "--json"],
