@@ -15,17 +15,28 @@ g(0) = 0, periodicity, and the reciprocity
 
 well defined whenever c - c0 lies in 4Z.  At integer arguments the hatted
 matrix is S itself.
+
+`lambda_mat` and `lambda_hat` build CycloNum matrices: the orders of their
+entries reach the `lambda --json` report, the orbifold and Galois suites
+read them, and so does `hat_functional_equation_check`.  The identity suite
+`verify_lambda_identities` tests equalities only, so it runs on the model's
+packed matrices over its single field Q(zeta_M) (`modata.packed`): D(m) is
+evaluated there, and every fractional T power, and the phase of the hat,
+is carried as a phase exponent of the rows, the columns or the whole
+matrix (`_Phased`), never as a matrix over a larger field.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import matrixops as mx
-from .cyclo import root_of_unity_exp
+from .cyclo import _context, root_of_unity_exp
 from .errors import PhaseConstraintError
-from .modrep import SL2ZMat, rep_evaluate
+from .modrep import SL2ZMat, rep_evaluate, rep_evaluate_packed
 from .modular_data import ModularData
+from .packed import PackedMatrix, _fit, from_digits
 from .reporting import CheckRecord, notice
 
 
@@ -117,97 +128,233 @@ def lambda_hat(md: ModularData, r) -> mx.Matrix:
     return mx.scalar_mul(phase, lambda_mat(md, r))
 
 
+def _field_root(p: int, den: int, order: int) -> tuple[int, int] | None:
+    """exp(2*pi*i*p/den) as (sign, k), the value sign * zeta_order^k, when
+    it lies in Q(zeta_order); else None.
+
+    The roots of unity of Q(zeta_M) are the M-th ones for even M and the
+    2M-th ones for odd M, where zeta_2M = -zeta_M^((M+1)/2)."""
+    big = order if order % 2 == 0 else 2 * order
+    if p * big % den:
+        return None
+    j = p * big // den % big
+    if big == order:
+        return 1, j
+    return (-1) ** j, j * (order + 1) // 2 % order
+
+
+def _times_root(ctx, digits, root) -> list[int]:
+    """The reduced digits of sign * zeta^k * x, for the digits of x."""
+    sign, k = root
+    return [sign * c for c in ctx.substitute(digits, 1, k)]
+
+
+class _Phased:
+    """The matrix e(a_i + b_j + c) X_ij, e(q) = exp(2*pi*i*q), of a model
+    packed as `pm` (a `PackedModel`): X is packed over the model's field
+    Q(zeta_M), and the row phases a, the column phases b and the scalar
+    phase c are integer numerators over one denominator `den`.
+
+    T to a fractional power is a diagonal of roots of unity outside that
+    field, so it is carried in the phases: T^u (e(c) X) T^v has the phases
+    u*w_i and v*w_j, with T = diag(e(w_i)).  Transposes, conjugates and row
+    permutations act on X and move or negate the phases; a product is taken
+    at M, and equality compares entries as the one exact rule of `__eq__`.
+    """
+
+    __slots__ = ("pm", "x", "den", "a", "b", "c")
+
+    def __init__(self, pm, x: PackedMatrix, den: int = 1, a=None, b=None,
+                 c: int = 0):
+        self.pm = pm
+        self.x = x
+        self.den = den
+        zero = (0,) * pm.rank
+        self.a = zero if a is None else a
+        self.b = zero if b is None else b
+        self.c = c
+
+    def t(self, rows=0, cols=0, scalar=0) -> "_Phased":
+        """T^rows e(scalar) (this matrix) T^cols, for rational exponents."""
+        rows, cols, scalar = Fraction(rows), Fraction(cols), Fraction(scalar)
+        order = self.pm.order
+        den = math.lcm(self.den, rows.denominator * order,
+                       cols.denominator * order, scalar.denominator)
+        f = den // self.den
+        u = rows.numerator * (den // (rows.denominator * order))
+        v = cols.numerator * (den // (cols.denominator * order))
+        w = self.pm.t_weights
+        return _Phased(self.pm, self.x, den,
+                       tuple(f * p + u * q for p, q in zip(self.a, w)),
+                       tuple(f * p + v * q for p, q in zip(self.b, w)),
+                       f * self.c + scalar.numerator * (den // scalar.denominator))
+
+    def _rearranged(self, rows, a, b, c) -> "_Phased":
+        """X replaced by the digit rows `rows`, with these phases."""
+        return _Phased(self.pm, from_digits(self.pm.order, self.x.den, rows),
+                       self.den, a, b, c)
+
+    def transpose(self) -> "_Phased":
+        return self._rearranged(list(zip(*self.x.digits())),
+                                self.b, self.a, self.c)
+
+    def conjugate(self, perm=None) -> "_Phased":
+        """The complex conjugate, its row p taken from row perm[p]."""
+        rows = self.x.sigma(self.pm.order - 1).digits()
+        perm = perm or range(len(rows))
+        return self._rearranged([rows[p] for p in perm],
+                                tuple(-self.a[p] for p in perm),
+                                tuple(-q for q in self.b), -self.c)
+
+    def dagger(self) -> "_Phased":
+        return self.conjugate().transpose()
+
+    def __matmul__(self, other: "_Phased") -> "_Phased":
+        """The product, multiplied at M: the middle phases b_l + a'_l must
+        lie in Q(zeta_M), and scale the rows of the right factor."""
+        order = self.pm.order
+        den = math.lcm(self.den, other.den)
+        f, g = den // self.den, den // other.den
+        middle = [_field_root(f * p + g * q, den, order)
+                  for p, q in zip(self.b, other.a)]
+        if None in middle:
+            raise ValueError("a middle phase lies outside Q(zeta_M)")
+        right = other.x
+        if any(root != (1, 0) for root in middle):
+            ctx = _context(order)
+            right = from_digits(order, right.den, [
+                [_times_root(ctx, d, root) for d in row]
+                for root, row in zip(middle, right.digits())])
+        return _Phased(self.pm, self.x @ right, den,
+                       tuple(f * p for p in self.a),
+                       tuple(g * q for q in other.b),
+                       f * self.c + g * other.c)
+
+    def __eq__(self, other) -> bool:
+        """Entry (i, j) of each side is equal when X_ij e(d_ij) == Y_ij, d_ij
+        the difference of their phases.  When e(d_ij) lies in Q(zeta_M), it
+        is sign * zeta_M^k, and the sides compare as sign * zeta_M^k * x *
+        den_y == y * den_x, the root applied as an exponent shift of the
+        digits of x; otherwise both entries lie in the field and e(d_ij)
+        does not, so they are equal only when both are zero."""
+        if not isinstance(other, _Phased):
+            return NotImplemented
+        order = self.pm.order
+        ctx = _context(order)
+        den = math.lcm(self.den, other.den)
+        f, g = den // self.den, den // other.den
+        da = [f * p - g * q for p, q in zip(self.a, other.a)]
+        db = [f * p - g * q for p, q in zip(self.b, other.b)]
+        dc = f * self.c - g * other.c
+        dx, dy = self.x.den, other.x.den
+        # one width at which x * dy - y * dx has no carry, as in
+        # `PackedMatrix.mismatches`; a shifted entry is compared unpacked
+        xm, ym = _fit(lambda a, b: max(a.bits + dy.bit_length(),
+                                       b.bits + dx.bit_length()),
+                      self.x, other.x)
+        unpack = xm.packing.unpack
+        for ai, xr, yr in zip(da, xm.rows, ym.rows):
+            for bj, x, y in zip(db, xr, yr):
+                root = _field_root(ai + bj + dc, den, order)
+                if root is None:
+                    if x or y:
+                        return False
+                elif root == (1, 0):
+                    if x * dy != y * dx:
+                        return False
+                elif any(p * dy != q * dx for p, q in zip(
+                        _times_root(ctx, unpack(x), root), unpack(y))):
+                    return False
+        return True
+
+    __hash__ = None
+
+
 def verify_lambda_identities(md: ModularData, r) -> list[CheckRecord]:
     """The identity suite at one argument: periodicity, the 1/n closed form,
     the functional equation, transpose/conjugation symmetries for both the
     plain and hatted matrices, unitarity, Bezout independence, and the two
-    derived phase symmetries."""
+    derived phase symmetries.
+
+    The matrices are those of `lambda_mat` and `lambda_hat`, held as
+    `_Phased` values: D(m) and the products of S are packed over the
+    model's field (`md.packed`) and every fractional T power, and the
+    phase of the hat, is a phase exponent."""
     suite = "lambda"
     r = Fraction(r)
     bz = bezout(r)
+    pm = md.packed
+    g = functools.cache(lambda q: phase_g(md.c, md.c0, q))
     records = []
-    lam = lambda_mat(md, r, bz)
 
+    def lam(bez: ReducedFraction) -> _Phased:
+        """L(r) = T^-r D(m) T^-r* at the Bezout data of r."""
+        return _Phased(pm, rep_evaluate_packed(md, bez.matrix())).t(
+            -bez.value, -bez.dual)
+
+    def hat(q, plain=None) -> _Phased:
+        """e(g(q)) L(q), given L(q) as `plain` or built; S at integers."""
+        q = Fraction(q)
+        if q.denominator == 1:
+            return _Phased(pm, pm.s)
+        if plain is None:
+            plain = lam(bezout(q))
+        return plain.t(scalar=g(q))
+
+    here = lam(bz)
     records.append(CheckRecord(
-        suite, "periodic",
-        mx.mat_eq(lambda_mat(md, r + 1), lam), params={"r": r}))
+        suite, "periodic", lam(bezout(r + 1)) == here, params={"r": r}))
 
     n = r.denominator
-    lhs = lambda_mat(md, Fraction(1, n))
-    rhs = mx.scale_cols(
-        mx.scale_rows(
-            md.t_entries(Fraction(-1, n)),
-            mx.mat_mul(md.s_inv, mx.scale_rows(md.t_entries(-n), md.s)),
-        ),
-        md.t_entries(Fraction(-1, n)),
-    )
+    rhs = _Phased(pm, pm.s_inv @ pm.t_diagonal(-n) @ pm.s).t(
+        Fraction(-1, n), Fraction(-1, n))
     records.append(CheckRecord(
-        suite, "one_over_n_word", mx.mat_eq(lhs, rhs), params={"n": n}))
+        suite, "one_over_n_word", lam(bezout(Fraction(1, n))) == rhs,
+        params={"n": n}))
 
     k = r.numerator
     if k == 0:
         records.append(notice(suite, "functional_equation",
                               "skipped at r = 0", r=r))
     else:
-        lhs = lambda_mat(md, Fraction(-n, k))
-        rhs = mx.scale_rows(
-            md.t_entries(Fraction(n, k)),
-            mx.mat_mul(
-                md.s,
-                mx.scale_rows(md.t_entries(r),
-                              mx.scale_cols(lam, md.t_entries(Fraction(1, k * n)))),
-            ),
-        )
+        # T^(n/k) S T^r L(r) T^(1/kn), where T^r L(r) = D(m) T^-r*
+        rhs = (_Phased(pm, pm.s) @ here.t(rows=r)).t(
+            Fraction(n, k), Fraction(1, k * n))
         records.append(CheckRecord(
-            suite, "functional_equation", mx.mat_eq(lhs, rhs),
-            params={"r": r}))
+            suite, "functional_equation",
+            lam(bezout(Fraction(-n, k))) == rhs, params={"r": r}))
 
     records.append(CheckRecord(
         suite, "transpose_dual",
-        mx.mat_eq(lambda_mat(md, bz.dual), mx.transpose(lam)),
-        params={"r": r}))
+        lam(bezout(bz.dual)) == here.transpose(), params={"r": r}))
 
-    neg = lambda_mat(md, -r)
-    conj_ok = all(
-        neg[p][q] == lam[md.conj[p]][q].conjugate()
-        for p in range(md.rank) for q in range(md.rank)
-    )
     records.append(CheckRecord(
-        suite, "conjugate_reflection", conj_ok, params={"r": r}))
+        suite, "conjugate_reflection",
+        lam(bezout(-r)) == here.conjugate(md.conj), params={"r": r}))
 
-    hat = lambda_hat(md, r)
+    hat_here = hat(r, here)
     records.append(CheckRecord(
         suite, "hat_transpose_dual",
-        mx.mat_eq(lambda_hat(md, bz.dual), mx.transpose(hat)),
-        params={"r": r}))
+        hat(bz.dual) == hat_here.transpose(), params={"r": r}))
 
-    hat_ref = lambda_hat(md, 1 - r)
-    hat_conj_ok = all(
-        hat_ref[p][q] == hat[md.conj[p]][q].conjugate()
-        for p in range(md.rank) for q in range(md.rank)
-    )
     records.append(CheckRecord(
-        suite, "hat_conjugate_reflection", hat_conj_ok, params={"r": r}))
+        suite, "hat_conjugate_reflection",
+        hat(1 - r) == hat_here.conjugate(md.conj), params={"r": r}))
 
     records.append(CheckRecord(
         suite, "hat_unitary",
-        mx.is_identity(mx.mat_mul(hat, mx.dagger(hat))),
+        hat_here @ hat_here.dagger() == _Phased(pm, pm.identity()),
         params={"r": r}))
 
     for t in (1, -3):
         records.append(CheckRecord(
             suite, "bezout_independence",
-            mx.mat_eq(lambda_mat(md, r, bz.shifted(t)), lam),
-            params={"r": r, "t": t}))
+            lam(bz.shifted(t)) == here, params={"r": r, "t": t}))
 
-    g_here = phase_g(md.c, md.c0, r)
     records.append(CheckRecord(
-        suite, "phase_dual_invariant",
-        g_here == phase_g(md.c, md.c0, bz.dual), params={"r": r}))
-    g_neg = phase_g(md.c, md.c0, -r)
+        suite, "phase_dual_invariant", g(r) == g(bz.dual), params={"r": r}))
     records.append(CheckRecord(
-        suite, "phase_odd",
-        (g_here + g_neg) % 1 == 0, params={"r": r}))
+        suite, "phase_odd", (g(r) + g(-r)) % 1 == 0, params={"r": r}))
 
     return records
 

@@ -9,11 +9,13 @@ Two evaluators of the representation share one word walk (`syllables`:
 decompose, pair each t^k with the s after it, keep the final t^k and the
 sign).  `rep_evaluate` multiplies CycloNum matrices, so each entry keeps
 the order its products give it; those orders reach the `lambda --json`
-report, which is why `lambdamat` uses it, and the tests use it as the
-reference.  `rep_evaluate_packed` multiplies the same factors as packed
-matrices over the model's single field (see `modata.packed`) for the
-congruence and kernel sampling checks, which need only identity and
-equality tests and sigma_l.
+report, which is why `lambdamat.lambda_mat` uses it for the printed matrix
+and for the hatted matrices of the orbifold and Galois suites, and the
+tests use it as the reference.  `rep_evaluate_packed` multiplies the same
+factors as packed matrices over the model's single field (see
+`modata.packed`) for the checks that need only identity and equality tests
+and sigma_l: the congruence and kernel sampling checks and the lambda
+identity suite.
 
 Sampling is reproducible: a fixed 64-bit linear congruential generator
 (multiplier 6364136223846793005, increment 1442695040888963407, state and
@@ -172,8 +174,8 @@ def rep_evaluate(md: ModularData, m: SL2ZMat) -> mx.Matrix:
     which `ModularData.ts_syllable` caches under the integer exponent k;
     every token of the word is still evaluated.  Entries stay CycloNum
     values at the orders the products give them, because those orders
-    reach the `lambda --json` report; the sampling checks use
-    `rep_evaluate_packed`.
+    reach the `lambda --json` report; the sampling checks and the lambda
+    identity suite use `rep_evaluate_packed`.
     """
     w = syllables(m)
     acc = None

@@ -59,9 +59,16 @@ class OrbSlice:
         self.c0 = parent.c0 * order
         self.tau = parent.tau2 if order % 2 == 0 else 0
         self._hat_cache: dict[int, mx.Matrix] = {}
+        self._roots: dict[int, CycloNum] = {}
 
     def zeta(self, e: int) -> CycloNum:
-        return make(self.n, [(e % self.n, 1)])
+        """zeta_N^e, built once per e mod N; roots are immutable, so every
+        caller may share one."""
+        e %= self.n
+        root = self._roots.get(e)
+        if root is None:
+            root = self._roots[e] = make(self.n, [(e, 1)])
+        return root
 
     def hat(self, i: int) -> mx.Matrix:
         i %= self.n

@@ -414,7 +414,7 @@ class PackedModel:
         self.chat = pack(md.chat, self.order)
         # T = diag(zeta_M^w) with w = (delta - c0/24) * M, an integer
         # because the orders of the T entries divide M
-        self._t_weights = tuple(
+        self.t_weights = tuple(
             int((d - md.c0 / 24) * self.order) for d in md.delta)
         self._syllables: dict[int, PackedMatrix] = {}
 
@@ -430,7 +430,7 @@ class PackedModel:
         """T^k for an integer k."""
         order = self.order
         return diagonal(order, [_monomial(order, w * k % order)
-                                for w in self._t_weights])
+                                for w in self.t_weights])
 
     def syllable(self, k: int) -> PackedMatrix:
         """T^k S, built once per integer k at the narrowest width that holds

@@ -3,8 +3,10 @@
 Each file under tests/golden/ holds the stdout of one invocation, recorded
 before the code it reports on moved to packed matrices (the sampling
 checks, then model validation) or, for the su2:3 lambda and the N = 9
-orbifold, before products by roots of unity became exponent shifts; a
-change to the evaluators must leave every byte of these reports as it was.
+orbifold, before products by roots of unity became exponent shifts, or,
+for the su2:1 (c0 = -7, where g(1/3) != 0) and cyclic_odd:5 hatted
+lambdas, before the lambda suite moved to packed matrices; a change to the
+evaluators must leave every byte of these reports as it was.
 """
 
 from pathlib import Path
@@ -29,6 +31,10 @@ CASES = {
                          "--json"],
     "lambda-su2-3-r3-10": ["lambda", "--model", "su2:3", "--r=3/10",
                            "--json"],
+    "lambda-su2-1-c0m7-r1-3-hat": ["lambda", "--model", "su2:1", "--c0=-7",
+                                   "--r=1/3", "--hat", "--json"],
+    "lambda-cyclic_odd-5-r3-4-hat": ["lambda", "--model", "cyclic_odd:5",
+                                     "--r=3/4", "--hat", "--json"],
     "orbifold-su2-1-order5": ["orbifold", "--model", "su2:1", "--order", "5",
                               "--json"],
     "orbifold-su2-2-order9": ["orbifold", "--model", "su2:2", "--order", "9",

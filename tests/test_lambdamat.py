@@ -1,14 +1,25 @@
 """Fractional modular matrices: Bezout data, the phase function, and the
-identity suite including the spliced functional equation."""
+identity suite including the spliced functional equation.
+
+The suite runs on packed matrices with T powers carried as phase exponents;
+`reference_identities` is the same suite on CycloNum matrices, built from
+`lambda_mat` and `lambda_hat`, and the differential tests compare the two
+record by record."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from modata import lambdamat
 from modata import matrixops as mx
+from modata.cyclo import make
 from modata.errors import PhaseConstraintError
 from modata.lambdamat import (
     ReducedFraction,
+    _field_root,
+    _Phased,
     bezout,
     hat_functional_equation_check,
     lambda_hat,
@@ -17,6 +28,112 @@ from modata.lambdamat import (
     verify_lambda_identities,
 )
 from modata.modular_data import builtin_model
+from modata.packed import from_digits, pack
+from modata.reporting import CheckRecord, notice
+
+
+def reference_identities(md, r) -> list[CheckRecord]:
+    """The identity suite on CycloNum matrices: every L and hat is built by
+    `lambda_mat` and `lambda_hat` and every T power is a CycloNum diagonal.
+    `phase_g` is read off the module, so a test may replace it."""
+    suite = "lambda"
+    r = Fraction(r)
+    bz = bezout(r)
+    records = []
+    lam = lambda_mat(md, r, bz)
+
+    records.append(CheckRecord(
+        suite, "periodic",
+        mx.mat_eq(lambda_mat(md, r + 1), lam), params={"r": r}))
+
+    n = r.denominator
+    lhs = lambda_mat(md, Fraction(1, n))
+    rhs = mx.scale_cols(
+        mx.scale_rows(
+            md.t_entries(Fraction(-1, n)),
+            mx.mat_mul(md.s_inv, mx.scale_rows(md.t_entries(-n), md.s)),
+        ),
+        md.t_entries(Fraction(-1, n)),
+    )
+    records.append(CheckRecord(
+        suite, "one_over_n_word", mx.mat_eq(lhs, rhs), params={"n": n}))
+
+    k = r.numerator
+    if k == 0:
+        records.append(notice(suite, "functional_equation",
+                              "skipped at r = 0", r=r))
+    else:
+        lhs = lambda_mat(md, Fraction(-n, k))
+        rhs = mx.scale_rows(
+            md.t_entries(Fraction(n, k)),
+            mx.mat_mul(
+                md.s,
+                mx.scale_rows(md.t_entries(r),
+                              mx.scale_cols(lam, md.t_entries(Fraction(1, k * n)))),
+            ),
+        )
+        records.append(CheckRecord(
+            suite, "functional_equation", mx.mat_eq(lhs, rhs),
+            params={"r": r}))
+
+    records.append(CheckRecord(
+        suite, "transpose_dual",
+        mx.mat_eq(lambda_mat(md, bz.dual), mx.transpose(lam)),
+        params={"r": r}))
+
+    neg = lambda_mat(md, -r)
+    conj_ok = all(
+        neg[p][q] == lam[md.conj[p]][q].conjugate()
+        for p in range(md.rank) for q in range(md.rank)
+    )
+    records.append(CheckRecord(
+        suite, "conjugate_reflection", conj_ok, params={"r": r}))
+
+    hat = lambda_hat(md, r)
+    records.append(CheckRecord(
+        suite, "hat_transpose_dual",
+        mx.mat_eq(lambda_hat(md, bz.dual), mx.transpose(hat)),
+        params={"r": r}))
+
+    hat_ref = lambda_hat(md, 1 - r)
+    hat_conj_ok = all(
+        hat_ref[p][q] == hat[md.conj[p]][q].conjugate()
+        for p in range(md.rank) for q in range(md.rank)
+    )
+    records.append(CheckRecord(
+        suite, "hat_conjugate_reflection", hat_conj_ok, params={"r": r}))
+
+    records.append(CheckRecord(
+        suite, "hat_unitary",
+        mx.is_identity(mx.mat_mul(hat, mx.dagger(hat))),
+        params={"r": r}))
+
+    for t in (1, -3):
+        records.append(CheckRecord(
+            suite, "bezout_independence",
+            mx.mat_eq(lambda_mat(md, r, bz.shifted(t)), lam),
+            params={"r": r, "t": t}))
+
+    g_here = lambdamat.phase_g(md.c, md.c0, r)
+    records.append(CheckRecord(
+        suite, "phase_dual_invariant",
+        g_here == lambdamat.phase_g(md.c, md.c0, bz.dual), params={"r": r}))
+    g_neg = lambdamat.phase_g(md.c, md.c0, -r)
+    records.append(CheckRecord(
+        suite, "phase_odd",
+        (g_here + g_neg) % 1 == 0, params={"r": r}))
+
+    return records
+
+
+def _objs(records):
+    return [rec.to_obj() for rec in records]
+
+
+def _fractions(top: int):
+    """Every a/n with 2 <= n <= top and 0 < a < n, in lowest terms."""
+    return sorted({Fraction(a, n) for n in range(2, top + 1)
+                   for a in range(1, n)})
 
 
 @pytest.fixture(scope="module")
@@ -134,3 +251,174 @@ class TestHatFunctionalEquation:
     def test_with_shifted_c0(self, kn):
         md = builtin_model("su2", 2, c0_override=Fraction(3, 2) - 8)
         assert hat_functional_equation_check(md, *kn).passed
+
+
+def _grid():
+    """(model, arguments) of the differential grid: su2:1..3 at every a/n
+    with n <= 12, the same models with c0 - 8 at n <= 6, su2:1 at c0 = -7
+    (where g(r) != 0), and cyclic_odd:3, cyclic_odd:5 (an odd field order,
+    5) and the trivial model (order 1) at n <= 6, r = 0, r > 1 and r < 0."""
+    out = []
+    for k in (1, 2, 3):
+        out.append(pytest.param(("su2", k, None), _fractions(12),
+                                id=f"su2:{k}"))
+        out.append(pytest.param(("su2", k, -8), _fractions(6),
+                                id=f"su2:{k}-c0-8"))
+    out.append(pytest.param(
+        ("su2", 1, Fraction(-7)),
+        [Fraction(x) for x in ("1/2", "1/3", "2/5", "-3/7", "9/4")],
+        id="su2:1-c0=-7"))
+    extra = [Fraction(0), Fraction(2), Fraction(-7, 3), Fraction(11, 4)]
+    for name, param in (("cyclic_odd", 3), ("cyclic_odd", 5),
+                        ("trivial", None)):
+        out.append(pytest.param((name, param, None), _fractions(6) + extra,
+                                id=name if param is None else f"{name}:{param}"))
+    return out
+
+
+def _build(spec):
+    name, param, c0 = spec
+    if c0 == -8:
+        c0 = builtin_model(name, param).c0 - 8
+    return builtin_model(name, param, c0_override=c0)
+
+
+class TestPackedSuiteMatchesReference:
+    """`verify_lambda_identities` and `reference_identities` give the same
+    records, on a grid, on random arguments and on corrupted inputs."""
+
+    @pytest.mark.parametrize("spec,args", _grid())
+    def test_grid(self, spec, args, monkeypatch):
+        # su2:3 at n = 11 and 12 needs CycloNum orders up to 12*11*40
+        monkeypatch.setenv("MODATA_MAX_ORDER", "20000")
+        md = _build(spec)
+        for r in args:
+            assert _objs(verify_lambda_identities(md, r)) == \
+                _objs(reference_identities(md, r)), r
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([("su2", 1, None), ("su2", 2, None),
+                            ("su2", 1, Fraction(-7)), ("cyclic_odd", 5, None),
+                            ("cyclic_odd", 3, None)]),
+           st.integers(min_value=1, max_value=8), st.data())
+    def test_random_arguments(self, spec, n, data):
+        a = data.draw(st.integers(min_value=-2 * n, max_value=2 * n))
+        md = _build(spec)
+        r = Fraction(a, n)
+        assert _objs(verify_lambda_identities(md, r)) == \
+            _objs(reference_identities(md, r))
+
+    ARGS = [Fraction(x) for x in
+            ("1/2", "1/3", "2/3", "2/5", "3/7", "5/8", "-4/9", "7/4")]
+
+    def _assert_agree_and_fail(self, md):
+        seen_failure = False
+        for r in self.ARGS:
+            got = _objs(verify_lambda_identities(md, r))
+            assert got == _objs(reference_identities(md, r)), r
+            seen_failure |= not all(rec["pass"] for rec in got)
+        assert seen_failure
+
+    def test_corrupted_syllable(self):
+        # one entry of T S, plus one, in the packed and the CycloNum cache
+        md = builtin_model("su2", 2)
+        pm = md.packed
+        good = pm.syllable(1)
+        digits = [[list(d) for d in row] for row in good.digits()]
+        digits[0][1][0] += good.den
+        pm._syllables[1] = from_digits(pm.order, good.den, digits)
+        rows = [list(row) for row in md.ts_syllable(1)]
+        rows[0][1] = rows[0][1] + 1
+        md._ts_cache[1] = mx.mat(rows)
+        assert pack(md.ts_syllable(1), pm.order) == pm.syllable(1)
+        self._assert_agree_and_fail(md)
+
+    def test_negated_representation_entry(self, monkeypatch):
+        # D(m) with entry (0, 1) negated, by both evaluators
+        md = builtin_model("su2", 1)
+        packed_eval, cyclo_eval = (lambdamat.rep_evaluate_packed,
+                                   lambdamat.rep_evaluate)
+
+        def negate(rows, neg):
+            rows = [list(row) for row in rows]
+            rows[0][1] = neg(rows[0][1])
+            return rows
+
+        def bad_packed(md_, m):
+            d = packed_eval(md_, m)
+            return from_digits(d.packing.order, d.den, negate(
+                d.digits(), lambda digits: [-c for c in digits]))
+
+        monkeypatch.setattr(lambdamat, "rep_evaluate_packed", bad_packed)
+        monkeypatch.setattr(lambdamat, "rep_evaluate",
+                            lambda md_, m: mx.mat(negate(cyclo_eval(md_, m),
+                                                         lambda x: -x)))
+        self._assert_agree_and_fail(md)
+
+    def test_shifted_phase(self, monkeypatch):
+        # g shifted by 1/7: e(2/7) is outside every field here, so the
+        # hatted reflection and phase_odd fail on both paths
+        good = lambdamat.phase_g
+        monkeypatch.setattr(lambdamat, "phase_g",
+                            lambda c, c0, r: good(c, c0, r) + Fraction(1, 7))
+        for spec in (("su2", 1, None), ("su2", 1, Fraction(-7))):
+            md = _build(spec)
+            self._assert_agree_and_fail(md)
+
+
+class TestEqualityRule:
+    """`_Phased.__eq__`: X_ij e(d_ij) == Y_ij entry by entry."""
+
+    def test_field_roots(self):
+        assert _field_root(3, 24, 24) == (1, 3)
+        assert _field_root(1, 7, 24) is None
+        assert _field_root(25, 24, 24) == (1, 1)
+        # odd M: the roots of Q(zeta_5) are the 10th roots, +-zeta_5^k
+        assert _field_root(1, 2, 5) == (-1, 0)
+        assert _field_root(1, 10, 5) == (-1, 3)
+        assert _field_root(2, 10, 5) == (1, 1)
+        assert _field_root(1, 4, 5) is None
+        # the trivial model's field Q has the roots +-1
+        assert _field_root(1, 2, 1) == (-1, 0)
+        assert _field_root(1, 3, 1) is None
+
+    def test_phase_outside_field(self):
+        md = builtin_model("su2", 1)
+        pm = md.packed
+        s = _Phased(pm, pm.s)
+        assert s.t(scalar=Fraction(1, 7)) != s
+        zero = from_digits(pm.order, 1, [[[0] * 8] * 2] * 2)
+        assert _Phased(pm, zero).t(scalar=Fraction(1, 7)) == _Phased(pm, zero)
+        # a row phase outside the field on a row that is zero on both sides
+        one, nil = [1] + [0] * 7, [0] * 8
+        x = from_digits(pm.order, 1, [[one, nil], [nil, nil]])
+        assert _Phased(pm, x, 7, (0, 1), (0, 0), 0) == _Phased(pm, x)
+        assert _Phased(pm, x, 7, (1, 0), (0, 0), 0) != _Phased(pm, x)
+        # nonzero against zero
+        assert _Phased(pm, x).t(scalar=Fraction(1, 7)) != _Phased(pm, zero)
+
+    def test_odd_order_sign(self):
+        md = builtin_model("cyclic_odd", 5)
+        pm = md.packed
+        assert pm.order == 5
+        s = md.s
+        minus = pack([[-x for x in row] for row in s], 5)
+        assert _Phased(pm, pm.s).t(scalar=Fraction(1, 2)) == _Phased(pm, minus)
+        assert _Phased(pm, pm.s).t(scalar=Fraction(1, 2)) != _Phased(pm, pm.s)
+        # e(1/10) = -zeta_5^3 lies in Q(zeta_5)
+        root = make(5, [(3, -1)])
+        turned = pack([[x * root for x in row] for row in s], 5)
+        assert _Phased(pm, pm.s).t(scalar=Fraction(1, 10)) == \
+            _Phased(pm, turned)
+        assert _Phased(pm, pm.s).t(scalar=Fraction(3, 10)) != \
+            _Phased(pm, turned)
+
+    def test_product_middle_phase(self):
+        md = builtin_model("su2", 1)
+        pm = md.packed
+        s = _Phased(pm, pm.s)
+        # S T . S: the middle phase w is an integer T power, in the field
+        assert s.t(cols=1) @ s == _Phased(pm, pm.s @ pm.t_diagonal(1) @ pm.s)
+        # S T^(1/7) . S: outside Q(zeta_24)
+        with pytest.raises(ValueError):
+            s.t(cols=Fraction(1, 7)) @ s
