@@ -10,18 +10,16 @@ matrices relating Frobenius images of the fractional modular matrices.
 The signed permutation G acts as an index map, never as a matrix product:
 G^-1 X is row i = signs[i] * row perm[i] of X, and G^-1 diag(d) G is
 diag(d[perm[i]]).  Only the generator-word check compares with G as a
-matrix.
+matrix, an integer one.
 
-The congruence sampling checks and `kernel_test` evaluate D(m) with
-`rep_evaluate_packed`: all of D(m), S^-1 and the T powers lie in one field
-Q(zeta_M), M the lcm of the conductor and the stored S orders, so the
-identity and equality tests and sigma_l there run on packed integer
-entries and build no CycloNum.  `kernel_test`'s arithmetic criterion
-sigma_d(S) T^b == T^e S is a packed equality on the same field.  sigma_l
-acts on Q(zeta_M) through a lift l' = l (mod n) coprime to M, which is the
-same automorphism on the conductor field that contains every entry.
-`sigma_matrix` and the CycloNum evaluator remain for S, T and the
-fractional matrices, whose entry orders are reported.
+`parity_decompose`, the generator word, the congruence sampling checks and
+`kernel_test` run on the model's packed S: all of S, S^-1, D(m) and the T
+powers lie in one field Q(zeta_M), M the lcm of the conductor and the
+stored S orders, so the identity and equality tests and sigma_l there run
+on packed integer entries and build no CycloNum.  sigma_l acts on
+Q(zeta_M) through a lift l' = l (mod n) coprime to M, which is the same
+automorphism on the conductor field that contains every entry.
+`sigma_matrix` remains for one row of T and for `z_matrix`.
 
 Applying sigma_l to a matrix whose entries live at mixed ambient orders uses
 a lift l' = l (mod the field modulus that determines the action) chosen
@@ -56,6 +54,7 @@ from .modrep import (
     tau_l,
 )
 from .modular_data import ModularData
+from .packed import _fit, integers
 from .reporting import CheckRecord, first_failure, notice
 
 
@@ -65,9 +64,6 @@ class MonomialSignedPerm:
 
     perm: tuple[int, ...]
     signs: tuple[int, ...]
-
-    def as_matrix(self) -> mx.Matrix:
-        return mx.perm_sign_matrix(self.perm, self.signs)
 
     def inverse_times(self, m: mx.Matrix) -> mx.Matrix:
         """G^-1 m: row i is signs[i] times row perm[i] of m."""
@@ -118,37 +114,35 @@ def sigma_matrix(l: int, m: mx.Matrix, modulus: int) -> mx.Matrix:
 def parity_decompose(md: ModularData, l: int) -> MonomialSignedPerm:
     """The signed column permutation with sigma_l(S) = S G, read off by
     matching columns (so S G holds by construction), then checked against
-    the left factorization sigma_l(S) = G^-1 S row by row."""
-    n = md.conductor_n()
-    sig = sigma_matrix(l, md.s, n)
-    rank = md.rank
-    cols_sig = list(zip(*sig))
-    cols_s = list(zip(*md.s))
-    perm = [-1] * rank
-    signs = [0] * rank
-    for mu in range(rank):
-        matches = []
-        for nu in range(rank):
-            if cols_sig[mu] == cols_s[nu]:
-                matches.append((nu, 1))
-            if all(x == -y for x, y in zip(cols_sig[mu], cols_s[nu])):
-                matches.append((nu, -1))
+    the left factorization sigma_l(S) = G^-1 S row by row, both on the
+    packed S: S and sigma_l(S) share one denominator, so at one width two
+    entries are equal exactly when their packed ints are."""
+    pk = md.packed
+    lp = coprime_lift(l, md.conductor_n(), pk.order)
+    s, sig = _fit(lambda a, b: max(a.bits, b.bits), pk.s, pk.s.sigma(lp))
+    cols_s = list(zip(*s.rows))
+    perm, signs = [], []
+    for mu, col in enumerate(zip(*sig.rows)):
+        matches = [(nu, e) for nu, other in enumerate(cols_s) for e in (1, -1)
+                   if all(x == e * y for x, y in zip(col, other))]
         if len(matches) != 1:
             raise NoMonomialStructureError(
                 f"column {mu} has {len(matches)} signed matches under l={l}"
             )
-        perm[mu], signs[mu] = matches[0]
-    if sorted(perm) != list(range(rank)):
+        perm.append(matches[0][0])
+        signs.append(matches[0][1])
+    if sorted(perm) != list(range(md.rank)):
         raise NoMonomialStructureError("column matches are not a permutation")
-    g = MonomialSignedPerm(tuple(perm), tuple(signs))
-    if not mx.mat_eq(sig, g.inverse_times(md.s)):
+    if any(row != tuple(e * x for x in s.rows[p])
+           for row, p, e in zip(sig.rows, perm, signs)):
         raise NoMonomialStructureError("left factorization failed")
-    return g
+    return MonomialSignedPerm(tuple(perm), tuple(signs))
 
 
 def verify_galois_identities(md: ModularData, l: int) -> list[CheckRecord]:
     """Frobenius on T, its conjugation by the signed permutation, and the
-    generator-word formula for the signed permutation itself."""
+    generator-word formula for the signed permutation itself, the word
+    S^-1 T^l S T^lhat S T^l taken as packed products."""
     suite = "galois"
     n = md.conductor_n()
     if math.gcd(l, n) != 1:
@@ -168,19 +162,13 @@ def verify_galois_identities(md: ModularData, l: int) -> list[CheckRecord]:
                     params={"l": l})
     )
     lhat = pow(l % n, -1, n) if n > 1 else 0
-    word = mx.mat_mul(
-        md.s_inv,
-        mx.scale_rows(
-            md.t_entries(l),
-            mx.mat_mul(
-                mx.scale_cols(md.s, md.t_entries(lhat)),
-                mx.scale_cols(md.s, md.t_entries(l)),
-            ),
-        ),
-    )
+    pk = md.packed
+    word = pk.s_inv @ pk.product((l, lhat), l, False)
+    g_rows = [[e if p == i else 0 for p, e in zip(g.perm, g.signs)]
+              for i in range(md.rank)]
     records.append(
         CheckRecord(suite, "g_generator_word",
-                    mx.mat_eq(word, g.as_matrix()),
+                    word == integers(pk.order, g_rows),
                     params={"l": l, "lhat": lhat})
     )
     return records

@@ -6,8 +6,6 @@ column: the whole sum of products is reduced and normalised once, instead
 of once per term and once per partial sum.
 """
 
-from fractions import Fraction
-
 from .cyclo import CycloNum, dot
 
 Matrix = tuple[tuple[CycloNum, ...], ...]
@@ -99,12 +97,3 @@ def first_mismatch(a: Matrix, b: Matrix):
                 return i, j, x, y
     return None
 
-
-def perm_sign_matrix(perm, signs) -> Matrix:
-    """The monomial matrix G with G[i][j] = signs[j] * delta(i, perm[j])."""
-    n = len(perm)
-    zero = CycloNum.zero()
-    out = [[zero] * n for _ in range(n)]
-    for j in range(n):
-        out[perm[j]][j] = CycloNum.rational(Fraction(signs[j]))
-    return tuple(tuple(row) for row in out)

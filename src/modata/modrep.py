@@ -13,7 +13,8 @@ report, which is why `lambdamat.lambda_mat` uses it for the printed matrix
 and for the hatted matrices of the orbifold and Galois suites, and the
 tests use it as the reference.  `rep_evaluate_packed` multiplies the same
 factors as packed matrices over the model's single field (see
-`modata.packed`) for the checks that need only identity and equality tests
+`modata.packed`, whose `PackedModel.product` also evaluates the Galois
+generator word) for the checks that need only identity and equality tests
 and sigma_l: the congruence and kernel sampling checks and the lambda
 identity suite.
 

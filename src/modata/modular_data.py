@@ -11,23 +11,25 @@ consumes validated instances only.
 The fractional power T^r always means the diagonal matrix with entries
 exp(2*pi*i*(delta_lam - c0/24)*r); no logarithm branches exist anywhere.
 
-The fusion rules are the Verlinde character sums in matrix form:
-N_lam = S diag(S[lam][d] / S[0][d]) S^dagger, computed on S packed over the
-model's single field (see `modata.packed`): two packed products per label,
-each table read as integers straight off the packed ints.  The
-diagonalization check N_lam S == S diag(...) and c0_consistency's
-fusion-phase check run on the same packed S.  CycloNum values enter these
-checks only as a failing record's witness: the first failing fusion entry
-is recomputed as one `verlinde_value`, a `cyclo.dot` of r terms, which is
-also the value `verlinde_sum` returns; `dot` skips the zero terms, so a sum
-is held at the lcm of the orders of its nonzero terms.  S S^dagger, S T S
-and the conjugation S^2 stay CycloNum products, because the entry orders
-of S^2 reach `rep_evaluate` and `lambda --json`.  The scalar character
-sums (the total index, the statistical phase sum, the soliton
-multiplicity) are `sum(terms, CycloNum.zero())`: each term is a product of
-three or more factors (or a square), which `dot` cannot fuse, and each sum
-runs once per check over at most rank terms, so `+` keeps them one line
-each at the value, order included, of the term-by-term chain.
+Validation runs on S packed as one matrix type (see `modata.packed`).
+Over the field of the S entries, which comes before any T entry can push
+the order past MODATA_MAX_ORDER, S S^dagger is compared with the identity
+and the fusion rules, the Verlinde sums N_lam = S diag(S[lam][d] /
+S[0][d]) S^dagger, take two packed products per label on the same packed
+S^dagger, each table read as integers off the packed ints; N_lam S ==
+S diag(...) takes one more.  S T S == T^-1 S T^-1 and c0_consistency's
+fusion-phase check run over the model's single field.  A failing packed
+comparison's witness is its first (i, j); a failing fusion entry's is one
+`verlinde_value`, a `cyclo.dot` of r terms, which is also the value
+`verlinde_sum` returns; `dot` skips the zero terms, so a sum is held at
+the lcm of the orders of its nonzero terms.  S^2 stays the one CycloNum
+product, because its entry orders reach `rep_evaluate` and the
+`lambda --json` report.  The scalar character sums (the total index, the
+statistical phase sum, the soliton multiplicity) are
+`sum(terms, CycloNum.zero())`: each term is a product of three or more
+factors (or a square), which `dot` cannot fuse, and each sum runs once per
+check over at most rank terms, so `+` keeps them one line each at the
+value, order included, of the term-by-term chain.
 """
 
 import functools
@@ -57,6 +59,7 @@ from .packed import (
     PackedModel,
     diagonal,
     field_order,
+    identity,
     integers,
     pack,
     roots_diagonal,
@@ -178,15 +181,6 @@ class ModularData:
             cached = mx.mat_mul(mx.diagonal(self.t_entries(k)), self.s)
             self._ts_cache[k] = cached
         return cached
-
-    def t_power(self, r) -> mx.Matrix:
-        return mx.diagonal(self.t_entries(r))
-
-    @functools.cached_property
-    def s_inv(self) -> mx.Matrix:
-        """S^-1 = S @ Chat, since S^2 is the conjugation permutation;
-        computed on first read."""
-        return mx.mat_mul(self.s, self.chat)
 
     @functools.cached_property
     def packed(self) -> PackedModel:
@@ -422,9 +416,13 @@ def _axiom_checks(labels, s, delta, c, c0, tau2):
     sym = mx.first_mismatch(s, mx.transpose(s))
     rec("s_symmetric", sym is None, "" if sym is None else f"entry {sym[:2]}")
 
-    uni = mx.first_mismatch(mx.mat_mul(s, mx.dagger(s)), mx.identity(rank))
+    # over the field of the S entries (see the module docstring)
+    s_order = math.lcm(*(x.order for row in s for x in row))
+    ps = pack(s, s_order)
+    s_dag = pack(mx.dagger(s), s_order)
+    uni = next((ps @ s_dag).mismatches(identity(s_order, rank)), None)
     if not rec("s_unitary", uni is None,
-               "" if uni is None else f"entry {uni[:2]}"):
+               "" if uni is None else f"entry {uni}"):
         return records, derived
 
     chat = mx.mat_mul(s, s)
@@ -455,19 +453,19 @@ def _axiom_checks(labels, s, delta, c, c0, tau2):
     if not records[-1].passed:
         return records, derived
 
-    # Check S T S == T^-1 S T^-1 with T the diagonal of exp(2pi*i*(d - c0/24)).
-    t = tuple(root_of_unity_exp(d - c0 / 24) for d in delta)
-    sts = mx.mat_mul(mx.scale_cols(s, t), s)
-    tinv = tuple(x.conjugate() for x in t)
-    rhs = mx.scale_cols(mx.scale_rows(tinv, s), tinv)
-    mm = mx.first_mismatch(sts, rhs)
-    rec("sts_twist_relation", mm is None,
-        "" if mm is None else f"entry {mm[:2]}")
+    # S T S == T^-1 S T^-1 over the model's single field, with T the
+    # diagonal of exp(2*pi*i*(delta - c0/24)).
+    order = field_order(s, delta, c0)
+    pm = pack(s, order)
+    weights = [d - c0 / 24 for d in delta]
+    t = roots_diagonal(order, weights)
+    t_inv = roots_diagonal(order, [-w for w in weights])
+    mm = next((pm @ t @ pm).mismatches(t_inv @ pm @ t_inv), None)
+    rec("sts_twist_relation", mm is None, "" if mm is None else f"entry {mm}")
 
-    rec(
-        "t_conjugation_invariant",
-        all(t[lam] == t[conj[lam]] for lam in range(rank)),
-    )
+    rec("t_conjugation_invariant",  # e(x) == e(y) when x - y is in Z
+        all((delta[lam] - delta[conj[lam]]).denominator == 1
+            for lam in range(rank)))
 
     res = c - c0
     rec("central_charge_residue", res.denominator == 1 and res % 4 == 0,
@@ -476,9 +474,8 @@ def _axiom_checks(labels, s, delta, c, c0, tau2):
     if not all(r.passed for r in records):
         return records, derived
 
-    ps = pack(s, field_order(s, delta, c0))
-    derived["packed_s"] = ps
-    fusion_records, fusion = _fusion_checks(s, ps)
+    derived["packed_s"] = pm
+    fusion_records, fusion = _fusion_checks(s, ps, s_dag)
     records.extend(fusion_records)
     if fusion is None:
         return records, derived
@@ -499,8 +496,9 @@ def _axiom_checks(labels, s, delta, c, c0, tau2):
     return records, derived
 
 
-def _fusion_checks(s: mx.Matrix, ps: PackedMatrix):
-    """The fusion table of S and its two checks, on S packed as `ps`.
+def _fusion_checks(s: mx.Matrix, ps: PackedMatrix, s_dag: PackedMatrix):
+    """The fusion table of S and its two checks, on S packed as `ps` and
+    S^dagger as `s_dag`, over the field of the S entries.
 
     N_lam = S diag(eigenvalues(s, lam)) S^dagger takes two packed products
     per label and is read as integers off the packed ints.  The scan runs
@@ -512,7 +510,6 @@ def _fusion_checks(s: mx.Matrix, ps: PackedMatrix):
     """
     suite = "axioms"
     order = ps.packing.order
-    s_dag = pack(mx.dagger(s), order)
     fusion, scaled = [], []
     witness = ""
     for lam in range(len(s)):

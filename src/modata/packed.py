@@ -2,10 +2,11 @@
 
 The S and T entries of a model, and so every representation matrix D(m)
 and every fusion table, lie in Q(zeta_M), with M the lcm of the orders of
-the stored S entries and of the T entries (`field_order`).  Model
-validation (the Verlinde table, its diagonalization by S and the
-fusion-phase check) and the congruence and kernel sampling checks run on
-one matrix type over that field.  An entry is one Python int: its phi(M)
+the stored S entries and of the T entries (`field_order`).  All model
+validation but S^2 and the symmetry check, the Galois signed permutation
+and its generator word, and the congruence and kernel sampling checks run
+on one matrix type over that field (unitarity and the fusion table over
+the field of the S entries).  An entry is one Python int: its phi(M)
 reduced power-basis coefficients are signed B-bit digits,
 sum_j c_j 2^(B*j) (Kronecker substitution), over one common denominator
 per matrix.  A product entry is the big-int sum of the products of a row
@@ -372,6 +373,12 @@ def integers(order: int, rows) -> IntegerMatrix:
                          max(sum(map(abs, col)) for col in zip(*rows)))
 
 
+def identity(order: int, rank: int) -> IntegerMatrix:
+    """The identity matrix of size `rank` over Q(zeta_order)."""
+    return integers(order, [[int(i == j) for j in range(rank)]
+                            for i in range(rank)])
+
+
 def pack(matrix, order: int) -> PackedMatrix:
     """A CycloNum matrix whose entry orders divide `order`, packed over the
     lcm of the entry denominators."""
@@ -420,11 +427,11 @@ class PackedModel:
 
     @functools.cached_property
     def s_inv(self) -> PackedMatrix:
-        """S^-1 = S Chat, as `ModularData.s_inv`; computed on first read."""
+        """S^-1 = S Chat, as S^2 = Chat; computed on first read."""
         return (self.s @ self.chat).lift()
 
     def identity(self) -> PackedMatrix:
-        return diagonal(self.order, [_monomial(self.order, 0)] * self.rank)
+        return identity(self.order, self.rank)
 
     def t_diagonal(self, k: int) -> PackedMatrix:
         """T^k for an integer k."""

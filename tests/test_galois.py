@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from modata import matrixops as mx
-from modata import galois
+from modata.cyclo import CycloNum
 from modata.errors import NoMonomialStructureError, NotCoprimeError
 from modata.galois import (
     MonomialSignedPerm,
@@ -22,6 +22,65 @@ from modata.galois import (
 )
 from modata.modrep import IDENTITY, Lcg, SL2ZMat, random_word_matrix, t_gen
 from modata.modular_data import builtin_model
+from modata.packed import PackedMatrix
+from modata.reporting import CheckRecord
+
+
+def _g_matrix(g):
+    """G as a CycloNum matrix: G[i][j] = signs[j] * delta(i, perm[j])."""
+    return mx.mat([[CycloNum.rational(e if p == i else 0)
+                    for p, e in zip(g.perm, g.signs)]
+                   for i in range(len(g.perm))])
+
+
+def _cyclonum_parity_decompose(md, l):
+    """The signed permutation read off the CycloNum sigma_l(S) by matching
+    columns, as `parity_decompose` did before it moved to the packed S;
+    raises NoMonomialStructureError where that did."""
+    s = md.s
+    sig = sigma_matrix(l, s, md.conductor_n())
+    perm, signs = [], []
+    for col in zip(*sig):
+        matches = [(nu, e) for nu, other in enumerate(zip(*s))
+                   for e in (1, -1)
+                   if all(x == e * y for x, y in zip(col, other))]
+        if len(matches) != 1:
+            raise NoMonomialStructureError(f"{len(matches)} signed matches")
+        perm.append(matches[0][0])
+        signs.append(matches[0][1])
+    if sorted(perm) != list(range(md.rank)):
+        raise NoMonomialStructureError("column matches are not a permutation")
+    g = MonomialSignedPerm(tuple(perm), tuple(signs))
+    if not mx.mat_eq(sig, g.inverse_times(s)):
+        raise NoMonomialStructureError("left factorization failed")
+    return g
+
+
+def _cyclonum_galois_identities(md, l):
+    """`verify_galois_identities` with the generator word a CycloNum
+    product S^-1 T^l S T^lhat S T^l, S^-1 = S S^2, against G as a CycloNum
+    matrix."""
+    n = md.conductor_n()
+    g = _cyclonum_parity_decompose(md, l)
+    lhat = pow(l % n, -1, n) if n > 1 else 0
+    word = mx.mat_mul(
+        mx.mat_mul(md.s, md.chat),
+        mx.scale_rows(md.t_entries(l), mx.mat_mul(
+            mx.scale_cols(md.s, md.t_entries(lhat)),
+            mx.scale_cols(md.s, md.t_entries(l)))),
+    )
+    return [
+        CheckRecord("galois", "t_frobenius_power",
+                    mx.mat_eq(sigma_matrix(l, (md.t_entries(1),), n),
+                              (md.t_entries(l),)),
+                    params={"l": l}),
+        CheckRecord("galois", "t_conjugation_l_squared",
+                    g.conjugate_diagonal(md.t_entries(1))
+                    == md.t_entries(l * l), params={"l": l}),
+        CheckRecord("galois", "g_generator_word",
+                    mx.mat_eq(word, _g_matrix(g)),
+                    params={"l": l, "lhat": lhat}),
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +127,7 @@ class TestParityDecompose:
     def test_orthogonal_monomial(self, su2_2):
         for l in (3, 5, 7):
             g = parity_decompose(su2_2, l)
-            gm = g.as_matrix()
+            gm = _g_matrix(g)
             assert mx.is_identity(mx.mat_mul(gm, mx.transpose(gm)))
 
     def test_multiplicativity(self, su2_2):
@@ -80,13 +139,32 @@ class TestFaultInjection:
     def test_left_factorization_failure_is_caught(self, su2_2, monkeypatch):
         # columns 0 and 2 swapped, the second negated: every column still
         # has one signed match in S, but no row is a signed row of S
-        def swapped(l, m, modulus):
-            return tuple((row[2], row[1], -row[0]) for row in m)
+        real = PackedMatrix.sigma
 
-        monkeypatch.setattr(galois, "sigma_matrix", swapped)
+        def swapped(self, l):
+            m = real(self, l)
+            rows = tuple((row[2], row[1], -row[0]) for row in m.rows)
+            return PackedMatrix(m.packing, m.den, rows, m.bits, m.norm)
+
+        monkeypatch.setattr(PackedMatrix, "sigma", swapped)
         with pytest.raises(NoMonomialStructureError,
                            match="left factorization failed"):
             parity_decompose(su2_2, 3)
+
+    def test_generator_word_failure_is_caught(self):
+        # S^-1 with one entry negated enters only the generator word
+        md = builtin_model("su2", 2)
+        pk = md.packed
+        s_inv = pk.s_inv
+        rows = [list(row) for row in s_inv.rows]
+        rows[0][1] = -rows[0][1]
+        assert rows[0][1]
+        pk.s_inv = PackedMatrix(s_inv.packing, s_inv.den, tuple(
+            map(tuple, rows)), s_inv.bits, s_inv.norm)
+        for l in (3, 5, 7):
+            failed = [r.check for r in verify_galois_identities(md, l)
+                      if not r.passed]
+            assert failed == ["g_generator_word"]
 
     def test_t_conjugation_failure_is_caught(self):
         md = builtin_model("su2", 2)
@@ -97,6 +175,31 @@ class TestFaultInjection:
         passed = {r.check: r.passed for r in verify_galois_identities(md, l)}
         assert not passed["t_conjugation_l_squared"]
         assert passed["t_frobenius_power"] and passed["g_generator_word"]
+
+
+class TestPackedAgainstCycloNum:
+    """`parity_decompose` and `verify_galois_identities` on the packed S
+    against the CycloNum code they replaced, at every unit below the
+    conductor."""
+
+    @pytest.mark.parametrize("spec", [
+        *(f"su2:{k}" for k in range(1, 11)),
+        *(f"cyclic_odd:{n}" for n in range(3, 12, 2)),
+    ])
+    def test_every_unit(self, spec):
+        name, param = spec.split(":")
+        md = builtin_model(name, int(param))
+        n = md.conductor_n()
+        units = [l for l in range(1, n) if math.gcd(l, n) == 1]
+        for l in units:
+            g = parity_decompose(md, l)
+            assert g == _cyclonum_parity_decompose(md, l)
+            assert (verify_galois_identities(md, l)
+                    == _cyclonum_galois_identities(md, l))
+        if spec == "su2:6":  # some G_l moves labels and carries a sign
+            gs = [parity_decompose(md, l) for l in units]
+            assert any(g.perm != tuple(range(md.rank)) for g in gs)
+            assert any(-1 in g.signs for g in gs)
 
 
 class TestGaloisIdentities:

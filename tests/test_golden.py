@@ -5,15 +5,20 @@ before the code it reports on moved to packed matrices (the sampling
 checks, then model validation) or, for the su2:3 lambda and the N = 9
 orbifold, before products by roots of unity became exponent shifts, or,
 for the su2:1 (c0 = -7, where g(1/3) != 0) and cyclic_odd:5 hatted
-lambdas, before the lambda suite moved to packed matrices; a change to the
-evaluators must leave every byte of these reports as it was.
+lambdas, before the lambda suite moved to packed matrices, or, for the
+su2:6 Galois report and the two corrupted su2:3 files, before S S^dagger,
+S T S and the signed permutation G_l moved to the packed S; a change to
+the evaluators must leave every byte of these reports as it was.
 """
 
+import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from modata import cli
+from modata.modular_data import builtin_model
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -27,6 +32,9 @@ CASES = {
                             "--seed", "7", "--json"],
     "galois-su2-4": ["galois", "--model", "su2:4", "--l", "5,7,11,13",
                      "--samples", "10", "--seed", "7", "--json"],
+    # G_3, G_5 and G_7 of su2:6 move labels and carry signs
+    "galois-su2-6": ["galois", "--model", "su2:6", "--l", "3,5,7",
+                     "--samples", "3", "--json"],
     "lambda-su2-2-hat": ["lambda", "--model", "su2:2", "--r=2/5", "--hat",
                          "--json"],
     "lambda-su2-3-r3-10": ["lambda", "--model", "su2:3", "--r=3/10",
@@ -49,6 +57,39 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_is_byte_identical(name, capsysbinary):
     assert cli.main(CASES[name]) == 0
+    out = capsysbinary.readouterr()
+    assert out.err == b""
+    assert out.out == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def _negate_s01(obj):
+    for i, j in ((0, 1), (1, 0)):
+        entry = obj["S"][i][j]
+        entry["coeffs"] = [str(-Fraction(x)) for x in entry["coeffs"]]
+
+
+def _shift_delta1(obj):
+    obj["delta"][1] = "13/20"
+
+
+#: Reports on su2:3 dumped to a file and corrupted: S[0][1] and S[1][0]
+#: negated fail s_unitary at entry (0, 1); delta_1 moved by 1/2, which
+#: negates T_1, fails sts_twist_relation at entry (0, 0).
+FILE_CASES = {
+    "verify-su2-3-s01-negated": _negate_s01,
+    "verify-su2-3-delta1-13-20": _shift_delta1,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILE_CASES))
+def test_corrupted_file_report_is_byte_identical(name, capsysbinary,
+                                                 monkeypatch, tmp_path):
+    obj = json.loads(builtin_model("su2", 3).dumps())
+    FILE_CASES[name](obj)
+    path = name.removeprefix("verify-") + ".json"
+    (tmp_path / path).write_text(json.dumps(obj))
+    monkeypatch.chdir(tmp_path)  # the report names the file as given
+    assert cli.main(["verify", path, "--json"]) == 1
     out = capsysbinary.readouterr()
     assert out.err == b""
     assert out.out == (GOLDEN / f"{name}.json").read_bytes()

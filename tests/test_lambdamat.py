@@ -48,10 +48,11 @@ def reference_identities(md, r) -> list[CheckRecord]:
 
     n = r.denominator
     lhs = lambda_mat(md, Fraction(1, n))
+    s_inv = mx.mat_mul(md.s, md.chat)  # S^2 is the conjugation
     rhs = mx.scale_cols(
         mx.scale_rows(
             md.t_entries(Fraction(-1, n)),
-            mx.mat_mul(md.s_inv, mx.scale_rows(md.t_entries(-n), md.s)),
+            mx.mat_mul(s_inv, mx.scale_rows(md.t_entries(-n), md.s)),
         ),
         md.t_entries(Fraction(-1, n)),
     )

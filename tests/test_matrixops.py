@@ -101,7 +101,7 @@ def test_one_construction_per_entry(monkeypatch, name, param):
     md = builtin_model(name, param)
     assert md.rank == 5
     # S has entries at several orders; chat is a permutation with zeros
-    operands = ((md.s, md.s), (md.s, md.chat), (md.t_power(1), md.s))
+    operands = ((md.s, md.s), (md.s, md.chat), (mx.diagonal(md.t_entries(1)), md.s))
     made = []
     real = CycloNum.__init__
 

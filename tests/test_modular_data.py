@@ -3,6 +3,7 @@
 import functools
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ from modata.modular_data import (
     verlinde_sum,
 )
 from modata.orbifold import soliton_multiplicity
-from modata.packed import PackedMatrix, field_order, pack
+from modata.packed import PackedMatrix, pack
 from modata.reporting import CheckRecord, first_failure
 
 
@@ -91,7 +92,7 @@ class TestValidate:
 
 class TestTPower:
     def test_zero_is_identity(self, su2_1):
-        assert mx.is_identity(su2_1.t_power(0))
+        assert mx.is_identity(mx.diagonal(su2_1.t_entries(0)))
 
     def test_su2_1_entries(self, su2_1):
         t = su2_1.t_entries(1)
@@ -229,15 +230,21 @@ class TestFusionOrbits:
         monkeypatch.setattr(PackedMatrix, "nonneg_integers", read)
         md = builtin_model(name, param)
         r = md.rank
-        # s_unitary, S^2 and S T S make the three CycloNum products; per
-        # label the table takes S diag(eigenvalues) and its product with
-        # S^dagger, read once, then fusion_diagonalized_by_s takes N_lam S.
-        assert len(exact) == 3
-        assert len(products) == 3 * r and len(reads) == r
-        table = products[1:2 * r:2]
-        assert all(b is table[0] for b in table)
-        assert table[0] == pack(mx.dagger(md.s), md.packed.order)
-        assert all(b is md.packed.s for b in products[2 * r:])
+        # S^2 is the one CycloNum product.  Over the field of the S
+        # entries, s_unitary takes S S^dagger; over the model's field, S T S
+        # and T^-1 S T^-1 take two each; per label the table takes
+        # S diag(eigenvalues) and its product with the same S^dagger, read
+        # once, then fusion_diagonalized_by_s takes N_lam S.
+        assert len(exact) == 1
+        assert len(products) == 3 * r + 5 and len(reads) == r
+        s_dag = products[0]
+        assert s_dag == pack(mx.dagger(md.s), _s_order(md.s))
+        assert [b is md.packed.s for b in products[1:5]] == [
+            False, True, True, False]
+        fusion = products[5:]
+        assert all(b is s_dag for b in fusion[1:2 * r:2])
+        assert all(b is fusion[2 * r] for b in fusion[2 * r:])
+        assert fusion[2 * r] == pack(md.s, _s_order(md.s))
 
     @pytest.mark.parametrize("name,param", [
         *(("su2", k) for k in range(1, 5)),
@@ -360,6 +367,30 @@ class TestCharacterSums:
                 assert _exact(seen[-1]) == _exact(acc)
 
 
+def _s_order(s):
+    """The field of the S entries, where validation packs S and S^dagger
+    for s_unitary and the fusion checks."""
+    return math.lcm(*(x.order for row in s for x in row))
+
+
+def _cyclonum_unitary_and_twist(s, delta, c0):
+    """s_unitary and sts_twist_relation as the CycloNum products they
+    replaced: S S^dagger, and S T S against T^-1 S T^-1 with T a CycloNum
+    diagonal applied by scaled rows and columns."""
+    t = [root_of_unity_exp(d - c0 / 24) for d in delta]
+    t_inv = [x.conjugate() for x in t]
+    found = {
+        "s_unitary": mx.first_mismatch(mx.mat_mul(s, mx.dagger(s)),
+                                       mx.identity(len(s))),
+        "sts_twist_relation": mx.first_mismatch(
+            mx.mat_mul(mx.scale_cols(s, t), s),
+            mx.scale_cols(mx.scale_rows(t_inv, s), t_inv)),
+    }
+    return {check: CheckRecord("axioms", check, mm is None,
+                               witness="" if mm is None else f"entry {mm[:2]}")
+            for check, mm in found.items()}
+
+
 def _cyclonum_fusion_checks(s):
     """The CycloNum fusion loop the packed one replaced: one scale_cols and
     one mat_mul per label, each entry tested with is_nonneg_integer, then
@@ -472,23 +503,46 @@ def corrupted_data(draw):
 
 
 class TestPackedValidation:
-    """The packed fusion checks against the CycloNum loop they replaced, on
-    corrupted S matrices: records, witnesses and tables."""
+    """The packed fusion, unitarity and twist checks against the CycloNum
+    products they replaced, on corrupted S matrices: records, witnesses
+    and tables."""
+
+    @pytest.mark.parametrize("spec", [
+        ("trivial", None), *(("su2", k) for k in range(1, 11)),
+        *(("cyclic_odd", n) for n in (3, 5, 7, 9, 11)),
+    ])
+    def test_unitary_and_twist_match_cyclonum(self, spec):
+        # the stored delta, and the last one moved by 1/2, which negates
+        # one T entry and breaks S T S = T^-1 S T^-1
+        md = _diff_model(spec)
+        moved = (*md.delta[:-1], md.delta[-1] + Fraction(1, 2))
+        for delta in (md.delta, moved):
+            got = modular_data._axiom_checks(md.labels, md.s, delta, md.c,
+                                             md.c0, 0)[0]
+            oracle = _cyclonum_unitary_and_twist(md.s, delta, md.c0)
+            checked = [r for r in got if r.check in oracle]
+            assert checked == [oracle["s_unitary"],
+                               oracle["sts_twist_relation"]]
+        assert not checked[1].passed
 
     @settings(max_examples=200, deadline=None)
     @given(corrupted_data())
     def test_matches_cyclonum_loop(self, case):
         md, s, delta, c, c0, fusion_change = case
+        order = _s_order(s)
         if all(s[0]):  # both loops divide by the vacuum row
             assert modular_data._fusion_checks(
-                s, pack(s, field_order(s, delta, c0))
+                s, pack(s, order), pack(mx.dagger(s), order)
             ) == _cyclonum_fusion_checks(s)
         got = modular_data._axiom_checks(md.labels, s, delta, c, c0, 0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(modular_data, "_fusion_checks",
-                       lambda s, ps: _cyclonum_fusion_checks(s))
+                       lambda s, ps, s_dag: _cyclonum_fusion_checks(s))
             want = modular_data._axiom_checks(md.labels, s, delta, c, c0, 0)
         assert got[0] == want[0]
+        oracle = _cyclonum_unitary_and_twist(s, delta, c0)
+        assert [r for r in got[0] if r.check in oracle] == [
+            oracle[r.check] for r in got[0] if r.check in oracle]
         assert got[1].get("fusion") == want[1].get("fusion")
         if not all(r.passed for r in got[0]):
             return
@@ -499,17 +553,6 @@ class TestPackedValidation:
             table[lam][mu][nu] = n
             built.fusion = tuple(tuple(map(tuple, rows)) for rows in table)
         assert built.c0_consistency() == _cyclonum_c0_consistency(built)
-
-
-def test_s_inv_computed_once(monkeypatch):
-    md = builtin_model("su2", 3)
-    calls = []
-    real = mx.mat_mul
-    monkeypatch.setattr(
-        mx, "mat_mul", lambda a, b: calls.append(b) or real(a, b))
-    first, second = md.s_inv, md.s_inv
-    assert first is second and len(calls) == 1
-    assert mx.is_identity(real(md.s, first))
 
 
 class TestQdimMu:
