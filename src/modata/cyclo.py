@@ -312,7 +312,7 @@ class CycloNum:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other) -> "CycloNum":
-        other = _as_cyclo(other, self.order)
+        other = _as_cyclo(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = _align(self, other)
@@ -327,7 +327,7 @@ class CycloNum:
         return CycloNum(self.order, self.den, [-x for x in self.nums])
 
     def __sub__(self, other) -> "CycloNum":
-        other = _as_cyclo(other, self.order)
+        other = _as_cyclo(other)
         if other is NotImplemented:
             return NotImplemented
         return self.__add__(-other)
@@ -336,7 +336,7 @@ class CycloNum:
         return (-self).__add__(other)
 
     def __mul__(self, other) -> "CycloNum":
-        other = _as_cyclo(other, self.order)
+        other = _as_cyclo(other)
         if other is NotImplemented:
             return NotImplemented
         if other.exponent is not None:
@@ -386,7 +386,7 @@ class CycloNum:
         return inv
 
     def __truediv__(self, other) -> "CycloNum":
-        other = _as_cyclo(other, self.order)
+        other = _as_cyclo(other)
         if other is NotImplemented:
             return NotImplemented
         if other.is_rational():
@@ -397,7 +397,7 @@ class CycloNum:
         return self * other.inverse()
 
     def __rtruediv__(self, other) -> "CycloNum":
-        return _as_cyclo(other, self.order).__truediv__(self)
+        return _as_cyclo(other).__truediv__(self)
 
     def __pow__(self, k: int) -> "CycloNum":
         if not isinstance(k, int):
@@ -557,7 +557,7 @@ def _scale(x: CycloNum, q: CycloNum) -> CycloNum:
     return CycloNum(x.order, x.den * q.den, [c * n for c in x.nums])
 
 
-def _as_cyclo(value, order_hint: int):
+def _as_cyclo(value):
     if isinstance(value, CycloNum):
         return value
     if isinstance(value, (int, Fraction)):

@@ -17,13 +17,13 @@ well defined whenever c - c0 lies in 4Z.  At integer arguments the hatted
 matrix is S itself.
 
 `lambda_mat` and `lambda_hat` build CycloNum matrices: the orders of their
-entries reach the `lambda --json` report, the orbifold and Galois suites
-read them, and so does `hat_functional_equation_check`.  The identity suite
-`verify_lambda_identities` tests equalities only, so it runs on the model's
-packed matrices over its single field Q(zeta_M) (`modata.packed`): D(m) is
-evaluated there, and every fractional T power, and the phase of the hat,
-is carried as a phase exponent of the rows, the columns or the whole
-matrix (`_Phased`), never as a matrix over a larger field.
+entries reach the `lambda --json` report, and the orbifold and Galois
+suites read them.  The identity suite `verify_lambda_identities` and
+`hat_functional_equation_check` test equalities only, so they run on the
+model's packed matrices over its single field Q(zeta_M) (`modata.packed`):
+D(m) is evaluated there, and every fractional T power, and the phase of
+the hat, is carried as a phase exponent of the rows, the columns or the
+whole matrix (`_Phased`), never as a matrix over a larger field.
 """
 
 import functools
@@ -189,22 +189,16 @@ class _Phased:
                        tuple(f * p + v * q for p, q in zip(self.b, w)),
                        f * self.c + scalar.numerator * (den // scalar.denominator))
 
-    def _rearranged(self, rows, a, b, c) -> "_Phased":
-        """X replaced by the digit rows `rows`, with these phases."""
-        return _Phased(self.pm, from_digits(self.pm.order, self.x.den, rows),
-                       self.den, a, b, c)
-
     def transpose(self) -> "_Phased":
-        return self._rearranged(list(zip(*self.x.digits())),
-                                self.b, self.a, self.c)
+        return _Phased(self.pm, self.x.transpose(), self.den, self.b, self.a,
+                       self.c)
 
     def conjugate(self, perm=None) -> "_Phased":
         """The complex conjugate, its row p taken from row perm[p]."""
-        rows = self.x.sigma(self.pm.order - 1).digits()
-        perm = perm or range(len(rows))
-        return self._rearranged([rows[p] for p in perm],
-                                tuple(-self.a[p] for p in perm),
-                                tuple(-q for q in self.b), -self.c)
+        perm = perm or range(self.pm.rank)
+        x = self.x.sigma(self.pm.order - 1).take_rows(perm)
+        return _Phased(self.pm, x, self.den, tuple(-self.a[p] for p in perm),
+                       tuple(-q for q in self.b), -self.c)
 
     def dagger(self) -> "_Phased":
         return self.conjugate().transpose()
@@ -270,6 +264,20 @@ class _Phased:
     __hash__ = None
 
 
+def _lam(md: ModularData, bez: ReducedFraction) -> _Phased:
+    """L(r) = T^-r D(m) T^-r* at the Bezout data of r."""
+    return _Phased(md.packed, rep_evaluate_packed(md, bez.matrix())).t(
+        -bez.value, -bez.dual)
+
+
+def _hat(md: ModularData, q, g) -> _Phased:
+    """e(g(q)) L(q), g the phase function; S at integers."""
+    q = Fraction(q)
+    if q.denominator == 1:
+        return _Phased(md.packed, md.packed.s)
+    return _lam(md, bezout(q)).t(scalar=g(q))
+
+
 def verify_lambda_identities(md: ModularData, r) -> list[CheckRecord]:
     """The identity suite at one argument: periodicity, the 1/n closed form,
     the functional equation, transpose/conjugation symmetries for both the
@@ -287,29 +295,15 @@ def verify_lambda_identities(md: ModularData, r) -> list[CheckRecord]:
     g = functools.cache(lambda q: phase_g(md.c, md.c0, q))
     records = []
 
-    def lam(bez: ReducedFraction) -> _Phased:
-        """L(r) = T^-r D(m) T^-r* at the Bezout data of r."""
-        return _Phased(pm, rep_evaluate_packed(md, bez.matrix())).t(
-            -bez.value, -bez.dual)
-
-    def hat(q, plain=None) -> _Phased:
-        """e(g(q)) L(q), given L(q) as `plain` or built; S at integers."""
-        q = Fraction(q)
-        if q.denominator == 1:
-            return _Phased(pm, pm.s)
-        if plain is None:
-            plain = lam(bezout(q))
-        return plain.t(scalar=g(q))
-
-    here = lam(bz)
+    here = _lam(md, bz)
     records.append(CheckRecord(
-        suite, "periodic", lam(bezout(r + 1)) == here, params={"r": r}))
+        suite, "periodic", _lam(md, bezout(r + 1)) == here, params={"r": r}))
 
     n = r.denominator
     rhs = _Phased(pm, pm.s_inv @ pm.t_diagonal(-n) @ pm.s).t(
         Fraction(-1, n), Fraction(-1, n))
     records.append(CheckRecord(
-        suite, "one_over_n_word", lam(bezout(Fraction(1, n))) == rhs,
+        suite, "one_over_n_word", _lam(md, bezout(Fraction(1, n))) == rhs,
         params={"n": n}))
 
     k = r.numerator
@@ -322,24 +316,24 @@ def verify_lambda_identities(md: ModularData, r) -> list[CheckRecord]:
             Fraction(n, k), Fraction(1, k * n))
         records.append(CheckRecord(
             suite, "functional_equation",
-            lam(bezout(Fraction(-n, k))) == rhs, params={"r": r}))
+            _lam(md, bezout(Fraction(-n, k))) == rhs, params={"r": r}))
 
     records.append(CheckRecord(
         suite, "transpose_dual",
-        lam(bezout(bz.dual)) == here.transpose(), params={"r": r}))
+        _lam(md, bezout(bz.dual)) == here.transpose(), params={"r": r}))
 
     records.append(CheckRecord(
         suite, "conjugate_reflection",
-        lam(bezout(-r)) == here.conjugate(md.conj), params={"r": r}))
+        _lam(md, bezout(-r)) == here.conjugate(md.conj), params={"r": r}))
 
-    hat_here = hat(r, here)
+    hat_here = here.t(scalar=g(r))  # equal to S at integers, as L(r) is
     records.append(CheckRecord(
         suite, "hat_transpose_dual",
-        hat(bz.dual) == hat_here.transpose(), params={"r": r}))
+        _hat(md, bz.dual, g) == hat_here.transpose(), params={"r": r}))
 
     records.append(CheckRecord(
         suite, "hat_conjugate_reflection",
-        hat(1 - r) == hat_here.conjugate(md.conj), params={"r": r}))
+        _hat(md, 1 - r, g) == hat_here.conjugate(md.conj), params={"r": r}))
 
     records.append(CheckRecord(
         suite, "hat_unitary",
@@ -349,7 +343,7 @@ def verify_lambda_identities(md: ModularData, r) -> list[CheckRecord]:
     for t in (1, -3):
         records.append(CheckRecord(
             suite, "bezout_independence",
-            lam(bz.shifted(t)) == here, params={"r": r, "t": t}))
+            _lam(md, bz.shifted(t)) == here, params={"r": r, "t": t}))
 
     records.append(CheckRecord(
         suite, "phase_dual_invariant", g(r) == g(bz.dual), params={"r": r}))
@@ -365,23 +359,17 @@ def hat_functional_equation_check(md: ModularData, k: int, n: int) -> CheckRecor
 
         hat((k-n)/k) = exp(2 pi i R) T^(n/k) S T^(k/n) hat((k-n)/n) T^(1/kn)
 
-    with R = (c - c0)(3nk - (n^2+k^2+1)/(nk))/24.
+    with R = (c - c0)(3nk - (n^2+k^2+1)/(nk))/24, on `_Phased` matrices:
+    T^(k/n) hat((k-n)/n) has the row phases of T^1, so S multiplies at M.
     """
     if math.gcd(k, n) != 1:
         raise ValueError("k and n must be coprime")
     big_r = (md.c - md.c0) * (3 * n * k - Fraction(n * n + k * k + 1, n * k)) / 24
-    lhs = lambda_hat(md, Fraction(k - n, k))
-    chain = mx.scale_rows(
-        md.t_entries(Fraction(n, k)),
-        mx.mat_mul(
-            md.s,
-            mx.scale_rows(
-                md.t_entries(Fraction(k, n)),
-                mx.scale_cols(lambda_hat(md, Fraction(k - n, n)),
-                              md.t_entries(Fraction(1, k * n))),
-            ),
-        ),
-    )
-    rhs = mx.scalar_mul(root_of_unity_exp(big_r), chain)
-    return CheckRecord("lambda", "hat_functional_equation",
-                       mx.mat_eq(lhs, rhs), params={"k": k, "n": n})
+    g = functools.partial(phase_g, md.c, md.c0)
+    lhs = _hat(md, Fraction(k - n, k), g)
+    inner = _hat(md, Fraction(k - n, n), g).t(Fraction(k, n),
+                                              Fraction(1, k * n))
+    rhs = (_Phased(md.packed, md.packed.s) @ inner).t(Fraction(n, k),
+                                                      scalar=big_r)
+    return CheckRecord("lambda", "hat_functional_equation", lhs == rhs,
+                       params={"k": k, "n": n})

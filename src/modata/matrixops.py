@@ -60,12 +60,8 @@ def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 
 
-def conj_entries(a: Matrix) -> Matrix:
-    return tuple(tuple(x.conjugate() for x in row) for row in a)
-
-
 def dagger(a: Matrix) -> Matrix:
-    return transpose(conj_entries(a))
+    return tuple(zip(*(tuple(x.conjugate() for x in row) for row in a)))
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:

@@ -12,11 +12,11 @@ the order its products give it; those orders reach the `lambda --json`
 report, which is why `lambdamat.lambda_mat` uses it for the printed matrix
 and for the hatted matrices of the orbifold and Galois suites, and the
 tests use it as the reference.  `rep_evaluate_packed` multiplies the same
-factors as packed matrices over the model's single field (see
-`modata.packed`, whose `PackedModel.product` also evaluates the Galois
-generator word) for the checks that need only identity and equality tests
-and sigma_l: the congruence and kernel sampling checks and the lambda
-identity suite.
+factors as packed matrices over the model's single field, -I permuting
+rows (see `modata.packed`, whose `PackedModel.product` also evaluates the
+Galois generator word), for the checks that need only identity and
+equality tests and sigma_l: the congruence and kernel sampling checks, the
+lambda identity suite and the spliced functional equation.
 
 Sampling is reproducible: a fixed 64-bit linear congruential generator
 (multiplier 6364136223846793005, increment 1442695040888963407, state and
@@ -200,7 +200,7 @@ def rep_evaluate(md: ModularData, m: SL2ZMat) -> mx.Matrix:
 def rep_evaluate_packed(md: ModularData, m: SL2ZMat) -> PackedMatrix:
     """D(m) over the model's single field (see `modata.packed`): the same
     syllables as `rep_evaluate`, a bare s being T^0 S, multiplied as
-    packed matrices."""
+    packed matrices, and -I a row permutation by `conj`."""
     w = syllables(m)
     return md.packed.product(
         [0 if k is None else k for k in w.steps], w.last_t, w.central)
@@ -272,14 +272,17 @@ def sample_gamma(n: int, seed) -> SL2ZMat:
     return m
 
 
-def random_word_matrix(rng: Lcg, max_syllables: int = 6) -> SL2ZMat:
+MAX_SYLLABLES = 6
+
+
+def random_word_matrix(rng: Lcg) -> SL2ZMat:
     """A pseudo-random SL(2,Z) element as an alternating word t^k s t^k s...
 
-    Syllable count is drawn in [2, max_syllables], each t exponent in
-    [-6, 6] excluding zero.  Documented so runs are reproducible.
+    Syllable count is drawn in [2, MAX_SYLLABLES] = [2, 6], each t exponent
+    in [-6, 6] excluding zero.  Documented so runs are reproducible.
     """
     m = IDENTITY
-    syllables = rng.int_in(2, max_syllables)
+    syllables = rng.int_in(2, MAX_SYLLABLES)
     for _ in range(syllables):
         k = rng.int_in(1, 6) * (1 if rng.below(2) else -1)
         m = m * t_gen(k) * S_GEN

@@ -13,10 +13,10 @@ exp(2*pi*i*(delta_lam - c0/24)*r); no logarithm branches exist anywhere.
 
 Validation runs on S packed as one matrix type (see `modata.packed`).
 Over the field of the S entries, which comes before any T entry can push
-the order past MODATA_MAX_ORDER, S S^dagger is compared with the identity
-and the fusion rules, the Verlinde sums N_lam = S diag(S[lam][d] /
-S[0][d]) S^dagger, take two packed products per label on the same packed
-S^dagger, each table read as integers off the packed ints; N_lam S ==
+the order past MODATA_MAX_ORDER, S S^dagger is compared with the identity,
+S^dagger being sigma_-1 of the packed S transposed, and the fusion rules,
+the Verlinde sums N_lam = S diag(S[lam][d] / S[0][d]) S^dagger, take two
+packed products per label, each table read off the packed ints; N_lam S ==
 S diag(...) takes one more.  S T S == T^-1 S T^-1 and c0_consistency's
 fusion-phase check run over the model's single field.  A failing packed
 comparison's witness is its first (i, j); a failing fusion entry's is one
@@ -24,12 +24,12 @@ comparison's witness is its first (i, j); a failing fusion entry's is one
 `verlinde_sum` returns; `dot` skips the zero terms, so a sum is held at
 the lcm of the orders of its nonzero terms.  S^2 stays the one CycloNum
 product, because its entry orders reach `rep_evaluate` and the
-`lambda --json` report.  The scalar character sums (the total index, the
-statistical phase sum, the soliton multiplicity) are
-`sum(terms, CycloNum.zero())`: each term is a product of three or more
-factors (or a square), which `dot` cannot fuse, and each sum runs once per
-check over at most rank terms, so `+` keeps them one line each at the
-value, order included, of the term-by-term chain.
+`lambda --json` report (the packed model reads only `conj`).  The scalar
+character sums (the total index, the statistical phase sum, the soliton
+multiplicity) are `sum(terms, CycloNum.zero())`: each term is a product of
+three or more factors (or a square), which `dot` cannot fuse, and each sum
+runs once per check over at most rank terms, so `+` keeps them one line
+each at the value, order included, of the term-by-term chain.
 """
 
 import functools
@@ -419,7 +419,7 @@ def _axiom_checks(labels, s, delta, c, c0, tau2):
     # over the field of the S entries (see the module docstring)
     s_order = math.lcm(*(x.order for row in s for x in row))
     ps = pack(s, s_order)
-    s_dag = pack(mx.dagger(s), s_order)
+    s_dag = ps.sigma(s_order - 1).transpose()
     uni = next((ps @ s_dag).mismatches(identity(s_order, rank)), None)
     if not rec("s_unitary", uni is None,
                "" if uni is None else f"entry {uni}"):

@@ -251,13 +251,9 @@ def consistency_report(slice_: OrbSlice) -> list[CheckRecord]:
         n=n_cyc,
     ))
 
-    split = None
-    for k in range(3, n_cyc, 2):
-        if n_cyc % k == 0:
-            n2 = n_cyc // k
-            if n2 > 1 and n2 % 2 == 1 and math.gcd(k, n2) == 1:
-                split = (k, n2)
-                break
+    split = next(((k, n_cyc // k) for k in range(3, n_cyc, 2)
+                  if n_cyc % k == 0 and n_cyc // k % 2 == 1 and n_cyc // k > 1
+                  and math.gcd(k, n_cyc // k) == 1), None)
     if split is None:
         records.append(
             notice(suite, "odd_coprime_factorization",
@@ -361,29 +357,31 @@ def multiplicity_trace_oracle(md: ModularData, labels, handle=None) -> int:
     return sum(prod[i][i] for i in range(md.rank))
 
 
-def multiplicity_report(md: ModularData, max_factors: int = 4,
-                        sample_seed: int = 1,
-                        full_rank_bound: int = 6) -> list[CheckRecord]:
-    """Integrality of the soliton multiplicities for 2..max_factors labels,
+MAX_FACTORS = 4
+FULL_RANK_BOUND = 6
+
+
+def multiplicity_report(md: ModularData, sample_seed: int = 1
+                        ) -> list[CheckRecord]:
+    """Integrality of the soliton multiplicities for 2..MAX_FACTORS labels,
     each value checked against the independent fusion-trace oracle; full
-    enumeration up to `full_rank_bound` parent rank, seeded sampling beyond."""
+    enumeration up to FULL_RANK_BOUND parent rank, seeded sampling beyond."""
     from .modrep import Lcg
 
     suite = "orbifold"
     rank = md.rank
     records = []
     rng = Lcg(sample_seed)
-    # four or more labels have genus >= 2, which inserts the handle
-    handle = handle_operator(md) if max_factors >= 4 else None
+    handle = handle_operator(md)  # four labels have genus 3
 
     def tuples(n):
-        if rank <= full_rank_bound:
+        if rank <= FULL_RANK_BOUND:
             yield from itertools.product(range(rank), repeat=n)
         else:
             for _ in range(200):
                 yield tuple(rng.below(rank) for _ in range(n))
 
-    for n in range(2, max_factors + 1):
+    for n in range(2, MAX_FACTORS + 1):
         ok = True
         witness = ""
         count = 0

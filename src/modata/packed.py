@@ -6,7 +6,10 @@ the stored S entries and of the T entries (`field_order`).  All model
 validation but S^2 and the symmetry check, the Galois signed permutation
 and its generator word, and the congruence and kernel sampling checks run
 on one matrix type over that field (unitarity and the fusion table over
-the field of the S entries).  An entry is one Python int: its phi(M)
+the field of the S entries).  A transpose and a row permutation move the
+packed ints without unpacking: S^dagger is sigma_-1(S) transposed, and
+S^-1 = C S and the central -I (the conjugation C = S^2, which commutes
+with S and T) permute rows by `conj`.  An entry is one Python int: its phi(M)
 reduced power-basis coefficients are signed B-bit digits,
 sum_j c_j 2^(B*j) (Kronecker substitution), over one common denominator
 per matrix.  A product entry is the big-int sum of the products of a row
@@ -250,6 +253,26 @@ class PackedMatrix:
                             tuple((row[j],) for row in self.rows),
                             self.bits, self.norm, digits)
 
+    def transpose(self) -> "PackedMatrix":
+        """The transpose, moving the packed ints and the digits when held;
+        its norm is measured on the digits, or else rank * phi * (2^bits-1)."""
+        rows = tuple(zip(*self.rows))
+        if self._digits is None:
+            return type(self)(self.packing, self.den, rows, self.bits, len(
+                rows) * self.packing.phi * ((1 << self.bits) - 1))
+        digits = [list(col) for col in zip(*self._digits)]
+        return type(self)(self.packing, self.den, rows, self.bits,
+                          _column_norm(digits), digits)
+
+    def take_rows(self, perm) -> "PackedMatrix":
+        """Row p taken from row perm[p], for a permutation perm, moving the
+        packed ints and the digits when held; bits and norm still hold."""
+        digits = (None if self._digits is None
+                  else [self._digits[p] for p in perm])
+        return type(self)(self.packing, self.den,
+                          tuple(self.rows[p] for p in perm), self.bits,
+                          self.norm, digits)
+
     def mismatches(self, other: "PackedMatrix"):
         """The (i, j) of the entries where this matrix and `other`, of one
         shape, differ, in row-major order.
@@ -325,11 +348,15 @@ def from_digits(order: int, den: int, rows, min_width: int = 0
     the width is the narrowest that holds them, and at least `min_width`."""
     bits = max((max(map(abs, d)) for row in rows for d in row),
                default=0).bit_length()
-    norm = max((sum(sum(map(abs, d)) for d in col) for col in zip(*rows)),
-               default=0)
     p = packing(order, max(min_width, width_for(bits)))
     packed = tuple(tuple(map(p.pack, row)) for row in rows)
-    return PackedMatrix(p, den, packed, bits, norm, rows)
+    return PackedMatrix(p, den, packed, bits, _column_norm(rows), rows)
+
+
+def _column_norm(rows) -> int:
+    """The largest l1 norm of the digits of a column of digit rows."""
+    return max((sum(sum(map(abs, d)) for d in col) for col in zip(*rows)),
+               default=0)
 
 
 def diagonal(order: int, entries, den: int = 1) -> PackedMatrix:
@@ -410,25 +437,22 @@ def _monomial(order: int, e: int) -> tuple[int, ...]:
 
 
 class PackedModel:
-    """One model's packed S, S^-1 and conjugation over Q(zeta_M), and its
-    T^k S syllables, cached under the integer exponent k.  `s` is the S
-    matrix packed over that field when the model was validated."""
+    """One model's packed S and S^-1 = C S over Q(zeta_M), the conjugation
+    C as the permutation `conj`, and the T^k S syllables, cached under the
+    integer exponent k.  `s` is the S matrix packed over that field when
+    the model was validated, which proves that C commutes with S and T."""
 
     def __init__(self, md, s: PackedMatrix):
         self.rank = md.rank
         self.order = s.packing.order
         self.s = s
-        self.chat = pack(md.chat, self.order)
+        self.conj = md.conj
+        self.s_inv = s.take_rows(self.conj)
         # T = diag(zeta_M^w) with w = (delta - c0/24) * M, an integer
         # because the orders of the T entries divide M
         self.t_weights = tuple(
             int((d - md.c0 / 24) * self.order) for d in md.delta)
         self._syllables: dict[int, PackedMatrix] = {}
-
-    @functools.cached_property
-    def s_inv(self) -> PackedMatrix:
-        """S^-1 = S Chat, as S^2 = Chat; computed on first read."""
-        return (self.s @ self.chat).lift()
 
     def identity(self) -> PackedMatrix:
         return identity(self.order, self.rank)
@@ -451,12 +475,9 @@ class PackedModel:
     def product(self, syllables, last_t: int | None, central: bool
                 ) -> PackedMatrix:
         """The product of T^k S over the exponents k in `syllables`, then
-        T^last_t when given, then the conjugation when `central`."""
+        T^last_t when given, then C when `central`, as a row permutation."""
         factors = [self.syllable(k) for k in syllables]
         if last_t is not None:
             factors.append(self.t_diagonal(last_t))
-        if central:
-            factors.append(self.chat)
-        if not factors:
-            return self.identity()
-        return functools.reduce(matmul, factors)
+        acc = functools.reduce(matmul, factors) if factors else self.identity()
+        return acc.take_rows(self.conj) if central else acc

@@ -3,9 +3,11 @@ identity suite including the spliced functional equation.
 
 The suite runs on packed matrices with T powers carried as phase exponents;
 `reference_identities` is the same suite on CycloNum matrices, built from
-`lambda_mat` and `lambda_hat`, and the differential tests compare the two
-record by record."""
+`lambda_mat` and `lambda_hat`, `reference_hat_functional_equation` is the
+CycloNum chain of the spliced functional equation, and the differential
+tests compare each pair record by record."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from modata import lambdamat
 from modata import matrixops as mx
-from modata.cyclo import make
+from modata.cyclo import make, root_of_unity_exp
 from modata.errors import PhaseConstraintError
 from modata.lambdamat import (
     ReducedFraction,
@@ -125,6 +127,28 @@ def reference_identities(md, r) -> list[CheckRecord]:
         (g_here + g_neg) % 1 == 0, params={"r": r}))
 
     return records
+
+
+def reference_hat_functional_equation(md, k, n) -> CheckRecord:
+    """`hat_functional_equation_check` on CycloNum matrices: the chain
+    e(R) T^(n/k) S T^(k/n) hat((k-n)/n) T^(1/kn) of `lambda_hat`, CycloNum
+    diagonals and `mat_mul`, against hat((k-n)/k)."""
+    big_r = (md.c - md.c0) * (3 * n * k - Fraction(n * n + k * k + 1, n * k)) / 24
+    lhs = lambdamat.lambda_hat(md, Fraction(k - n, k))
+    chain = mx.scale_rows(
+        md.t_entries(Fraction(n, k)),
+        mx.mat_mul(
+            md.s,
+            mx.scale_rows(
+                md.t_entries(Fraction(k, n)),
+                mx.scale_cols(lambdamat.lambda_hat(md, Fraction(k - n, n)),
+                              md.t_entries(Fraction(1, k * n))),
+            ),
+        ),
+    )
+    rhs = mx.scalar_mul(root_of_unity_exp(big_r), chain)
+    return CheckRecord("lambda", "hat_functional_equation",
+                       mx.mat_eq(lhs, rhs), params={"k": k, "n": n})
 
 
 def _objs(records):
@@ -253,6 +277,37 @@ class TestHatFunctionalEquation:
         md = builtin_model("su2", 2, c0_override=Fraction(3, 2) - 8)
         assert hat_functional_equation_check(md, *kn).passed
 
+    PAIRS = [(k, n) for k in range(1, 9) for n in range(1, 9)
+             if math.gcd(k, n) == 1]
+
+    @pytest.mark.parametrize("spec", [
+        *(("su2", k, None) for k in range(1, 5)),
+        ("cyclic_odd", 3, None), ("cyclic_odd", 5, None),
+        ("trivial", None, None), ("su2", 1, -8),
+    ], ids=lambda spec: ":".join(str(x) for x in spec if x is not None))
+    def test_matches_cyclonum_chain(self, spec, monkeypatch):
+        # as in test_grid: the CycloNum chain may pass the default order cap
+        monkeypatch.setenv("MODATA_MAX_ORDER", "20000")
+        md = _build(spec)
+        for k, n in self.PAIRS:
+            got = hat_functional_equation_check(md, k, n)
+            assert got.passed, (k, n)
+            assert got == reference_hat_functional_equation(md, k, n), (k, n)
+
+    def test_builds_no_cyclonum_matrix(self, monkeypatch):
+        md = builtin_model("su2", 1, c0_override=Fraction(-7))
+
+        def fail(*args):
+            raise AssertionError("a CycloNum matrix was built")
+
+        for name in ("lambda_hat", "lambda_mat", "rep_evaluate"):
+            monkeypatch.setattr(lambdamat, name, fail)
+        for name in ("mat_mul", "scale_rows", "scale_cols", "scalar_mul",
+                     "mat_eq", "diagonal"):
+            monkeypatch.setattr(mx, name, fail)
+        for k, n in self.PAIRS:
+            assert hat_functional_equation_check(md, k, n).passed
+
 
 def _grid():
     """(model, arguments) of the differential grid: su2:1..3 at every a/n
@@ -312,13 +367,22 @@ class TestPackedSuiteMatchesReference:
     ARGS = [Fraction(x) for x in
             ("1/2", "1/3", "2/3", "2/5", "3/7", "5/8", "-4/9", "7/4")]
 
-    def _assert_agree_and_fail(self, md):
+    PAIRS = [(2, 1), (3, 1), (3, 2), (5, 2), (1, 3), (4, 3)]
+
+    def _assert_agree_and_fail(self, md, functional_equation=False):
+        """Both paths give the same records, some of which fail; with
+        `functional_equation`, so does the spliced functional equation."""
         seen_failure = False
         for r in self.ARGS:
             got = _objs(verify_lambda_identities(md, r))
             assert got == _objs(reference_identities(md, r)), r
             seen_failure |= not all(rec["pass"] for rec in got)
         assert seen_failure
+        if functional_equation:
+            got = [hat_functional_equation_check(md, *kn) for kn in self.PAIRS]
+            assert got == [reference_hat_functional_equation(md, *kn)
+                           for kn in self.PAIRS]
+            assert not all(rec.passed for rec in got)
 
     def test_corrupted_syllable(self):
         # one entry of T S, plus one, in the packed and the CycloNum cache
@@ -354,17 +418,18 @@ class TestPackedSuiteMatchesReference:
         monkeypatch.setattr(lambdamat, "rep_evaluate",
                             lambda md_, m: mx.mat(negate(cyclo_eval(md_, m),
                                                          lambda x: -x)))
-        self._assert_agree_and_fail(md)
+        self._assert_agree_and_fail(md, functional_equation=True)
 
     def test_shifted_phase(self, monkeypatch):
         # g shifted by 1/7: e(2/7) is outside every field here, so the
-        # hatted reflection and phase_odd fail on both paths
+        # hatted reflection and phase_odd fail on both paths, and so does
+        # the spliced functional equation where one side is S, unshifted
         good = lambdamat.phase_g
         monkeypatch.setattr(lambdamat, "phase_g",
                             lambda c, c0, r: good(c, c0, r) + Fraction(1, 7))
         for spec in (("su2", 1, None), ("su2", 1, Fraction(-7))):
             md = _build(spec)
-            self._assert_agree_and_fail(md)
+            self._assert_agree_and_fail(md, functional_equation=True)
 
 
 class TestEqualityRule:

@@ -34,7 +34,9 @@ from modata.modrep import (
 from modata.modular_data import builtin_model, loads
 from modata.packed import (
     WIDTH_STEP,
+    IntegerMatrix,
     PackedMatrix,
+    PackedModel,
     _fold_constants,
     from_digits,
     integers,
@@ -246,7 +248,9 @@ class TestBounds:
             md = builtin_model(name, param)
             rng = Lcg(param)
             for _ in range(10):
-                got = rep_evaluate_packed(md, random_word_matrix(rng, 8))
+                # two random words: up to 12 syllables
+                got = rep_evaluate_packed(
+                    md, random_word_matrix(rng) * random_word_matrix(rng))
                 digits = [c for row in got.digits() for d in row for c in d]
                 assert max(map(abs, digits)) < 2 ** got.bits
                 assert got.bits < got.packing.width
@@ -329,6 +333,104 @@ def test_products_match_cyclonum_on_adversarial_digits(pair):
     assert other == prod
     if len(ref) == len(ref[0]):
         assert prod.is_identity() == mx.is_identity(ref)
+
+
+def assert_bounds_hold(m):
+    """Every digit of m is below 2^bits, bits fit the width, and every
+    column's digits have l1 norm at most norm."""
+    digits = m.digits()
+    assert all(abs(c) < 2 ** m.bits for row in digits for d in row for c in d)
+    assert m.bits < m.packing.width
+    for col in zip(*digits):
+        assert sum(abs(c) for d in col for c in d) <= m.norm
+
+
+@settings(max_examples=100, deadline=None)
+@given(packed_pairs(), st.data())
+def test_transpose_and_take_rows_move_the_digits(pair, data):
+    a, b = pair
+    prod = a @ b
+    assert prod._digits is None
+    for m in (a, b, prod):
+        order, den, digits = m.packing.order, m.den, m.digits()
+        perm = data.draw(st.permutations(range(len(digits))))
+        for moved, want in ((m.transpose(), [list(c) for c in zip(*digits)]),
+                            (m.take_rows(perm), [digits[p] for p in perm])):
+            assert moved.packing is m.packing and moved.den == den
+            assert moved.digits() == want
+            assert moved == from_digits(order, den, want)
+            assert moved.rows == from_digits(order, den, want,
+                                             m.packing.width).rows
+            assert_bounds_hold(moved)
+        permuted = m.take_rows(perm)
+        assert (permuted.bits, permuted.norm) == (m.bits, m.norm)
+        assert m.transpose().transpose() == m
+
+
+def test_transpose_without_digits_takes_the_generic_bound():
+    # every digit at 2^bits - 1: a row of the transpose reaches the bound
+    full = from_digits(12, 1, [[[2 ** 20 - 1] * 4] * 3] * 3)
+    bare = PackedMatrix(full.packing, 1, full.rows, full.bits, full.norm)
+    moved = bare.transpose()
+    assert moved.norm == 3 * 4 * (2 ** 20 - 1)
+    assert_bounds_hold(moved)
+
+
+def test_integer_matrix_moves_as_integers():
+    m = integers(12, [[0, 3, 1], [-2, 2 ** 40, 5]])
+    for moved, want in ((m.transpose(), [[0, -2], [3, 2 ** 40], [1, 5]]),
+                        (m.take_rows([1, 0]), [[-2, 2 ** 40, 5], [0, 3, 1]])):
+        assert isinstance(moved, IntegerMatrix)
+        assert moved.rows == tuple(map(tuple, want))
+        assert moved == integers(12, want)
+        assert_bounds_hold(moved)
+
+
+SPECS = [*(f"su2:{k}" for k in range(1, 11)),
+         *(f"cyclic_odd:{n}" for n in range(3, 12, 2))]
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_conjugation_as_row_permutation(spec):
+    """`s_inv` and the central factor of `product` against the products by
+    the packed CycloNum S^2 that they replace, on random words, each also
+    taken times -I."""
+    name, param = spec.split(":")
+    md = builtin_model(name, int(param))
+    pm = md.packed
+    chat = pack(md.chat, pm.order)
+    assert pm.s_inv == (pm.s @ chat).lift()
+    assert pm.product((), None, True) == chat
+    rng = Lcg(int(param))
+    centrals = set()
+    for m in [t_gen(3), S_GEN * t_gen(-2)] + [
+            random_word_matrix(rng) for _ in range(12)]:
+        for word in (m, -m):
+            w = syllables(word)
+            steps = [0 if k is None else k for k in w.steps]
+            got = pm.product(steps, w.last_t, w.central)
+            want = pm.product(steps, w.last_t, False)
+            assert got == (want @ chat if w.central else want), word
+            centrals.add(w.central)
+    assert centrals == {True, False}
+
+
+def test_conjugation_builds_no_product(monkeypatch):
+    md = builtin_model("cyclic_odd", 5)
+    s = md.packed.s
+
+    def fail(*args):
+        raise AssertionError("a product or a CycloNum value was built")
+
+    monkeypatch.setattr(PackedMatrix, "__matmul__", fail)
+    monkeypatch.setattr(CycloNum, "__init__", fail)
+    pm = PackedModel(md, s)
+    assert not hasattr(pm, "chat")
+    assert pm.s_inv.rows == tuple(s.rows[p] for p in md.conj)
+    assert pm.product((), None, True).rows == tuple(
+        tuple(int(j == md.conj[i]) for j in range(md.rank))
+        for i in range(md.rank))
+    pm.product((), 2, True)
 
 
 def direct_fold_constants(order):
