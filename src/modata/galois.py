@@ -13,13 +13,12 @@ diag(d[perm[i]]).  Only the generator-word check compares with G as a
 matrix, an integer one.
 
 `parity_decompose`, the generator word, the congruence sampling checks and
-`kernel_test` run on the model's packed S: all of S, S^-1, D(m) and the T
-powers lie in one field Q(zeta_M), M the lcm of the conductor and the
-stored S orders, so the identity and equality tests and sigma_l there run
-on packed integer entries and build no CycloNum.  sigma_l acts on
-Q(zeta_M) through a lift l' = l (mod n) coprime to M, which is the same
-automorphism on the conductor field that contains every entry.
-`sigma_matrix` remains for one row of T and for `z_matrix`.
+`kernel_test` run on the model's packed S, with T powers as scalings: S,
+S^-1, D(m) and T lie in one field Q(zeta_M), M the lcm of the conductor
+and the stored S orders, so identity and equality tests and sigma_l build
+no CycloNum.  sigma_l acts on Q(zeta_M) through a lift l' = l (mod n)
+coprime to M, the same automorphism on the conductor field that holds
+every entry.  `sigma_matrix` remains for one row of T and `z_matrix`.
 
 Applying sigma_l to a matrix whose entries live at mixed ambient orders uses
 a lift l' = l (mod the field modulus that determines the action) chosen
@@ -119,7 +118,7 @@ def parity_decompose(md: ModularData, l: int) -> MonomialSignedPerm:
     entries are equal exactly when their packed ints are."""
     pk = md.packed
     lp = coprime_lift(l, md.conductor_n(), pk.order)
-    s, sig = _fit(lambda a, b: max(a.bits, b.bits), pk.s, pk.s.sigma(lp))
+    s, sig = _fit(lambda a, b: max(a.bits, b.bits), pk.s, pk.sigma_s(lp))
     cols_s = list(zip(*s.rows))
     perm, signs = [], []
     for mu, col in enumerate(zip(*sig.rows)):
@@ -195,6 +194,10 @@ class KernelTestResult:
 
 
 def kernel_test(md: ModularData, m: SL2ZMat) -> KernelTestResult:
+    """D(m) == I, and for d a unit mod n the criterion sigma_d(S) T^b ==
+    T^e S and the factorization sigma_d(D(m)) == T^b S^-1 T^-e sigma_d(S),
+    with the T powers as scalings (the criterion's two sides are symmetric,
+    so it holds with rows and columns swapped) and sigma_d(S) cached."""
     n = md.conductor_n()
     dm = rep_evaluate_packed(md, m)
     direct = dm.is_identity()
@@ -202,10 +205,10 @@ def kernel_test(md: ModularData, m: SL2ZMat) -> KernelTestResult:
     if math.gcd(m.d, n) == 1:
         pk = md.packed
         lp = coprime_lift(m.d, n, pk.order)
-        sig_s = pk.s.sigma(lp)
-        criterion = (sig_s @ pk.t_diagonal(m.b)
-                     == pk.t_diagonal(m.e) @ pk.s)
-        rhs = pk.t_diagonal(m.b) @ pk.s_inv @ pk.t_diagonal(-m.e) @ sig_s
+        sig_s = pk.sigma_s(lp)
+        criterion = (sig_s.scale(cols=pk.t_power(m.b))
+                     == pk.s.scale(rows=pk.t_power(m.e)))
+        rhs = pk.s_inv.scale(pk.t_power(m.b), pk.t_power(-m.e)) @ sig_s
         factorization = dm.sigma(lp) == rhs
     return KernelTestResult(direct, criterion, factorization)
 

@@ -36,7 +36,7 @@ from .cyclo import _context, root_of_unity_exp
 from .errors import PhaseConstraintError
 from .modrep import SL2ZMat, rep_evaluate, rep_evaluate_packed
 from .modular_data import ModularData
-from .packed import PackedMatrix, _fit, from_digits
+from .packed import PackedMatrix, Scaling, _fit
 from .reporting import CheckRecord, notice
 
 
@@ -215,10 +215,8 @@ class _Phased:
             raise ValueError("a middle phase lies outside Q(zeta_M)")
         right = other.x
         if any(root != (1, 0) for root in middle):
-            ctx = _context(order)
-            right = from_digits(order, right.den, [
-                [_times_root(ctx, d, root) for d in row]
-                for root, row in zip(middle, right.digits())])
+            right = right.scale(Scaling(order, [
+                _times_root(_context(order), [1], root) for root in middle]))
         return _Phased(self.pm, self.x @ right, den,
                        tuple(f * p for p in self.a),
                        tuple(g * q for q in other.b),
@@ -240,12 +238,12 @@ class _Phased:
         da = [f * p - g * q for p, q in zip(self.a, other.a)]
         db = [f * p - g * q for p, q in zip(self.b, other.b)]
         dc = f * self.c - g * other.c
-        dx, dy = self.x.den, other.x.den
         # one width at which x * dy - y * dx has no carry, as in
         # `PackedMatrix.mismatches`; a shifted entry is compared unpacked
-        xm, ym = _fit(lambda a, b: max(a.bits + dy.bit_length(),
-                                       b.bits + dx.bit_length()),
+        xm, ym = _fit(lambda a, b: max(a.bits + b.den.bit_length(),
+                                       b.bits + a.den.bit_length()),
                       self.x, other.x)
+        dx, dy = xm.den, ym.den
         unpack = xm.packing.unpack
         for ai, xr, yr in zip(da, xm.rows, ym.rows):
             for bj, x, y in zip(db, xr, yr):
@@ -300,7 +298,7 @@ def verify_lambda_identities(md: ModularData, r) -> list[CheckRecord]:
         suite, "periodic", _lam(md, bezout(r + 1)) == here, params={"r": r}))
 
     n = r.denominator
-    rhs = _Phased(pm, pm.s_inv @ pm.t_diagonal(-n) @ pm.s).t(
+    rhs = _Phased(pm, pm.s_inv.scale(cols=pm.t_power(-n)) @ pm.s).t(
         Fraction(-1, n), Fraction(-1, n))
     records.append(CheckRecord(
         suite, "one_over_n_word", _lam(md, bezout(Fraction(1, n))) == rhs,

@@ -11,25 +11,25 @@ consumes validated instances only.
 The fractional power T^r always means the diagonal matrix with entries
 exp(2*pi*i*(delta_lam - c0/24)*r); no logarithm branches exist anywhere.
 
-Validation runs on S packed as one matrix type (see `modata.packed`).
-Over the field of the S entries, which comes before any T entry can push
-the order past MODATA_MAX_ORDER, S S^dagger is compared with the identity,
-S^dagger being sigma_-1 of the packed S transposed, and the fusion rules,
-the Verlinde sums N_lam = S diag(S[lam][d] / S[0][d]) S^dagger, take two
-packed products per label, each table read off the packed ints; N_lam S ==
-S diag(...) takes one more.  S T S == T^-1 S T^-1 and c0_consistency's
-fusion-phase check run over the model's single field.  A failing packed
-comparison's witness is its first (i, j); a failing fusion entry's is one
-`verlinde_value`, a `cyclo.dot` of r terms, which is also the value
-`verlinde_sum` returns; `dot` skips the zero terms, so a sum is held at
-the lcm of the orders of its nonzero terms.  S^2 stays the one CycloNum
-product, because its entry orders reach `rep_evaluate` and the
-`lambda --json` report (the packed model reads only `conj`).  The scalar
-character sums (the total index, the statistical phase sum, the soliton
-multiplicity) are `sum(terms, CycloNum.zero())`: each term is a product of
-three or more factors (or a square), which `dot` cannot fuse, and each sum
-runs once per check over at most rank terms, so `+` keeps them one line
-each at the value, order included, of the term-by-term chain.
+Validation runs on S packed as one matrix type (see `modata.packed`),
+with T and the phases as scalings of it.  Over the field of the S
+entries, which comes before any T entry can push the order past
+MODATA_MAX_ORDER, S S^dagger (sigma_-1(S) transposed) is compared with
+the identity, and each Verlinde table N_lam = S diag(S[lam][d] / S[0][d])
+S^dagger is S with scaled columns times S^dagger, read off the packed
+ints; N_lam S is compared with that scaled S.  S T S == T^-1 S T^-1 and
+c0_consistency's fusion-phase check run over the model's single field.
+A failing packed comparison's witness is its first (i, j); a failing
+fusion entry's is one `verlinde_value`, a `cyclo.dot` of r terms held at
+the lcm of the orders of its nonzero terms, the value `verlinde_sum`
+returns.  S^2 stays the one CycloNum product, because its entry orders
+reach `rep_evaluate` and the `lambda --json` report (the packed model
+reads only `conj`).  The scalar character sums (the total index, the
+statistical phase sum, the soliton multiplicity) are `sum(terms,
+CycloNum.zero())`: each term is a product of three or more factors (or a
+square), which `dot` cannot fuse, and each sum runs once per check over
+at most rank terms, so `+` keeps them one line each at the value, order
+included, of the term-by-term chain.
 """
 
 import functools
@@ -57,12 +57,12 @@ from .errors import (
 from .packed import (
     PackedMatrix,
     PackedModel,
-    diagonal,
+    Scaling,
     field_order,
     identity,
     integers,
     pack,
-    roots_diagonal,
+    roots,
 )
 from .reporting import CheckRecord, first_failure
 
@@ -240,26 +240,25 @@ class ModularData:
             ),
         ]
 
-        # omega_lam omega_mu F[lam][mu] == S[lam][mu], where
-        # F[lam][mu] = sum_nu N(lam,mu;nu) conj(omega_nu) S[0][nu], with N
-        # read from `self.fusion`, is entry mu of N_lam w for the column
-        # w = conj(Omega) S[:, 0]; it is compared with entry mu of column lam
-        # of conj(Omega) S conj(Omega).  The omegas lie in Q(zeta_M) when
-        # delta_0 is an integer, as in every builtin; otherwise S is packed
-        # again over the field that holds them.
+        # omega_lam omega_mu F[lam][mu] == S[lam][mu] with F[lam][mu] =
+        # sum_nu N(lam,mu;nu) conj(omega_nu) S[0][nu], N from `self.fusion`:
+        # entry mu of w N_lam^T, w the row S[0] conj(Omega), against row lam
+        # of the symmetric conj(Omega) S conj(Omega).  S is packed again over
+        # a field holding the omegas when delta_0 is not an integer (in no
+        # builtin).
         ps = self._packed_s
         order = math.lcm(ps.packing.order,
                          *(d.denominator for d in self.delta))
         s = ps if order == ps.packing.order else pack(self.s, order)
-        omega_bar = roots_diagonal(order, [-d for d in self.delta])
-        target = omega_bar @ s @ omega_bar
-        w = omega_bar @ s.column(0)
+        omega_bar = roots(order, [int(-d * order) for d in self.delta])
+        target = s.scale(omega_bar, omega_bar)
+        w = s.take_rows([0]).scale(cols=omega_bar)
         records.append(first_failure(
             suite, "fusion_phase_matrix",
             (f"entry ({lam},{mu})"
              for lam in range(self.rank)
-             for mu, _ in (integers(order, self.fusion[lam]) @ w)
-             .mismatches(target.column(lam))),
+             for _, mu in (w @ integers(order, zip(*self.fusion[lam])))
+             .mismatches(target.take_rows([lam]))),
         ))
         return records
 
@@ -454,13 +453,13 @@ def _axiom_checks(labels, s, delta, c, c0, tau2):
         return records, derived
 
     # S T S == T^-1 S T^-1 over the model's single field, with T the
-    # diagonal of exp(2*pi*i*(delta - c0/24)).
+    # diagonal of exp(2*pi*i*(delta - c0/24)), as scalings of S.
     order = field_order(s, delta, c0)
     pm = pack(s, order)
-    weights = [d - c0 / 24 for d in delta]
-    t = roots_diagonal(order, weights)
-    t_inv = roots_diagonal(order, [-w for w in weights])
-    mm = next((pm @ t @ pm).mismatches(t_inv @ pm @ t_inv), None)
+    weights = [int((d - c0 / 24) * order) for d in delta]
+    t, t_inv = roots(order, weights), roots(order, [-w for w in weights])
+    mm = next((pm.scale(cols=t) @ pm).mismatches(pm.scale(t_inv, t_inv)),
+              None)
     rec("sts_twist_relation", mm is None, "" if mm is None else f"entry {mm}")
 
     rec("t_conjugation_invariant",  # e(x) == e(y) when x - y is in Z
@@ -498,23 +497,21 @@ def _axiom_checks(labels, s, delta, c, c0, tau2):
 
 def _fusion_checks(s: mx.Matrix, ps: PackedMatrix, s_dag: PackedMatrix):
     """The fusion table of S and its two checks, on S packed as `ps` and
-    S^dagger as `s_dag`, over the field of the S entries.
-
-    N_lam = S diag(eigenvalues(s, lam)) S^dagger takes two packed products
-    per label and is read as integers off the packed ints.  The scan runs
-    over (lam, mu, nu) in lexicographic order and stops at the first entry
-    that is not a nonnegative integer; that entry's `verlinde_value` is the
-    witness.  fusion_diagonalized_by_s compares N_lam S with the
-    S diag(eigenvalues) of the table.  Returns the records, the second only
-    when the table is integral, and the table or None.
-    """
+    S^dagger as `s_dag`, over the field of the S entries: N_lam is `ps`
+    with its columns scaled by eigenvalues(s, lam), times `s_dag`, read as
+    integers off the packed ints.  The scan over (lam, mu, nu) in
+    lexicographic order stops at the first entry that is not a nonnegative
+    integer, whose `verlinde_value` is the witness.
+    fusion_diagonalized_by_s compares N_lam S with the scaled S.  Returns
+    the records, the second only when the table is integral, and the table
+    or None."""
     suite = "axioms"
     order = ps.packing.order
     fusion, scaled = [], []
     witness = ""
     for lam in range(len(s)):
         ev = pack([eigenvalues(s, lam)], order)
-        sd = ps @ diagonal(order, ev.digits()[0], ev.den)
+        sd = ps.scale(cols=Scaling(order, ev.digits()[0], ev.den))
         table = (sd @ s_dag).nonneg_integers()
         bad = next(((mu, nu) for mu, row in enumerate(table)
                     for nu, n in enumerate(row) if n is None), None)

@@ -1,42 +1,31 @@
 """Packed matrices over one cyclotomic field, for validation and sampling.
 
-The S and T entries of a model, and so every representation matrix D(m)
-and every fusion table, lie in Q(zeta_M), with M the lcm of the orders of
-the stored S entries and of the T entries (`field_order`).  All model
-validation but S^2 and the symmetry check, the Galois signed permutation
-and its generator word, and the congruence and kernel sampling checks run
-on one matrix type over that field (unitarity and the fusion table over
-the field of the S entries).  A transpose and a row permutation move the
-packed ints without unpacking: S^dagger is sigma_-1(S) transposed, and
-S^-1 = C S and the central -I (the conjugation C = S^2, which commutes
-with S and T) permute rows by `conj`.  An entry is one Python int: its phi(M)
-reduced power-basis coefficients are signed B-bit digits,
-sum_j c_j 2^(B*j) (Kronecker substitution), over one common denominator
-per matrix.  A product entry is the big-int sum of the products of a row
-and a column, which multiplies the coefficient polynomials, reduced on the
-packed int by folding x^phi = R (mod Phi_M) a fixed number of times per
-order.  Digits stay reduced, so an entry is zero exactly when its int is
-zero, the identity test compares each entry with den * delta, two matrices
-are equal when x * db == y * da entrywise, an entry is a nonnegative
-integer exactly when its int lies in [0, 2^(B-1)) and den divides it, and
-sigma_l sums the packed images of x^(l*j mod M) weighted by the unpacked
-digits.  CycloNum values are read by `pack` and built only by `to_matrix`;
-validation builds one only to print the witness of a failing check.
+The S and T entries of a model, and so every D(m) and fusion table, lie
+in Q(zeta_M), M the lcm of the orders of the S and T entries
+(`field_order`).  Validation (but S^2 and symmetry), the Galois signed
+permutation and the sampling checks run on one matrix type there.  An
+entry is one int: its phi(M) reduced power-basis coefficients as signed
+B-bit digits, sum_j c_j 2^(B*j), over one den per matrix.  A product
+entry is the big-int sum of a row times a column, reduced by folding
+x^phi = R (mod Phi_M) a fixed number of times per order.  Transposes and
+row permutations (S^dagger = sigma_-1(S) transposed, S^-1 = C S and the
+central -I by `conj`) move the ints.  A diagonal factor, such as a power
+of T, is a `Scaling`, never a matrix: `scale` multiplies each entry by
+its row's and column's packed factor, rank^2 products where a matrix
+product takes rank^3.  CycloNum values are read by `pack` and built only
+by `to_matrix`, for the witness of a failing check.
 
 A carry between digits would corrupt them silently, so every matrix holds
-a proven bound: all its digits are below 2^bits in absolute value, and
-`norm` bounds the l1 norm of the digits of each column.  One rule, `_fit`,
-sets every width: an operation takes its operands to one width B with
-bits + growth <= B - 1.  The growth is ceil(log2(g)), g the right
-factor's norm times the fold growth for a product and the largest row l1
-norm of the map for sigma_l, and the other denominator's bit length for
-a comparison.  The bits of a product or a sigma_l image are a claim;
-before the width grows, it is remeasured on its digits, and widened only
-if the measured bound still needs it.
+a proven bound: its digits are below 2^bits in absolute value and `norm`
+bounds each column's digit l1 norm.  `_fit` sets every width B with
+bits + ceil(log2(g)) <= B - 1, g the right factor's norm (a scaling's
+largest l1 norm) times the fold growth, the largest row l1 norm of the
+map of sigma_l, or 2^(bit length of the other den) for a comparison.  A
+claimed bound is remeasured on the digits before the width grows.
 
-Nothing is keyed on a group element or on an exponent mod n: the
-per-model cache holds T^k S under the integer exponent k.
-"""
+Caches are keyed on integer exponents and automorphisms (T^k, T^k S under
+k, sigma_l(S) under l), never on a group element mod N: that would assume
+the congruence property that the sampled checks test."""
 
 import functools
 import math
@@ -109,14 +98,13 @@ class Packing:
     """Q(zeta_order) at digit width `width`: the constants of the packed
     reduction.  Use `packing(order, width)`, which shares one per pair."""
 
-    __slots__ = ("order", "phi", "width", "ctx", "folds", "stage_growth",
+    __slots__ = ("order", "phi", "width", "folds", "stage_growth",
                  "reduce_growth", "_shift", "_mask", "_digit", "_half",
                  "_offset", "_fold")
 
     def __init__(self, order: int, width: int):
         ctx = _context(order)
         self.order = order
-        self.ctx = ctx
         self.phi = phi = ctx.phi
         self.width = width
         self.folds, self.stage_growth, self.reduce_growth = \
@@ -190,17 +178,10 @@ class PackedMatrix:
         return [[unpack(v) for v in row] for row in self.rows]
 
     def lift(self, min_width: int = 0) -> "PackedMatrix":
-        """The same matrix packed again at the narrowest width that holds
-        its digits and is at least `min_width`; a product's bounds are
-        remeasured on its digits."""
-        if self._digits is None:
-            return from_digits(self.packing.order, self.den, self.digits(),
-                               min_width)
-        p = packing(self.packing.order,
-                    max(min_width, width_for(self.bits)))
-        rows = tuple(tuple(map(p.pack, row)) for row in self._digits)
-        return PackedMatrix(p, self.den, rows, self.bits, self.norm,
-                            self._digits)
+        """`from_digits` on this matrix's digits: bounds remeasured, at
+        least `min_width` wide."""
+        return from_digits(self.packing.order, self.den, self.digits(),
+                           min_width)
 
     def __matmul__(self, other: "PackedMatrix") -> "PackedMatrix":
         """The matrix product, at a width at which no fold of any entry can
@@ -245,14 +226,6 @@ class PackedMatrix:
             for row in self.rows
         )
 
-    def column(self, j: int) -> "PackedMatrix":
-        """Column j, as a one-column matrix under the bounds of this one."""
-        digits = (None if self._digits is None
-                  else [[row[j]] for row in self._digits])
-        return PackedMatrix(self.packing, self.den,
-                            tuple((row[j],) for row in self.rows),
-                            self.bits, self.norm, digits)
-
     def transpose(self) -> "PackedMatrix":
         """The transpose, moving the packed ints and the digits when held;
         its norm is measured on the digits, or else rank * phi * (2^bits-1)."""
@@ -265,8 +238,9 @@ class PackedMatrix:
                           _column_norm(digits), digits)
 
     def take_rows(self, perm) -> "PackedMatrix":
-        """Row p taken from row perm[p], for a permutation perm, moving the
-        packed ints and the digits when held; bits and norm still hold."""
+        """Row p taken from row perm[p], for a permutation or a selection
+        perm, moving the packed ints and the digits when held; bits and
+        norm still hold."""
         digits = (None if self._digits is None
                   else [self._digits[p] for p in perm])
         return type(self)(self.packing, self.den,
@@ -285,9 +259,9 @@ class PackedMatrix:
         """
         if other.packing.order != self.packing.order:
             raise ValueError("packed matrices over different fields")
-        da, db = self.den, other.den
-        a, b = _fit(lambda a, b: max(a.bits + db.bit_length(),
-                                     b.bits + da.bit_length()), self, other)
+        a, b = _fit(lambda a, b: max(a.bits + b.den.bit_length(),
+                                     b.bits + a.den.bit_length()), self, other)
+        da, db = a.den, b.den
         for i, (rx, ry) in enumerate(zip(a.rows, b.rows)):
             for j, (x, y) in enumerate(zip(rx, ry)):
                 if x * db != y * da:
@@ -304,20 +278,46 @@ class PackedMatrix:
     __hash__ = None
 
     def sigma(self, l: int) -> "PackedMatrix":
-        """zeta -> zeta^l on every entry, for l coprime to the order: the
-        digits of an entry weight the packed images of x^(l*j mod order),
-        a sum whose digits grow at most by the largest l1 norm of a row of
-        that map."""
-        order, phi = self.packing.order, self.packing.phi
-        monomials = [_monomial(order, l * j % order) for j in range(phi)]
-        growth = _clog2(max(
-            sum(abs(d[t]) for d in monomials) for t in range(phi)))
+        """zeta -> zeta^l on every entry, l coprime to the order: an entry's
+        digits weight the packed images of `_sigma_map`."""
+        images, growth = _sigma_map(self.packing.order, l % self.packing.order)
         a, = _fit(lambda a: a.bits + growth, self)
-        images = [a.packing.pack(d) for d in monomials]
-        rows = tuple(tuple(sum(map(mul, d, images)) for d in row)
+        packed = images.packed(a.packing)
+        rows = tuple(tuple(sum(map(mul, d, packed)) for d in row)
                      for row in a.digits())
         return PackedMatrix(a.packing, a.den, rows, a.bits + growth,
-                            a.norm * max(sum(map(abs, d)) for d in monomials))
+                            a.norm * images.l1)
+
+    def scale(self, rows: "Scaling | None" = None,
+              cols: "Scaling | None" = None) -> "PackedMatrix":
+        """diag(rows) X diag(cols): each packed entry times its factors d_i,
+        e_j (for monomials, once by x^(a_i + b_j)), reduced once, at the
+        width `__matmul__` takes for a diagonal factor of l1 norm l1."""
+        if rows and cols and None in (rows.exponents, cols.exponents):
+            return self.scale(rows).scale(cols=cols)
+        order, n = self.packing.order, len(self.rows)
+        if any(f.order != order for f in (rows, cols) if f):
+            raise ValueError("a scaling over a different field")
+        if rows and cols:  # row i scaled by x^(a_i + b_j), b over columns
+            each = [roots(order, [a + b for b in cols.exponents])
+                    for a in rows.exponents]
+            l1 = max(f.l1 for f in each)
+        else:
+            l1 = (rows or cols).l1
+        stage = self.packing.stage_growth
+        a, = _fit(lambda a: a.bits + _clog2(l1 * stage), self)
+        p = a.packing
+        if rows and cols:
+            factors = [f.packed(p) for f in each]
+        elif rows:
+            factors = [[d] * len(self.rows[0]) for d in rows.packed(p)]
+        else:
+            factors = [cols.packed(p)] * n
+        out = tuple(tuple(map(p.reduce, map(mul, row, f)))
+                    for row, f in zip(a.rows, factors))
+        bits = a.bits + _clog2(l1 * p.reduce_growth)
+        den = a.den * (rows.den if rows else 1) * (cols.den if cols else 1)
+        return PackedMatrix(p, den, out, bits, n * p.phi * ((1 << bits) - 1))
 
     def to_matrix(self):
         """The entries as CycloNum values at the packing order."""
@@ -344,8 +344,13 @@ def _fit(need, *operands) -> list[PackedMatrix]:
 
 def from_digits(order: int, den: int, rows, min_width: int = 0
                 ) -> PackedMatrix:
-    """Pack rows of reduced digit lists over `den`, measuring the bounds:
-    the width is the narrowest that holds them, and at least `min_width`."""
+    """Pack rows of reduced digit lists over `den`, both divided by their
+    gcd first (a product's dens multiply), at the narrowest width that
+    holds the measured bounds and is at least `min_width`."""
+    g = math.gcd(den, *(c for row in rows for d in row for c in d))
+    if g > 1:
+        den //= g
+        rows = [[[c // g for c in d] for d in row] for row in rows]
     bits = max((max(map(abs, d)) for row in rows for d in row),
                default=0).bit_length()
     p = packing(order, max(min_width, width_for(bits)))
@@ -357,28 +362,6 @@ def _column_norm(rows) -> int:
     """The largest l1 norm of the digits of a column of digit rows."""
     return max((sum(sum(map(abs, d)) for d in col) for col in zip(*rows)),
                default=0)
-
-
-def diagonal(order: int, entries, den: int = 1) -> PackedMatrix:
-    """The diagonal matrix of the reduced digit lists `entries`, over
-    `den`."""
-    bits = max(max(map(abs, d)) for d in entries).bit_length()
-    p = packing(order, width_for(bits))
-    zero = [0] * p.phi
-    rank = len(entries)
-    digits = [[d if i == j else zero for j in range(rank)]
-              for i, d in enumerate(entries)]
-    rows = tuple(tuple(p.pack(d) if i == j else 0 for j in range(rank))
-                 for i, d in enumerate(entries))
-    return PackedMatrix(p, den, rows, bits,
-                        max(sum(map(abs, d)) for d in entries), digits)
-
-
-def roots_diagonal(order: int, exponents) -> PackedMatrix:
-    """diag(exp(2*pi*i*q)) over the fractions q of `exponents`, each with
-    q * order an integer."""
-    return diagonal(order, [_monomial(order, int(q * order) % order)
-                            for q in exponents])
 
 
 class IntegerMatrix(PackedMatrix):
@@ -436,11 +419,56 @@ def _monomial(order: int, e: int) -> tuple[int, ...]:
     return tuple(ctx.reduce([0] * e + [1] + [0] * (ctx.phi - 1)))
 
 
+@lru_cache(maxsize=None)
+def _sigma_map(order: int, l: int) -> tuple["Scaling", int]:
+    """The images x^(l*j mod order), j < phi, as a `Scaling`, and the bits
+    sigma_l adds to a digit (from the largest l1 norm of a row of the map)."""
+    images = roots(order, [l * j for j in range(_context(order).phi)])
+    rows = zip(*(map(abs, d) for d in images.digits))
+    return images, _clog2(max(map(sum, rows)))
+
+
+def _cached(cache: dict, key, build):
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = build()
+    return value
+
+
+class Scaling:
+    """The factor diag(d_i / den) of `PackedMatrix.scale`, as the reduced
+    digit lists d_i over Q(zeta_order) with their largest l1 norm `l1`
+    and, when every d_i is a monomial x^e_i, the `exponents` e_i."""
+
+    def __init__(self, order: int, digits, den: int = 1, exponents=None):
+        self.order, self.digits, self.den = order, digits, den
+        self.exponents = exponents
+        self.l1 = max(sum(map(abs, d)) for d in digits)
+        self._packed: dict[int, tuple[int, ...]] = {}
+
+    def packed(self, p: Packing) -> tuple[int, ...]:
+        """The packed d_i at the width of `p`, kept per width."""
+        return _cached(self._packed, p.width,
+                       lambda: tuple(map(p.pack, self.digits)))
+
+
+def roots(order: int, exponents) -> Scaling:
+    """diag(zeta_order^e) over the integer exponents e, shared per
+    exponents mod order."""
+    return _roots(order, tuple(e % order for e in exponents))
+
+
+@lru_cache(maxsize=None)
+def _roots(order: int, exponents: tuple[int, ...]) -> Scaling:
+    return Scaling(order, [_monomial(order, e) for e in exponents], 1,
+                   exponents)
+
+
 class PackedModel:
-    """One model's packed S and S^-1 = C S over Q(zeta_M), the conjugation
-    C as the permutation `conj`, and the T^k S syllables, cached under the
-    integer exponent k.  `s` is the S matrix packed over that field when
-    the model was validated, which proves that C commutes with S and T."""
+    """One model's packed S and S^-1 = C S over Q(zeta_M), C as the
+    permutation `conj`, with T^k and T^k S cached under the integer k and
+    sigma_l(S) under l.  `s` is S packed when the model was validated,
+    which proves that C commutes with S and T."""
 
     def __init__(self, md, s: PackedMatrix):
         self.rank = md.rank
@@ -453,31 +481,36 @@ class PackedModel:
         self.t_weights = tuple(
             int((d - md.c0 / 24) * self.order) for d in md.delta)
         self._syllables: dict[int, PackedMatrix] = {}
+        self._t_powers: dict[int, Scaling] = {}
+        self._sigma_s: dict[int, PackedMatrix] = {}
 
     def identity(self) -> PackedMatrix:
         return identity(self.order, self.rank)
 
-    def t_diagonal(self, k: int) -> PackedMatrix:
-        """T^k for an integer k."""
-        order = self.order
-        return diagonal(order, [_monomial(order, w * k % order)
-                                for w in self.t_weights])
+    def t_power(self, k: int) -> Scaling:
+        """T^k for an integer k: the monomials x^(w_i * k mod M)."""
+        return _cached(self._t_powers, k, lambda: roots(
+            self.order, [w * k for w in self.t_weights]))
 
     def syllable(self, k: int) -> PackedMatrix:
-        """T^k S, built once per integer k at the narrowest width that holds
-        it."""
-        cached = self._syllables.get(k)
-        if cached is None:
-            cached = (self.t_diagonal(k) @ self.s).lift()
-            self._syllables[k] = cached
-        return cached
+        """T^k S: row i of S's digits turned by x^(w_i * k), packed at the
+        narrowest width that holds it."""
+        return _cached(self._syllables, k, lambda: from_digits(
+            self.order, self.s.den, [
+                [_context(self.order).substitute(d, 1, e) for d in row]
+                for e, row in zip(self.t_power(k).exponents,
+                                  self.s.digits())]))
+
+    def sigma_s(self, l: int) -> PackedMatrix:
+        """sigma_l(S), remeasured, for l coprime to M."""
+        return _cached(self._sigma_s, l, lambda: self.s.sigma(l).lift())
 
     def product(self, syllables, last_t: int | None, central: bool
                 ) -> PackedMatrix:
-        """The product of T^k S over the exponents k in `syllables`, then
-        T^last_t when given, then C when `central`, as a row permutation."""
+        """The product of T^k S over the k in `syllables`, then T^last_t as
+        a column scaling, then C when `central`, as a row permutation."""
         factors = [self.syllable(k) for k in syllables]
-        if last_t is not None:
-            factors.append(self.t_diagonal(last_t))
         acc = functools.reduce(matmul, factors) if factors else self.identity()
+        if last_t is not None:
+            acc = acc.scale(cols=self.t_power(last_t))
         return acc.take_rows(self.conj) if central else acc

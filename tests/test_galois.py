@@ -135,10 +135,34 @@ class TestParityDecompose:
         assert g_multiplicative_check(su2_2, 7, 9).passed
 
 
+class TestScalingSeams:
+    """Checks whose T powers are row or column scalings of S, on models where
+    they hold.  `tools/mutants.py` moves a scaling to a wrong exponent or
+    side and requires these tests to fail."""
+
+    def test_level_subgroup_in_kernel_su2_2(self):
+        records = congruence_suite(builtin_model("su2", 2), 10, 7)
+        assert [r.passed for r in records
+                if r.check == "level_subgroup_in_kernel"] == [True]
+
+    @pytest.mark.parametrize("name,param", [("su2", 2), ("cyclic_odd", 3)])
+    def test_kernel_criterion_equivalence(self, name, param):
+        md = builtin_model(name, param)
+        n = md.conductor_n()
+        rng = Lcg(param)
+        ms = [random_word_matrix(rng) for _ in range(40)]
+        results = [kernel_test(md, m) for m in ms if math.gcd(m.d, n) == 1]
+        assert len(results) >= 10
+        assert all(r.criterion == r.direct and r.sigma_factorization
+                   for r in results)
+
+
 class TestFaultInjection:
-    def test_left_factorization_failure_is_caught(self, su2_2, monkeypatch):
+    def test_left_factorization_failure_is_caught(self, monkeypatch):
         # columns 0 and 2 swapped, the second negated: every column still
-        # has one signed match in S, but no row is a signed row of S
+        # has one signed match in S, but no row is a signed row of S; a
+        # fresh model, because the packed model caches sigma_l(S)
+        su2_2 = builtin_model("su2", 2)
         real = PackedMatrix.sigma
 
         def swapped(self, l):

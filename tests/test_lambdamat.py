@@ -483,8 +483,10 @@ class TestEqualityRule:
         md = builtin_model("su2", 1)
         pm = md.packed
         s = _Phased(pm, pm.s)
-        # S T . S: the middle phase w is an integer T power, in the field
-        assert s.t(cols=1) @ s == _Phased(pm, pm.s @ pm.t_diagonal(1) @ pm.s)
+        # S T . S: the middle phase w is an integer T power, in the field;
+        # the oracle is the packed CycloNum diagonal of T
+        t = pack(mx.diagonal(md.t_entries(1)), pm.order)
+        assert s.t(cols=1) @ s == _Phased(pm, pm.s @ t @ pm.s)
         # S T^(1/7) . S: outside Q(zeta_24)
         with pytest.raises(ValueError):
             s.t(cols=Fraction(1, 7)) @ s

@@ -212,13 +212,17 @@ class TestFusionOrbits:
         ("su2", 10), ("cyclic_odd", 9),
     ])
     def test_one_product_per_label(self, monkeypatch, name, param):
-        exact, products, reads = [], [], []
+        exact, products, reads, scales = [], [], [], []
         real_mul, real_matmul = mx.mat_mul, PackedMatrix.__matmul__
-        real_read = PackedMatrix.nonneg_integers
+        real_read, real_scale = PackedMatrix.nonneg_integers, PackedMatrix.scale
 
         def matmul(a, b):
             products.append(b)
             return real_matmul(a, b)
+
+        def scale(self, rows=None, cols=None):
+            scales.append((rows, cols))
+            return real_scale(self, rows, cols)
 
         def read(self):
             reads.append(self)
@@ -228,23 +232,26 @@ class TestFusionOrbits:
             mx, "mat_mul", lambda a, b: exact.append(b) or real_mul(a, b))
         monkeypatch.setattr(PackedMatrix, "__matmul__", matmul)
         monkeypatch.setattr(PackedMatrix, "nonneg_integers", read)
+        monkeypatch.setattr(PackedMatrix, "scale", scale)
         md = builtin_model(name, param)
         r = md.rank
         # S^2 is the one CycloNum product.  Over the field of the S
-        # entries, s_unitary takes S S^dagger; over the model's field, S T S
-        # and T^-1 S T^-1 take two each; per label the table takes
-        # S diag(eigenvalues) and its product with the same S^dagger, read
-        # once, then fusion_diagonalized_by_s takes N_lam S.
+        # entries, s_unitary takes S S^dagger; over the model's field,
+        # S T S takes one product and two scalings, T^-1 S T^-1 one
+        # scaling; per label the table scales S's columns by the
+        # eigenvalues and multiplies by the same S^dagger, read once, then
+        # fusion_diagonalized_by_s takes N_lam S.
         assert len(exact) == 1
-        assert len(products) == 3 * r + 5 and len(reads) == r
+        assert len(products) == 2 * r + 2 and len(reads) == r
+        assert len(scales) == r + 2
         s_dag = products[0]
         assert s_dag == pack(mx.dagger(md.s), _s_order(md.s))
-        assert [b is md.packed.s for b in products[1:5]] == [
-            False, True, True, False]
-        fusion = products[5:]
-        assert all(b is s_dag for b in fusion[1:2 * r:2])
-        assert all(b is fusion[2 * r] for b in fusion[2 * r:])
-        assert fusion[2 * r] == pack(md.s, _s_order(md.s))
+        assert products[1] is md.packed.s
+        fusion = products[2:]
+        assert all(b is s_dag for b in fusion[:r])
+        assert all(b is fusion[r] for b in fusion[r:])
+        assert fusion[r] == pack(md.s, _s_order(md.s))
+        assert all(rows is None for rows, _ in scales[2:])
 
     @pytest.mark.parametrize("name,param", [
         *(("su2", k) for k in range(1, 5)),
@@ -524,6 +531,17 @@ class TestPackedValidation:
             assert checked == [oracle["s_unitary"],
                                oracle["sts_twist_relation"]]
         assert not checked[1].passed
+
+    def test_twist_relation_on_file_model(self):
+        # su2:3 read back from its file, every S entry at the stored order
+        md = loads(_diff_model(("su2", 3)).dumps())
+        assert len({x.order for row in md.s for x in row}) == 1
+        got = modular_data._axiom_checks(md.labels, md.s, md.delta, md.c,
+                                         md.c0, 0)[0]
+        oracle = _cyclonum_unitary_and_twist(md.s, md.delta, md.c0)
+        assert oracle["sts_twist_relation"].passed
+        assert [r for r in got if r.check == "sts_twist_relation"] == [
+            oracle["sts_twist_relation"]]
 
     @settings(max_examples=200, deadline=None)
     @given(corrupted_data())

@@ -37,11 +37,13 @@ from modata.packed import (
     IntegerMatrix,
     PackedMatrix,
     PackedModel,
+    Scaling,
     _fold_constants,
     from_digits,
     integers,
     pack,
     packing,
+    roots,
     width_for,
 )
 
@@ -124,7 +126,12 @@ def test_frobenius_verdicts_match(name, param):
             assert not (left == rep_evaluate_packed(md, lifted * S_GEN))
 
 
-def test_long_word_widens():
+def test_long_word_stays_narrow():
+    # the dens of the factors multiply, but whenever a product's claimed
+    # bound would widen it, `_fit` lifts it, and the lift divides the
+    # common factor out of den and digits: the digits of a 211-syllable
+    # word then stay below 2^31 (without the division it ran at more
+    # than 128-bit digits)
     md = builtin_model("su2", 4)
     rng = Lcg(2024)
     m = IDENTITY
@@ -133,8 +140,8 @@ def test_long_word_widens():
     w = syllables(m)
     assert len(w.steps) >= 200
     got = rep_evaluate_packed(md, m)
-    assert got.packing.width > 4 * WIDTH_STEP
-    # a product widens its operands without writing them back to the cache
+    assert got.packing.width == WIDTH_STEP
+    assert got.lift().den == 6
     for syllable in md.packed._syllables.values():
         assert syllable.packing.width == width_for(syllable.bits)
     ref = rep_evaluate(md, m)
@@ -157,6 +164,23 @@ def test_twelve_syllable_word_stays_narrow():
     got = rep_evaluate_packed(md, m)
     assert got.packing.width == 32
     assert mx.mat_eq(got.to_matrix(), rep_evaluate(md, m))
+
+
+def test_lift_divides_out_the_common_den():
+    # the twelve-syllable word above: its product carries a power of 6 as
+    # den (the product of its factors' dens since the last lift), its
+    # entries have den 6 or 1
+    md = builtin_model("su2", 4)
+    m = IDENTITY
+    for k in (5, 3, 5, 5, 3, 3, 1, 3, 5, 5, 3, 5):
+        m = m * t_gen(k) * S_GEN
+    got = rep_evaluate_packed(md, m)
+    assert got.den.bit_length() > 3
+    lifted = got.lift()
+    assert lifted.den.bit_length() <= 3
+    assert lifted == got
+    assert mx.mat_eq(lifted.to_matrix(), rep_evaluate(md, m))
+    assert_bounds_hold(lifted)
 
 
 def kernel_criterion_oracle(md, m):
@@ -359,8 +383,8 @@ def test_transpose_and_take_rows_move_the_digits(pair, data):
             assert moved.packing is m.packing and moved.den == den
             assert moved.digits() == want
             assert moved == from_digits(order, den, want)
-            assert moved.rows == from_digits(order, den, want,
-                                             m.packing.width).rows
+            assert moved.rows == tuple(tuple(map(m.packing.pack, row))
+                                       for row in want)
             assert_bounds_hold(moved)
         permuted = m.take_rows(perm)
         assert (permuted.bits, permuted.norm) == (m.bits, m.norm)
@@ -525,3 +549,128 @@ class TestIntegerRead:
         x = from_digits(12, 5, [[[2 ** 60, -1, 0, 7]], [[1, 2, 3, -(2 ** 61)]]])
         assert mx.mat_eq((m @ x).to_matrix(),
                          mx.mat_mul(m.to_matrix(), x.to_matrix()))
+
+
+def diagonal_oracle(factor):
+    """The packed diagonal matrix of a `Scaling`, built from its digits: the
+    product by it is the path `scale` replaces."""
+    zero = [0] * euler_phi(factor.order)
+    rank = len(factor.digits)
+    return from_digits(factor.order, factor.den, [
+        [list(d) if i == j else zero for j in range(rank)]
+        for i, d in enumerate(factor.digits)])
+
+
+SCALE_ORDERS = [5, 12, 16, 24, 40, 44]
+
+
+@st.composite
+def scalings(draw, order, size):
+    """A `Scaling` of `size` entries: monomials at exponents of any sign and
+    size, or digit lists over a den above 1."""
+    if draw(st.booleans()):
+        return roots(order, draw(st.lists(
+            st.integers(-3 * order, 3 * order), min_size=size,
+            max_size=size)))
+    phi = euler_phi(order)
+    digit = st.integers(-2 ** 40, 2 ** 40)
+    digits = draw(st.lists(st.lists(digit, min_size=phi, max_size=phi),
+                           min_size=size, max_size=size))
+    if not any(any(d) for d in digits):
+        digits[0][0] = 1
+    return Scaling(order, digits, draw(st.integers(2, 10 ** 4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_scale_matches_diagonal_products(data):
+    order = data.draw(st.sampled_from(SCALE_ORDERS))
+    r, c = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    x = data.draw(digit_matrices(order, r, c))
+    if data.draw(st.booleans()):  # an operand without digits
+        x = PackedMatrix(x.packing, x.den, x.rows, x.bits, x.norm)
+    side = data.draw(st.sampled_from(["rows", "cols", "both"]))
+    rows = data.draw(scalings(order, r)) if side != "cols" else None
+    cols = data.draw(scalings(order, c)) if side != "rows" else None
+    got = x.scale(rows, cols)
+    want = x
+    if rows is not None:
+        want = diagonal_oracle(rows) @ want
+    if cols is not None:
+        want = want @ diagonal_oracle(cols)
+    assert got == want
+    ref = x.to_matrix()
+    if rows is not None:
+        ref = mx.mat_mul(diagonal_oracle(rows).to_matrix(), ref)
+    if cols is not None:
+        ref = mx.mat_mul(ref, diagonal_oracle(cols).to_matrix())
+    assert mx.mat_eq(got.to_matrix(), ref)
+    assert_bounds_hold(got)
+
+
+@pytest.mark.parametrize("order", SCALE_ORDERS)
+def test_scale_by_monomials_at_every_exponent(order):
+    # every exponent in [-order, 2 * order), each as a row and as a column
+    # factor and combined with a column exponent; the operand's digits sit
+    # at their 31-bit extreme, so the result's width is at its bound
+    phi = euler_phi(order)
+    top = 2 ** 31 - 1
+    x = from_digits(order, 3, [[[top if (i + j + t) % 3 else -top
+                                 for t in range(phi)] for j in range(2)]
+                               for i in range(2)])
+    exponents = list(range(-order, 2 * order))
+    for e in exponents:
+        for rows, cols in ((roots(order, [e, 1 - e]), None),
+                           (None, roots(order, [e, 2 * e])),
+                           (roots(order, [e, 0]), roots(order, [3, -e]))):
+            got = x.scale(rows, cols)
+            want = x
+            if rows is not None:
+                want = diagonal_oracle(rows) @ want
+            if cols is not None:
+                want = want @ diagonal_oracle(cols)
+            assert got == want, (e, rows, cols)
+            assert_bounds_hold(got)
+
+
+def test_scale_takes_one_field():
+    x = from_digits(12, 1, [[[1, 0, 0, 0]]])
+    with pytest.raises(ValueError):
+        x.scale(cols=roots(24, [1]))
+
+
+def test_syllable_is_a_row_scaling_of_s():
+    for name, param in MODELS:
+        md = builtin_model(name, param)
+        pm = md.packed
+        for k in (0, 1, -1, 5, pm.order + 3):
+            syllable = pm.syllable(k)
+            assert syllable == diagonal_oracle(pm.t_power(k)) @ pm.s
+            assert syllable == pack(md.ts_syllable(k), pm.order)
+            assert syllable._digits is not None
+
+
+def test_t_powers_and_sigma_s_cached_per_model(monkeypatch):
+    md = builtin_model("su2", 2)
+    pm = md.packed
+    assert pm.t_power(3) is pm.t_power(3)
+    assert pm.t_power(3).exponents == tuple(
+        3 * w % pm.order for w in pm.t_weights)
+    calls = []
+    real = PackedMatrix.sigma
+
+    def sigma(self, l):
+        calls.append(l)
+        return real(self, l)
+
+    monkeypatch.setattr(PackedMatrix, "sigma", sigma)
+    rng = Lcg(3)
+    ms = [random_word_matrix(rng) for _ in range(30)]
+    n = md.conductor_n()
+    units = [m for m in ms if math.gcd(m.d, n) == 1]
+    for m in units:
+        galois.kernel_test(md, m)
+    # one sigma_l(S) per Galois index, one sigma_l(D(m)) per sample
+    lifts = {galois.coprime_lift(m.d, n, pm.order) for m in units}
+    assert len(calls) == len(lifts) + len(units)
+    assert pm.sigma_s(next(iter(lifts))) == pm.s.sigma(next(iter(lifts)))

@@ -1,0 +1,142 @@
+"""Mutation checks for the fast paths: every mutant in the table must be
+caught by the tests it names.
+
+Each entry of ``MUTANTS`` is (file under ``src/``, exact old text,
+replacement, pytest node ids).  The old text must occur exactly once in
+the file; text that no longer matches, or matches twice, is an error, so
+an edit to the code cannot turn a mutant into a silent skip.
+
+The named tests first run on an unmutated copy of ``src/`` and must pass
+there.  Then, for each mutant, ``src/`` is copied to a temporary directory,
+the old text is replaced, and the named tests run against the copy with
+``-x``.  A mutant is caught when that run fails (pytest exit code 1, or 2
+when the mutant breaks collection); it survives when the run passes.
+
+Run from anywhere, stdlib only (the tests need pytest and hypothesis):
+
+    python3 tools/mutants.py    # exit 0 when every mutant is caught,
+                                # 1 when one survives, 2 on an error
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+MUTANTS = [
+    (
+        "modata/packed.py",
+        "acc = acc.scale(cols=self.t_power(last_t))",
+        "acc = acc.scale(cols=self.t_power(last_t + 1))",
+        ["tests/test_galois.py::TestScalingSeams::"
+         "test_level_subgroup_in_kernel_su2_2"],
+    ),
+    (
+        # the criterion is symmetric under this swap (S and sigma_d(S) are
+        # symmetric, so the swapped sides are the transposes of the true
+        # ones); the factorization's S^-1 scaling is not
+        "modata/galois.py",
+        "pk.s_inv.scale(pk.t_power(m.b), pk.t_power(-m.e))",
+        "pk.s_inv.scale(pk.t_power(-m.e), pk.t_power(m.b))",
+        ["tests/test_galois.py::TestScalingSeams::"
+         "test_kernel_criterion_equivalence"],
+    ),
+    (
+        "modata/modular_data.py",
+        "(pm.scale(cols=t) @ pm)",
+        "(pm.scale(rows=t) @ pm)",
+        ["tests/test_modular_data.py::TestPackedValidation::"
+         "test_twist_relation_on_file_model"],
+    ),
+    (
+        "modata/packed.py",
+        "bits = a.bits + _clog2(l1 * p.reduce_growth)",
+        "bits = a.bits + _clog2(l1)",
+        ["tests/test_packed.py::test_scale_by_monomials_at_every_exponent"],
+    ),
+    (
+        # the fold of the upper half of an even order without its sign
+        "modata/cyclo.py",
+        "acc[k - half] -= c",
+        "acc[k - half] += c",
+        ["tests/test_cyclo.py::test_root_times_element_is_the_schoolbook_product",
+         "tests/test_cyclo.py::test_root_exponents_at_odd_and_even_orders"],
+    ),
+    (
+        # a placement that does not take the exponent mod m
+        "modata/cyclo.py",
+        "k = (step * j + offset) % m",
+        "k = step * j + offset",
+        ["tests/test_cyclo.py::test_root_times_element_is_the_schoolbook_product",
+         "tests/test_cyclo.py::test_root_exponents_at_odd_and_even_orders"],
+    ),
+]
+
+
+class TableError(Exception):
+    """The table no longer matches the code or the tests."""
+
+
+def replace_once(text: str, file: str, old: str, new: str) -> str:
+    count = text.count(old)
+    if count != 1:
+        raise TableError(f"{file}: old text found {count} times: {old!r}")
+    return text.replace(old, new)
+
+
+def run_tests(src: Path, ids) -> int:
+    """pytest's exit code for the tests `ids`, importing modata from `src`."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         *ids],
+        cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL).returncode
+
+
+def copy_src(tmp: str) -> Path:
+    """A fresh copy of src/ under `tmp`, replacing the last one."""
+    dest = Path(tmp) / "src"
+    shutil.rmtree(dest, ignore_errors=True)
+    shutil.copytree(SRC, dest, ignore=shutil.ignore_patterns("__pycache__"))
+    return dest
+
+
+def main() -> int:
+    start = time.perf_counter()
+    survived = 0
+    try:
+        for file, old, new, _ in MUTANTS:  # the whole table matches first
+            replace_once((SRC / file).read_text(), file, old, new)
+        with tempfile.TemporaryDirectory() as tmp:
+            ids = sorted({node for *_, nodes in MUTANTS for node in nodes})
+            code = run_tests(copy_src(tmp), ids)
+            if code != 0:
+                raise TableError(
+                    f"the named tests do not pass unmutated (exit {code})")
+            for file, old, new, nodes in MUTANTS:
+                src = copy_src(tmp)
+                path = src / file
+                path.write_text(replace_once(path.read_text(), file, old, new))
+                code = run_tests(src, nodes)
+                if code not in (0, 1, 2):
+                    raise TableError(f"pytest exit {code} on {file}: {old!r}")
+                survived += code == 0
+                print(f"{'SURVIVED' if code == 0 else 'caught  '}  {file}: "
+                      f"{old!r} -> {new!r}", flush=True)
+    except TableError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(f"{len(MUTANTS)} mutants, {survived} survived, "
+          f"{time.perf_counter() - start:.0f} s")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
