@@ -14,6 +14,7 @@ fixed field order, no timestamps, so identical invocations are byte-identical.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -224,7 +225,10 @@ def cmd_orbifold(args) -> int:
     return _emit(report, args.json)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: `parse_args` leaves it as it
+    was, and each call fills a new namespace from the defaults."""
     parser = argparse.ArgumentParser(
         prog="modata",
         description="exact verification suites for modular data",

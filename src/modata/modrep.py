@@ -281,12 +281,12 @@ def random_word_matrix(rng: Lcg) -> SL2ZMat:
     Syllable count is drawn in [2, MAX_SYLLABLES] = [2, 6], each t exponent
     in [-6, 6] excluding zero.  Documented so runs are reproducible.
     """
-    m = IDENTITY
-    syllables = rng.int_in(2, MAX_SYLLABLES)
-    for _ in range(syllables):
+    a, b, e, d = 1, 0, 0, 1
+    for _ in range(rng.int_in(2, MAX_SYLLABLES)):
         k = rng.int_in(1, 6) * (1 if rng.below(2) else -1)
-        m = m * t_gen(k) * S_GEN
-    return m
+        # [[a, b], [e, d]] * t^k * s
+        a, b, e, d = a * k + b, -a, e * k + d, -e
+    return SL2ZMat(a, b, e, d)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -62,6 +62,7 @@ from .packed import (
     identity,
     integers,
     pack,
+    packed_model,
     roots,
 )
 from .reporting import CheckRecord, first_failure
@@ -185,9 +186,11 @@ class ModularData:
     @functools.cached_property
     def packed(self) -> PackedModel:
         """This model over the single field Q(zeta_M) of `modata.packed`,
-        with its T^k S syllables; built on first read around the S matrix
-        packed by validation."""
-        return PackedModel(self, self._packed_s)
+        with its T^k S syllables: on first read, the process's one
+        `PackedModel` for this content (`packed.packed_model`, which keeps
+        the last `MODEL_TABLE_SIZE`) around the S matrix packed by
+        validation, so a model built again finds its caches full."""
+        return packed_model(self, self._packed_s)
 
     def verlinde(self, lam: int, mu: int, nu: int) -> int:
         return self.fusion[lam][mu][nu]

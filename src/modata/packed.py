@@ -23,12 +23,18 @@ largest l1 norm) times the fold growth, the largest row l1 norm of the
 map of sigma_l, or 2^(bit length of the other den) for a comparison.  A
 claimed bound is remeasured on the digits before the width grows.
 
-Caches are keyed on integer exponents and automorphisms (T^k, T^k S under
-k, sigma_l(S) under l), never on a group element mod N: that would assume
-the congruence property that the sampled checks test."""
+Caches are keyed on integer exponents and automorphisms, per model
+content (T^k, T^k S under k, sigma_l(S) under l), never on a group element
+mod N: that would assume the congruence property that the sampled checks
+test.  A model's content is its field order, its packed S, its
+conjugation and its T weights; `packed_model` keeps one `PackedModel` per
+content for the process, for the `MODEL_TABLE_SIZE` contents used last, so
+requests that build the same model again share its caches."""
 
 import functools
 import math
+import threading
+from collections import OrderedDict
 from functools import lru_cache
 from itertools import zip_longest
 from operator import matmul, mul
@@ -464,11 +470,19 @@ def _roots(order: int, exponents: tuple[int, ...]) -> Scaling:
                    exponents)
 
 
+def t_weights(md, order: int) -> tuple[int, ...]:
+    """The w with T = diag(zeta_order^w): w = (delta - c0/24) * order, an
+    integer because the orders of the T entries divide the field order."""
+    return tuple(int((d - md.c0 / 24) * order) for d in md.delta)
+
+
 class PackedModel:
     """One model's packed S and S^-1 = C S over Q(zeta_M), C as the
     permutation `conj`, with T^k and T^k S cached under the integer k and
     sigma_l(S) under l.  `s` is S packed when the model was validated,
-    which proves that C commutes with S and T."""
+    which proves that C commutes with S and T.  Every cached value depends
+    only on M, S, C and the T weights, so models of equal content share
+    one instance through `packed_model`; one built directly is private."""
 
     def __init__(self, md, s: PackedMatrix):
         self.rank = md.rank
@@ -476,10 +490,7 @@ class PackedModel:
         self.s = s
         self.conj = md.conj
         self.s_inv = s.take_rows(self.conj)
-        # T = diag(zeta_M^w) with w = (delta - c0/24) * M, an integer
-        # because the orders of the T entries divide M
-        self.t_weights = tuple(
-            int((d - md.c0 / 24) * self.order) for d in md.delta)
+        self.t_weights = t_weights(md, self.order)
         self._syllables: dict[int, PackedMatrix] = {}
         self._t_powers: dict[int, Scaling] = {}
         self._sigma_s: dict[int, PackedMatrix] = {}
@@ -514,3 +525,35 @@ class PackedModel:
         if last_t is not None:
             acc = acc.scale(cols=self.t_power(last_t))
         return acc.take_rows(self.conj) if central else acc
+
+
+#: How many model contents `packed_model` keeps; the least recently used
+#: goes first.  A process that runs many requests on a few models keeps
+#: all of them.
+MODEL_TABLE_SIZE = 8
+
+_models: "OrderedDict[tuple, PackedModel]" = OrderedDict()
+_models_lock = threading.Lock()
+
+
+def packed_model(md, s: PackedMatrix) -> PackedModel:
+    """The process's one `PackedModel` for the content of `md` with S
+    packed as `s`: the field order and width, S's den and packed rows, the
+    conjugation and the T weights."""
+    order = s.packing.order
+    weights = t_weights(md, order)
+    key = (order, s.packing.width, s.den, s.rows, md.conj, weights)
+    with _models_lock:
+        model = _models.pop(key, None)
+        if model is None:
+            model = PackedModel(md, s)
+            if len(_models) >= MODEL_TABLE_SIZE:
+                _models.popitem(last=False)
+        _models[key] = model
+    return model
+
+
+def clear_models() -> None:
+    """Forget every shared `PackedModel`."""
+    with _models_lock:
+        _models.clear()

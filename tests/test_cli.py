@@ -249,6 +249,25 @@ class TestDeterminism:
         _, second, _ = run(capsys, *argv)
         assert first == second
 
+    def test_successive_calls_share_no_arguments(self, capsys):
+        # one parser serves every call of the process: nothing a call
+        # parses may become a default of the next
+        galois = ("galois", "--model", "su2:1", "--l", "5", "--samples",
+                  "2", "--json")
+        run(capsys, *galois, "--seed", "5")
+        _, out, _ = run(capsys, *galois)
+        assert json.loads(out)["config"]["seed"] == "1"
+        lam = ("lambda", "--model", "su2:1", "--r", "1/3", "--json")
+        run(capsys, *lam, "--hat")
+        _, out, _ = run(capsys, *lam)
+        assert json.loads(out)["config"]["hat"] == "False"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--model", "su2:1", "--no-such-flag"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-such-flag" in \
+            capsys.readouterr().err
+        assert run(capsys, "verify", "--model", "su2:1")[0] == 0
+
     def test_subprocess_matches_in_process(self, capsys):
         argv = ["verify", "--model", "su2:1", "--json"]
         _, inproc, _ = run(capsys, *argv)

@@ -22,7 +22,7 @@ from modata.galois import (
 )
 from modata.modrep import IDENTITY, Lcg, SL2ZMat, random_word_matrix, t_gen
 from modata.modular_data import builtin_model
-from modata.packed import PackedMatrix
+from modata.packed import PackedMatrix, PackedModel
 from modata.reporting import CheckRecord
 
 
@@ -161,8 +161,9 @@ class TestFaultInjection:
     def test_left_factorization_failure_is_caught(self, monkeypatch):
         # columns 0 and 2 swapped, the second negated: every column still
         # has one signed match in S, but no row is a signed row of S; a
-        # fresh model, because the packed model caches sigma_l(S)
+        # private packed model, because a shared one caches sigma_l(S)
         su2_2 = builtin_model("su2", 2)
+        su2_2.packed = PackedModel(su2_2, su2_2._packed_s)
         real = PackedMatrix.sigma
 
         def swapped(self, l):
@@ -175,7 +176,7 @@ class TestFaultInjection:
                            match="left factorization failed"):
             parity_decompose(su2_2, 3)
 
-    def test_generator_word_failure_is_caught(self):
+    def test_generator_word_failure_is_caught(self, monkeypatch):
         # S^-1 with one entry negated enters only the generator word
         md = builtin_model("su2", 2)
         pk = md.packed
@@ -183,8 +184,9 @@ class TestFaultInjection:
         rows = [list(row) for row in s_inv.rows]
         rows[0][1] = -rows[0][1]
         assert rows[0][1]
-        pk.s_inv = PackedMatrix(s_inv.packing, s_inv.den, tuple(
-            map(tuple, rows)), s_inv.bits, s_inv.norm)
+        monkeypatch.setattr(pk, "s_inv", PackedMatrix(
+            s_inv.packing, s_inv.den, tuple(map(tuple, rows)), s_inv.bits,
+            s_inv.norm))
         for l in (3, 5, 7):
             failed = [r.check for r in verify_galois_identities(md, l)
                       if not r.passed]

@@ -384,14 +384,15 @@ class TestPackedSuiteMatchesReference:
                            for kn in self.PAIRS]
             assert not all(rec.passed for rec in got)
 
-    def test_corrupted_syllable(self):
+    def test_corrupted_syllable(self, monkeypatch):
         # one entry of T S, plus one, in the packed and the CycloNum cache
         md = builtin_model("su2", 2)
         pm = md.packed
         good = pm.syllable(1)
         digits = [[list(d) for d in row] for row in good.digits()]
         digits[0][1][0] += good.den
-        pm._syllables[1] = from_digits(pm.order, good.den, digits)
+        monkeypatch.setitem(pm._syllables, 1,
+                            from_digits(pm.order, good.den, digits))
         rows = [list(row) for row in md.ts_syllable(1)]
         rows[0][1] = rows[0][1] + 1
         md._ts_cache[1] = mx.mat(rows)

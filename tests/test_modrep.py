@@ -165,7 +165,7 @@ class TestSyllableCache:
             rep_evaluate(md, t_gen(k) * S_GEN)
         assert sorted(md._ts_cache) == [-1, 1, 1 + n]
 
-    def test_corrupt_syllable_fails_level_check(self):
+    def test_corrupt_syllable_fails_level_check(self, monkeypatch):
         md = builtin_model("su2", 1)
         n = md.conductor_n()
         seed = 3
@@ -176,10 +176,10 @@ class TestSyllableCache:
         suite = galois.congruence_suite(md, 1, seed, ())
         assert suite[0].human_line() == line
         syl = md.packed.syllable(k)
-        md.packed._syllables[k] = PackedMatrix(
+        monkeypatch.setitem(md.packed._syllables, k, PackedMatrix(
             syl.packing, syl.den,
             tuple(tuple(2 * v for v in row) for row in syl.rows),
-            syl.bits + 1, 2 * syl.norm)
+            syl.bits + 1, 2 * syl.norm))
         suite = galois.congruence_suite(md, 1, seed, ())
         assert suite[0].human_line().startswith(
             "FAIL  congruence.level_subgroup_in_kernel  n=24 samples=1  "
@@ -201,6 +201,22 @@ class TestSampling:
         a = [sample_gamma(16, Lcg(42)) for _ in range(5)]
         b = [sample_gamma(16, Lcg(42)) for _ in range(5)]
         assert a == b
+
+    def test_random_word_matrix_on_four_ints(self):
+        # the product of SL2ZMat values it replaces, as the oracle: equal
+        # matrices and the generator left in the same state
+        def oracle(rng):
+            m = IDENTITY
+            for _ in range(rng.int_in(2, 6)):
+                k = rng.int_in(1, 6) * (1 if rng.below(2) else -1)
+                m = m * t_gen(k) * S_GEN
+            return m
+
+        for seed in range(1200):
+            got, want = Lcg(seed), Lcg(seed)
+            for _ in range(3):
+                assert random_word_matrix(got) == oracle(want), seed
+            assert got.state == want.state
 
     def test_lcg_fixed_constants(self):
         rng = Lcg(0)

@@ -7,16 +7,20 @@ bound cases pin the widths at which a product, a comparison and an
 identity test stop trusting the packed ints.
 """
 
+import collections
 import json
 import math
+import sys
+import threading
 from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modata import galois
+from modata import cli, galois
 from modata import matrixops as mx
+from modata import packed as packed_module
 from modata.cyclo import CycloNum, _context, _factorize, euler_phi, make
 from modata.modrep import (
     IDENTITY,
@@ -33,6 +37,7 @@ from modata.modrep import (
 )
 from modata.modular_data import builtin_model, loads
 from modata.packed import (
+    MODEL_TABLE_SIZE,
     WIDTH_STEP,
     IntegerMatrix,
     PackedMatrix,
@@ -42,6 +47,7 @@ from modata.packed import (
     from_digits,
     integers,
     pack,
+    packed_model,
     packing,
     roots,
     width_for,
@@ -651,8 +657,10 @@ def test_syllable_is_a_row_scaling_of_s():
 
 
 def test_t_powers_and_sigma_s_cached_per_model(monkeypatch):
-    md = builtin_model("su2", 2)
+    # per model content: a second build of su2:2 reads the same caches
+    md, again = builtin_model("su2", 2), builtin_model("su2", 2)
     pm = md.packed
+    assert again.packed is pm
     assert pm.t_power(3) is pm.t_power(3)
     assert pm.t_power(3).exponents == tuple(
         3 * w % pm.order for w in pm.t_weights)
@@ -668,9 +676,92 @@ def test_t_powers_and_sigma_s_cached_per_model(monkeypatch):
     ms = [random_word_matrix(rng) for _ in range(30)]
     n = md.conductor_n()
     units = [m for m in ms if math.gcd(m.d, n) == 1]
-    for m in units:
-        galois.kernel_test(md, m)
-    # one sigma_l(S) per Galois index, one sigma_l(D(m)) per sample
+    for model in (md, again):
+        for m in units:
+            galois.kernel_test(model, m)
+    # one sigma_l(S) per Galois index over both builds, one sigma_l(D(m))
+    # per sample
     lifts = {galois.coprime_lift(m.d, n, pm.order) for m in units}
-    assert len(calls) == len(lifts) + len(units)
+    assert len(calls) == len(lifts) + 2 * len(units)
     assert pm.sigma_s(next(iter(lifts))) == pm.s.sigma(next(iter(lifts)))
+
+
+class TestSharedModels:
+    """One `PackedModel` per model content in the process (`packed_model`)."""
+
+    def test_builds_of_one_content_share_a_packed_model(self):
+        md = builtin_model("su2", 2)
+        assert builtin_model("su2", 2).packed is md.packed
+        assert loads(md.dumps()).packed is md.packed
+
+    def test_second_galois_request_builds_nothing(self, monkeypatch, capsys):
+        builds = collections.Counter()
+        real = packed_module._cached
+
+        def counting(cache, key, build):
+            if key not in cache:  # the method whose cache missed
+                builds[build.__qualname__.split(".")[-3]] += 1
+            return real(cache, key, build)
+
+        monkeypatch.setattr(packed_module, "_cached", counting)
+        argv = ["galois", "--model", "su2:2", "--l", "3,5,7,9",
+                "--samples", "10", "--json"]
+        assert cli.main(argv) == 0
+        assert builds["syllable"] > 0 and builds["sigma_s"] > 0
+        builds.clear()
+        assert cli.main(argv) == 0
+        assert builds["syllable"] == builds["sigma_s"] == 0
+
+    def test_c0_shift_gets_its_own_packed_model(self):
+        # S, its field and C agree; only the T weights tell them apart
+        md = builtin_model("su2", 1)
+        shifted = builtin_model("su2", 1, c0_override=md.c0 + 8)
+        assert shifted._packed_s.rows == md._packed_s.rows
+        assert shifted.packed is not md.packed
+        for model in (md, shifted):
+            pm = model.packed
+            assert pm.syllable(1) == pack(model.ts_syllable(1), pm.order)
+
+    def test_table_keeps_the_contents_used_last(self):
+        mds = [builtin_model("su2", 1, c0_override=c0) for c0 in (1, 9, 17)]
+        mds += [builtin_model(*spec) for spec in (
+            ("su2", 2), ("su2", 3), ("su2", 4), ("cyclic_odd", 3),
+            ("cyclic_odd", 5), ("trivial", None))]
+        assert len(mds) == MODEL_TABLE_SIZE + 1
+
+        def shared(i):
+            return packed_model(mds[i], mds[i]._packed_s)
+
+        first, evicted = shared(0), shared(1)
+        for i in range(2, MODEL_TABLE_SIZE):
+            shared(i)
+        assert shared(0) is first  # now the most recently used
+        shared(MODEL_TABLE_SIZE)
+        assert len(packed_module._models) == MODEL_TABLE_SIZE
+        assert shared(0) is first
+        assert shared(1) is not evicted
+
+    def test_threads_share_one_model_per_content(self):
+        models = [builtin_model("su2", 1, c0_override=1 + 8 * j)
+                  for j in range(3)]
+        seen = [[] for _ in models]
+
+        def work():
+            for _ in range(300):
+                for md, out in zip(models, seen):
+                    out.append(packed_model(md, md._packed_s))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(len(out) == 8 * 300 for out in seen)
+        assert [len(set(map(id, out))) for out in seen] == [1, 1, 1]
+        assert len(packed_module._models) == len(models)

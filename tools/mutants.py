@@ -76,6 +76,29 @@ MUTANTS = [
         ["tests/test_cyclo.py::test_root_times_element_is_the_schoolbook_product",
          "tests/test_cyclo.py::test_root_exponents_at_odd_and_even_orders"],
     ),
+    (
+        # models that differ only in T would share their T^k S syllables
+        "modata/packed.py",
+        "s.rows, md.conj, weights)",
+        "s.rows, md.conj)",
+        ["tests/test_packed.py::TestSharedModels::"
+         "test_c0_shift_gets_its_own_packed_model"],
+    ),
+    (
+        # every build gets a new model with empty caches
+        "modata/packed.py",
+        "model = _models.pop(key, None)",
+        "model = None",
+        ["tests/test_packed.py::TestSharedModels::"
+         "test_second_galois_request_builds_nothing"],
+    ),
+    (
+        "modata/modrep.py",
+        "a, b, e, d = a * k + b, -a, e * k + d, -e",
+        "a, b, e, d = a * k + d, -a, e * k + b, -e",
+        ["tests/test_modrep.py::TestSampling::"
+         "test_random_word_matrix_on_four_ints"],
+    ),
 ]
 
 
