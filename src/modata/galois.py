@@ -39,7 +39,7 @@ from .errors import (
     NotCoprimeError,
     NotDiagonalError,
 )
-from .lambdamat import lambda_hat
+from .lambdamat import bezout, lambda_hat
 from .modrep import (
     Lcg,
     SL2ZMat,
@@ -295,7 +295,7 @@ def z_matrix(md: ModularData, l: int, r) -> mx.Matrix:
     hatted fractional matrix at the dual argument; raises NotDiagonalError
     when extraction fails."""
     r = Fraction(r)
-    rstar = _dual_argument(r)
+    rstar = bezout(r).dual
     lr = l * rstar
     modulus = _entry_modulus(md, rstar, lr)
     if math.gcd(l, modulus) != 1:
@@ -313,16 +313,6 @@ def z_matrix(md: ModularData, l: int, r) -> mx.Matrix:
                 f"diagonal entry {x!r} has order not dividing {r.denominator}"
             )
     return z
-
-
-def _dual_argument(r: Fraction) -> Fraction:
-    """The argument r* with numerator the mod-den inverse of r's numerator;
-    an involution mod 1, satisfying (r*)* = r there."""
-    r = r - math.floor(r)
-    if r == 0:
-        return Fraction(0)
-    n = r.denominator
-    return Fraction(pow(r.numerator, -1, n), n)
 
 
 def z_suite(md: ModularData, l: int, m: int, r) -> list[CheckRecord]:

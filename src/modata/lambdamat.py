@@ -18,9 +18,11 @@ matrix is S itself.
 
 `lambda_mat` and `lambda_hat` build CycloNum matrices: the orders of their
 entries reach the `lambda --json` report, and the orbifold and Galois
-suites read them.  The identity suite `verify_lambda_identities` and
-`hat_functional_equation_check` test equalities only, so they run on the
-model's packed matrices over its single field Q(zeta_M) (`modata.packed`):
+suites read them.  Their D(m) is `modrep.rep_evaluate`, the packed product
+read at the orders of the CycloNum chain.  The identity suite
+`verify_lambda_identities` and `hat_functional_equation_check` test
+equalities only, so they run on the model's packed matrices over its
+single field Q(zeta_M) (`modata.packed`):
 D(m) is evaluated there, and every fractional T power, and the phase of
 the hat, is carried as a phase exponent of the rows, the columns or the
 whole matrix (`_Phased`), never as a matrix over a larger field.

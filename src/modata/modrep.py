@@ -5,18 +5,18 @@ entry of a matrix is written `e` (the letter c is taken by the central
 charge).  The representation sends s -> S, t -> T and the central -I to
 the conjugation permutation S^2.
 
-Two evaluators of the representation share one word walk (`syllables`:
-decompose, pair each t^k with the s after it, keep the final t^k and the
-sign).  `rep_evaluate` multiplies CycloNum matrices, so each entry keeps
-the order its products give it; those orders reach the `lambda --json`
-report, which is why `lambdamat.lambda_mat` uses it for the printed matrix
-and for the hatted matrices of the orbifold and Galois suites, and the
-tests use it as the reference.  `rep_evaluate_packed` multiplies the same
-factors as packed matrices over the model's single field, -I permuting
-rows (see `modata.packed`, whose `PackedModel.product` also evaluates the
-Galois generator word), for the checks that need only identity and
-equality tests and sigma_l: the congruence and kernel sampling checks, the
-lambda identity suite and the spliced functional equation.
+One walk reads a matrix as its word (`syllables`: Euclidean reduction on
+the left column, each step a syllable t^k s, then the final t^k and the
+sign), and one engine multiplies it: the packed matrices of the model over
+its single field Q(zeta_M) (see `modata.packed`), -I permuting rows.
+`rep_evaluate_packed` returns that product, for the checks that need only
+identity and equality tests and sigma_l: the congruence and kernel
+sampling checks, the lambda identity suite and the spliced functional
+equation.  `rep_evaluate` reads the same product as CycloNum entries, each
+at the order the CycloNum chain of S, T powers and S^2 gives it (the order
+rule in its docstring), because those orders reach the `lambda --json`
+report; `lambdamat.lambda_mat` uses it for the printed matrix and for the
+hatted matrices of the orbifold and Galois suites.
 
 Sampling is reproducible: a fixed 64-bit linear congruential generator
 (multiplier 6364136223846793005, increment 1442695040888963407, state and
@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 from . import matrixops as mx
+from .cyclo import CycloNum
 from .errors import LiftNotFoundError, NotCoprimeError
 from .modular_data import ModularData
 from .packed import PackedMatrix
@@ -87,12 +88,6 @@ class GenWord:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __str__(self) -> str:
-        parts = ["-I"] if self.sign < 0 else []
-        for kind, k in self.tokens:
-            parts.append("s" if kind == "s" else f"t^{k}")
-        return " ".join(parts) if parts else "1"
-
 
 def evaluate_word(word: GenWord) -> SL2ZMat:
     """Integer evaluation of a generator word."""
@@ -100,44 +95,6 @@ def evaluate_word(word: GenWord) -> SL2ZMat:
     for kind, k in word.tokens:
         m = m * (S_GEN if kind == "s" else t_gen(k))
     return -m if word.sign < 0 else m
-
-
-def decompose(m: SL2ZMat) -> GenWord:
-    """A generator word for m, by Euclidean reduction on the left column.
-
-    Left-multiplications by t^-q and s drive the lower-left entry to zero;
-    the accumulated inverses, read in application order, spell the word.
-    s^-1 contributes a single s token and one central sign flip.
-    """
-    tokens: list[tuple[str, int]] = []
-    sign = 1
-    a, b, e, d = m.a, m.b, m.e, m.d
-    while e != 0:
-        q, r = divmod(a, e)
-        if 2 * abs(r) > abs(e):  # round to nearest for shorter words
-            q += 1
-        if q:
-            # m <- t^-q m ; the word gains t^q
-            a, b = a - q * e, b - q * d
-            tokens.append(("t", q))
-        # m <- s^-1 m ; the word gains s
-        a, b, e, d = e, d, -a, -b
-        tokens.append(("s", 1))
-    # remainder is [[a, b], [0, a]] with a = +/-1, i.e. sign * t^(a*b)
-    if a < 0:
-        sign = -sign
-    if a * b:
-        tokens.append(("t", a * b))
-    merged: list[tuple[str, int]] = []
-    for kind, k in tokens:
-        if kind == "t" and merged and merged[-1][0] == "t":
-            k += merged[-1][1]
-            merged.pop()
-            if k == 0:
-                continue
-        merged.append((kind, k))
-    word = GenWord(tuple(merged), sign)
-    return word
 
 
 @dataclass(frozen=True)
@@ -152,55 +109,106 @@ class Syllables:
 
 
 def syllables(m: SL2ZMat) -> Syllables:
-    """The word walk shared by both evaluators: decompose m, pair each t^k
-    with the s after it, and keep the final t^k and the sign apart."""
-    word = decompose(m)
+    """The word of m, by Euclidean reduction on the left column.
+
+    Each step left-multiplies by s^-1 t^-q, q the quotient a/e rounded to
+    nearest, until the lower-left entry is zero; the word gains t^q s (a
+    bare s when q = 0).  What remains is [[a, b], [0, a]] with a = +/-1:
+    the final t^(a*b), and -I when a < 0."""
     steps = []
-    pending = None  # the exponent of a t^k waiting for the s after it
-    for kind, k in word.tokens:
-        if kind == "t":
-            pending = k
-        else:
-            steps.append(pending)
-            pending = None
-    return Syllables(tuple(steps), pending, word.sign < 0)
+    a, b, e, d = m.a, m.b, m.e, m.d
+    while e != 0:
+        q, r = divmod(a, e)
+        if 2 * abs(r) > abs(e):  # round to nearest for shorter words
+            q += 1
+        a, b, e, d = e, d, q * e - a, q * d - b
+        steps.append(q or None)
+    return Syllables(tuple(steps), a * b or None, a < 0)
+
+
+def decompose(m: SL2ZMat) -> GenWord:
+    """The word of `syllables` as tokens: t^k (when k is not None) and s
+    per step, then the final t^k; -I as the sign."""
+    w = syllables(m)
+    tokens = []
+    for k in w.steps:
+        if k is not None:
+            tokens.append(("t", k))
+        tokens.append(("s", 1))
+    if w.last_t is not None:
+        tokens.append(("t", w.last_t))
+    return GenWord(tuple(tokens), -1 if w.central else 1)
+
+
+def _product_orders(a, a_orders, b, b_orders) -> list[list[int]]:
+    """The entry orders of the product of a and b (rows of values, true
+    when nonzero) as `cyclo.dot` gives them: entry (i, j) at the lcm of the
+    orders of a_ik and b_kj over the k where both are nonzero, else 1."""
+    cols = list(zip(*b))
+    col_orders = list(zip(*b_orders))
+    return [[math.lcm(*(o for x, y, ox, oy in zip(row, col, ro, co)
+                        if x and y for o in (ox, oy)))
+             for col, co in zip(cols, col_orders)]
+            for row, ro in zip(a, a_orders)]
 
 
 def rep_evaluate(md: ModularData, m: SL2ZMat) -> mx.Matrix:
-    """The representation matrix D(m), as a product of S and diagonal
-    T powers along a generator word; -I contributes the conjugation
-    permutation S^2.
+    """D(m) with CycloNum entries: the packed product of
+    `rep_evaluate_packed`, each entry coerced from the field order M to the
+    order the CycloNum chain of S, T powers and S^2 gives it.
 
-    Each syllable t^k s of the word is one product by the matrix T^k S,
-    which `ModularData.ts_syllable` caches under the integer exponent k;
-    every token of the word is still evaluated.  Entries stay CycloNum
-    values at the orders the products give them, because those orders
-    reach the `lambda --json` report; the sampling checks and the lambda
-    identity suite use `rep_evaluate_packed`.
+    The order rule, ord t_i^k being the order of the i-th entry of T^k:
+    - a syllable T^k S: lcm(ord t_i^k, ord S_ij) where S_ij != 0, else 1;
+      a bare s keeps the stored orders of `md.s`;
+    - a product entry (i, j): the lcm of ord A_ik and ord B_kj over the k
+      where both are nonzero, 1 if there is none (`_product_orders`);
+    - a final t^k: every entry, zeros included, takes the lcm with
+      ord t_j^k, but a word that is only t^k has ord t_i^k on the diagonal
+      and 1 off it, and the empty word has order 1 everywhere;
+    - -I: the product rule against `md.chat`; the value C A = A C is a row
+      permutation by `conj`, as C is central.
     """
     w = syllables(m)
-    acc = None
+    pm, order, rank = md.packed, md.packed.order, md.rank
+
+    def t_orders(k):  # the orders of the entries of T^k
+        return [order // math.gcd(x * k, order) for x in pm.t_weights]
+
+    acc = orders = None
     for k in w.steps:
-        step = md.s if k is None else md.ts_syllable(k)
-        acc = step if acc is None else mx.mat_mul(acc, step)
-    if w.last_t is not None:  # a final t^k scales the columns
-        entries = md.t_entries(w.last_t)
-        acc = (
-            mx.diagonal(entries)
-            if acc is None
-            else mx.scale_cols(acc, entries)
-        )
-    if acc is None:
-        acc = mx.identity(md.rank)
+        step = pm.syllable(k or 0)
+        # a bare s keeps every stored order of S, zeros included
+        step_orders = [[math.lcm(t, x.order) if x or k is None else 1
+                        for x in row]
+                       for t, row in zip(t_orders(k or 0), md.s)]
+        if acc is None:
+            acc, orders = step, step_orders
+        else:
+            orders = _product_orders(acc.rows, orders, step.rows, step_orders)
+            acc = acc @ step
+    if acc is None:  # the empty word, or only t^k: the identity, order 1
+        acc, orders = pm.identity(), [[1] * rank for _ in range(rank)]
+    if w.last_t is not None:
+        # every entry takes the lcm, but the zeros of that identity
+        t = t_orders(w.last_t)
+        orders = [[math.lcm(o, tj) if x or w.steps else o
+                   for x, o, tj in zip(row, row_orders, t)]
+                  for row, row_orders in zip(acc.rows, orders)]
+        acc = acc.scale(cols=pm.t_power(w.last_t))
     if w.central:
-        acc = mx.mat_mul(acc, md.chat)
-    return acc
+        orders = _product_orders(acc.rows, orders, md.chat,
+                                 [[x.order for x in row] for row in md.chat])
+        acc = acc.take_rows(md.conj)
+    return tuple(
+        tuple(CycloNum(order, acc.den, d).coerce(o)
+              for d, o in zip(row, row_orders))
+        for row, row_orders in zip(acc.digits(), orders))
 
 
 def rep_evaluate_packed(md: ModularData, m: SL2ZMat) -> PackedMatrix:
-    """D(m) over the model's single field (see `modata.packed`): the same
-    syllables as `rep_evaluate`, a bare s being T^0 S, multiplied as
-    packed matrices, and -I a row permutation by `conj`."""
+    """D(m) over the model's single field (see `modata.packed`): the
+    syllables of m, a bare s being T^0 S, multiplied as packed matrices,
+    and -I a row permutation by `conj`."""
     w = syllables(m)
     return md.packed.product(
         [0 if k is None else k for k in w.steps], w.last_t, w.central)

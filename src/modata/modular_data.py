@@ -23,13 +23,14 @@ A failing packed comparison's witness is its first (i, j); a failing
 fusion entry's is one `verlinde_value`, a `cyclo.dot` of r terms held at
 the lcm of the orders of its nonzero terms, the value `verlinde_sum`
 returns.  S^2 stays the one CycloNum product, because its entry orders
-reach `rep_evaluate` and the `lambda --json` report (the packed model
-reads only `conj`).  The scalar character sums (the total index, the
-statistical phase sum, the soliton multiplicity) are `sum(terms,
-CycloNum.zero())`: each term is a product of three or more factors (or a
-square), which `dot` cannot fuse, and each sum runs once per check over
-at most rank terms, so `+` keeps them one line each at the value, order
-included, of the term-by-term chain.
+are those the order rule of `rep_evaluate` gives the central -I, and so
+reach the `lambda --json` report (the packed model reads only `conj`).
+The scalar character sums (the total index, the statistical phase sum,
+the soliton multiplicity) are `sum(terms, CycloNum.zero())`: each term is
+a product of three or more factors (or a square), which `dot` cannot
+fuse, and each sum runs once per check over at most rank terms, so `+`
+keeps them one line each at the value, order included, of the
+term-by-term chain.
 """
 
 import functools
@@ -156,7 +157,6 @@ class ModularData:
         self.validation_report = records
         self._packed_s = derived["packed_s"]
         self._t_cache: dict[Fraction, tuple[CycloNum, ...]] = {}
-        self._ts_cache: dict[int, mx.Matrix] = {}
         self._conductor: ConductorInfo | None = None
         self._conductor_records: list[CheckRecord] | None = None
 
@@ -171,16 +171,6 @@ class ModularData:
                 root_of_unity_exp((d - self.c0 / 24) * r) for d in self.delta
             )
             self._t_cache[r] = cached
-        return cached
-
-    def ts_syllable(self, k: int) -> mx.Matrix:
-        """D(t^k s) = T^k S for an integer exponent k, cached per k; the
-        CycloNum syllable of `rep_evaluate` (the packed one is
-        `packed.syllable`)."""
-        cached = self._ts_cache.get(k)
-        if cached is None:
-            cached = mx.mat_mul(mx.diagonal(self.t_entries(k)), self.s)
-            self._ts_cache[k] = cached
         return cached
 
     @functools.cached_property

@@ -23,13 +23,16 @@ largest l1 norm) times the fold growth, the largest row l1 norm of the
 map of sigma_l, or 2^(bit length of the other den) for a comparison.  A
 claimed bound is remeasured on the digits before the width grows.
 
-Caches are keyed on integer exponents and automorphisms, per model
-content (T^k, T^k S under k, sigma_l(S) under l), never on a group element
-mod N: that would assume the congruence property that the sampled checks
-test.  A model's content is its field order, its packed S, its
-conjugation and its T weights; `packed_model` keeps one `PackedModel` per
-content for the process, for the `MODEL_TABLE_SIZE` contents used last, so
-requests that build the same model again share its caches."""
+Caches are keyed on exponents and automorphisms, per model content:
+T^k and T^k S under k mod M, sigma_l(S) under l.  T = diag(zeta_M^w), so
+T^(k+M) = T^k entry by entry, an identity of roots of unity; a model then
+holds at most M of each.  No cache is keyed on a group element mod N: that
+would assume the congruence property that the sampled checks test, so
+every syllable of every word is still multiplied.  A model's content is
+its field order, its packed S, its conjugation and its T weights;
+`packed_model` keeps one `PackedModel` per content for the process, for
+the `MODEL_TABLE_SIZE` contents used last, so requests that build the same
+model again share its caches."""
 
 import functools
 import math
@@ -478,7 +481,7 @@ def t_weights(md, order: int) -> tuple[int, ...]:
 
 class PackedModel:
     """One model's packed S and S^-1 = C S over Q(zeta_M), C as the
-    permutation `conj`, with T^k and T^k S cached under the integer k and
+    permutation `conj`, with T^k and T^k S cached under k mod M and
     sigma_l(S) under l.  `s` is S packed when the model was validated,
     which proves that C commutes with S and T.  Every cached value depends
     only on M, S, C and the T weights, so models of equal content share
@@ -499,13 +502,16 @@ class PackedModel:
         return identity(self.order, self.rank)
 
     def t_power(self, k: int) -> Scaling:
-        """T^k for an integer k: the monomials x^(w_i * k mod M)."""
+        """T^k for an integer k: the monomials x^(w_i * k mod M), kept
+        under k mod M."""
+        k %= self.order
         return _cached(self._t_powers, k, lambda: roots(
             self.order, [w * k for w in self.t_weights]))
 
     def syllable(self, k: int) -> PackedMatrix:
         """T^k S: row i of S's digits turned by x^(w_i * k), packed at the
-        narrowest width that holds it."""
+        narrowest width that holds it, kept under k mod M."""
+        k %= self.order
         return _cached(self._syllables, k, lambda: from_digits(
             self.order, self.s.den, [
                 [_context(self.order).substitute(d, 1, e) for d in row]

@@ -20,6 +20,7 @@ from modata.galois import (
     z_matrix,
     z_suite,
 )
+from modata.lambdamat import bezout
 from modata.modrep import IDENTITY, Lcg, SL2ZMat, random_word_matrix, t_gen
 from modata.modular_data import builtin_model
 from modata.packed import PackedMatrix, PackedModel
@@ -337,3 +338,19 @@ class TestZMatrices:
         md = builtin_model("su2", 1, c0_override=Fraction(-7))
         z = z_matrix(md, l, r)
         assert all(x ** r.denominator == 1 for x in mx.diag_entries(z))
+
+    def test_dual_argument_is_the_bezout_dual(self):
+        # z_matrix takes r* = bezout(r).dual; the formula it replaced, r
+        # reduced into [0, 1) and its numerator inverted mod the
+        # denominator, as the oracle on every a/q, q < 40, -90 <= a < 90
+        def dual_argument(r):
+            r = r - math.floor(r)
+            if r == 0:
+                return Fraction(0)
+            n = r.denominator
+            return Fraction(pow(r.numerator, -1, n), n)
+
+        grid = [Fraction(a, q) for q in range(1, 40) for a in range(-90, 90)]
+        assert len(grid) == 7020
+        for r in grid:
+            assert bezout(r).dual == dual_argument(r), r

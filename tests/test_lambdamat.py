@@ -3,10 +3,13 @@ identity suite including the spliced functional equation.
 
 The suite runs on packed matrices with T powers carried as phase exponents;
 `reference_identities` is the same suite on CycloNum matrices, built from
-`lambda_mat` and `lambda_hat`, `reference_hat_functional_equation` is the
-CycloNum chain of the spliced functional equation, and the differential
-tests compare each pair record by record."""
+`reference_lambda` and `reference_hat` (`lambda_mat` and `lambda_hat` with
+D(m) from `word_oracle`, independent of the packed engine that `lambdamat`
+reads), `reference_hat_functional_equation` is the CycloNum chain of the
+spliced functional equation, and the differential tests compare each pair
+record by record."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -29,27 +32,53 @@ from modata.lambdamat import (
     phase_g,
     verify_lambda_identities,
 )
+from modata.modrep import S_GEN, t_gen
 from modata.modular_data import builtin_model
 from modata.packed import from_digits, pack
 from modata.reporting import CheckRecord, notice
 
+import word_oracle
+from word_oracle import serialized
+
+
+def reference_lambda(md, r, bez=None):
+    """L(r) = T^-r D(m) T^-r* on CycloNum matrices, D(m) by
+    `word_oracle.rep_evaluate_by_token`, read off the module so that a
+    test may replace it."""
+    r = Fraction(r)
+    bez = bezout(r) if bez is None else bez
+    d = word_oracle.rep_evaluate_by_token(md, bez.matrix())
+    return mx.scale_cols(mx.scale_rows(md.t_entries(-r), d),
+                         md.t_entries(-bez.dual))
+
+
+def reference_hat(md, r):
+    """e(g(r)) L(r) of `reference_lambda`, S at integers; `phase_g` read
+    off `lambdamat`."""
+    r = Fraction(r)
+    if r.denominator == 1:
+        return md.s
+    phase = root_of_unity_exp(lambdamat.phase_g(md.c, md.c0, r))
+    return mx.scalar_mul(phase, reference_lambda(md, r))
+
 
 def reference_identities(md, r) -> list[CheckRecord]:
     """The identity suite on CycloNum matrices: every L and hat is built by
-    `lambda_mat` and `lambda_hat` and every T power is a CycloNum diagonal.
-    `phase_g` is read off the module, so a test may replace it."""
+    `reference_lambda` and `reference_hat` and every T power is a CycloNum
+    diagonal.  `phase_g` is read off the module, so a test may replace
+    it."""
     suite = "lambda"
     r = Fraction(r)
     bz = bezout(r)
     records = []
-    lam = lambda_mat(md, r, bz)
+    lam = reference_lambda(md, r, bz)
 
     records.append(CheckRecord(
         suite, "periodic",
-        mx.mat_eq(lambda_mat(md, r + 1), lam), params={"r": r}))
+        mx.mat_eq(reference_lambda(md, r + 1), lam), params={"r": r}))
 
     n = r.denominator
-    lhs = lambda_mat(md, Fraction(1, n))
+    lhs = reference_lambda(md, Fraction(1, n))
     s_inv = mx.mat_mul(md.s, md.chat)  # S^2 is the conjugation
     rhs = mx.scale_cols(
         mx.scale_rows(
@@ -66,7 +95,7 @@ def reference_identities(md, r) -> list[CheckRecord]:
         records.append(notice(suite, "functional_equation",
                               "skipped at r = 0", r=r))
     else:
-        lhs = lambda_mat(md, Fraction(-n, k))
+        lhs = reference_lambda(md, Fraction(-n, k))
         rhs = mx.scale_rows(
             md.t_entries(Fraction(n, k)),
             mx.mat_mul(
@@ -81,10 +110,10 @@ def reference_identities(md, r) -> list[CheckRecord]:
 
     records.append(CheckRecord(
         suite, "transpose_dual",
-        mx.mat_eq(lambda_mat(md, bz.dual), mx.transpose(lam)),
+        mx.mat_eq(reference_lambda(md, bz.dual), mx.transpose(lam)),
         params={"r": r}))
 
-    neg = lambda_mat(md, -r)
+    neg = reference_lambda(md, -r)
     conj_ok = all(
         neg[p][q] == lam[md.conj[p]][q].conjugate()
         for p in range(md.rank) for q in range(md.rank)
@@ -92,13 +121,13 @@ def reference_identities(md, r) -> list[CheckRecord]:
     records.append(CheckRecord(
         suite, "conjugate_reflection", conj_ok, params={"r": r}))
 
-    hat = lambda_hat(md, r)
+    hat = reference_hat(md, r)
     records.append(CheckRecord(
         suite, "hat_transpose_dual",
-        mx.mat_eq(lambda_hat(md, bz.dual), mx.transpose(hat)),
+        mx.mat_eq(reference_hat(md, bz.dual), mx.transpose(hat)),
         params={"r": r}))
 
-    hat_ref = lambda_hat(md, 1 - r)
+    hat_ref = reference_hat(md, 1 - r)
     hat_conj_ok = all(
         hat_ref[p][q] == hat[md.conj[p]][q].conjugate()
         for p in range(md.rank) for q in range(md.rank)
@@ -114,7 +143,7 @@ def reference_identities(md, r) -> list[CheckRecord]:
     for t in (1, -3):
         records.append(CheckRecord(
             suite, "bezout_independence",
-            mx.mat_eq(lambda_mat(md, r, bz.shifted(t)), lam),
+            mx.mat_eq(reference_lambda(md, r, bz.shifted(t)), lam),
             params={"r": r, "t": t}))
 
     g_here = lambdamat.phase_g(md.c, md.c0, r)
@@ -131,17 +160,17 @@ def reference_identities(md, r) -> list[CheckRecord]:
 
 def reference_hat_functional_equation(md, k, n) -> CheckRecord:
     """`hat_functional_equation_check` on CycloNum matrices: the chain
-    e(R) T^(n/k) S T^(k/n) hat((k-n)/n) T^(1/kn) of `lambda_hat`, CycloNum
+    e(R) T^(n/k) S T^(k/n) hat((k-n)/n) T^(1/kn) of `reference_hat`, CycloNum
     diagonals and `mat_mul`, against hat((k-n)/k)."""
     big_r = (md.c - md.c0) * (3 * n * k - Fraction(n * n + k * k + 1, n * k)) / 24
-    lhs = lambdamat.lambda_hat(md, Fraction(k - n, k))
+    lhs = reference_hat(md, Fraction(k - n, k))
     chain = mx.scale_rows(
         md.t_entries(Fraction(n, k)),
         mx.mat_mul(
             md.s,
             mx.scale_rows(
                 md.t_entries(Fraction(k, n)),
-                mx.scale_cols(lambdamat.lambda_hat(md, Fraction(k - n, n)),
+                mx.scale_cols(reference_hat(md, Fraction(k - n, n)),
                               md.t_entries(Fraction(1, k * n))),
             ),
         ),
@@ -351,6 +380,9 @@ class TestPackedSuiteMatchesReference:
         for r in args:
             assert _objs(verify_lambda_identities(md, r)) == \
                 _objs(reference_identities(md, r)), r
+            # the printed matrix, orders included
+            assert serialized(lambda_hat(md, r)) == \
+                serialized(reference_hat(md, r)), r
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([("su2", 1, None), ("su2", 2, None),
@@ -385,7 +417,8 @@ class TestPackedSuiteMatchesReference:
             assert not all(rec.passed for rec in got)
 
     def test_corrupted_syllable(self, monkeypatch):
-        # one entry of T S, plus one, in the packed and the CycloNum cache
+        # one entry of T S, plus one, in the packed syllable cache and in
+        # the reference's D(m), multiplied syllable by syllable
         md = builtin_model("su2", 2)
         pm = md.packed
         good = pm.syllable(1)
@@ -393,17 +426,29 @@ class TestPackedSuiteMatchesReference:
         digits[0][1][0] += good.den
         monkeypatch.setitem(pm._syllables, 1,
                             from_digits(pm.order, good.den, digits))
-        rows = [list(row) for row in md.ts_syllable(1)]
-        rows[0][1] = rows[0][1] + 1
-        md._ts_cache[1] = mx.mat(rows)
-        assert pack(md.ts_syllable(1), pm.order) == pm.syllable(1)
+        by_token = word_oracle.rep_evaluate_by_token
+        bad = [list(row) for row in by_token(md, t_gen(1) * S_GEN)]
+        bad[0][1] = bad[0][1] + 1
+        assert pack(bad, pm.order) == pm.syllable(1)
+
+        def corrupted(md_, m):
+            w = word_oracle.token_syllables(m)
+            factors = [bad if k is not None and k % pm.order == 1
+                       else by_token(md_, t_gen(k or 0) * S_GEN)
+                       for k in w.steps]
+            factors.append(by_token(md_, t_gen(w.last_t or 0)))
+            if w.central:
+                factors.append(md_.chat)
+            return functools.reduce(mx.mat_mul, factors)
+
+        monkeypatch.setattr(word_oracle, "rep_evaluate_by_token", corrupted)
         self._assert_agree_and_fail(md)
 
     def test_negated_representation_entry(self, monkeypatch):
         # D(m) with entry (0, 1) negated, by both evaluators
         md = builtin_model("su2", 1)
         packed_eval, cyclo_eval = (lambdamat.rep_evaluate_packed,
-                                   lambdamat.rep_evaluate)
+                                   word_oracle.rep_evaluate_by_token)
 
         def negate(rows, neg):
             rows = [list(row) for row in rows]
@@ -416,7 +461,7 @@ class TestPackedSuiteMatchesReference:
                 d.digits(), lambda digits: [-c for c in digits]))
 
         monkeypatch.setattr(lambdamat, "rep_evaluate_packed", bad_packed)
-        monkeypatch.setattr(lambdamat, "rep_evaluate",
+        monkeypatch.setattr(word_oracle, "rep_evaluate_by_token",
                             lambda md_, m: mx.mat(negate(cyclo_eval(md_, m),
                                                          lambda x: -x)))
         self._assert_agree_and_fail(md, functional_equation=True)

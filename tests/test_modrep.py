@@ -2,12 +2,14 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from modata import galois
 from modata import matrixops as mx
 from modata.errors import NotCoprimeError
+from modata.lambdamat import bezout
 from modata.modrep import (
     IDENTITY,
     Lcg,
@@ -21,11 +23,18 @@ from modata.modrep import (
     random_word_matrix,
     rep_evaluate,
     sample_gamma,
+    syllables,
     t_gen,
     tau_l,
 )
-from modata.modular_data import builtin_model
+from modata.modular_data import builtin_model, loads
 from modata.packed import PackedMatrix
+from word_oracle import (
+    rep_evaluate_by_token,
+    serialized,
+    token_syllables,
+    token_walk,
+)
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +91,22 @@ class TestDecompose:
             m = _random_sl2z(rnd)
             assert evaluate_word(decompose(m)) == m
 
+    def test_syllables_match_token_walk(self):
+        # the one-loop walk against the token walk it replaced (tokens,
+        # merge pass, pairing), and `decompose` against its tokens
+        rng = Lcg(18)
+        cases = [IDENTITY, -IDENTITY, S_GEN, -S_GEN]
+        cases += [t_gen(k) for k in range(-30, 31)]
+        cases += [-t_gen(k) for k in range(-30, 31)]
+        cases += [sample_gamma(n, rng) for n in (1, 2, 3, 5, 12, 16, 24, 40)
+                  for _ in range(250)]
+        cases += [random_word_matrix(rng) for _ in range(3000)]
+        assert len(cases) >= 5000
+        for m in cases:
+            assert syllables(m) == token_syllables(m), m
+            w = decompose(m)
+            assert (w.tokens, w.sign) == token_walk(m), m
+
     def test_det_checked(self):
         with pytest.raises(ValueError):
             SL2ZMat(1, 1, 1, 1)
@@ -115,55 +140,31 @@ class TestRepresentation:
             assert mx.is_identity(rep_evaluate(md, t_gen(n)))
 
 
-def rep_evaluate_by_token(md, m):
-    """D(m) one token at a time: a product by S for each s and a column
-    scaling by T^k for each t^k; the oracle for the syllable cache."""
-    word = decompose(m)
-    acc = None
-    for kind, k in word.tokens:
-        if kind == "s":
-            acc = md.s if acc is None else mx.mat_mul(acc, md.s)
-        else:
-            entries = md.t_entries(k)
-            acc = (
-                mx.diagonal(entries)
-                if acc is None
-                else mx.scale_cols(acc, entries)
-            )
-    if acc is None:
-        acc = mx.identity(md.rank)
-    if word.sign < 0:
-        acc = mx.mat_mul(acc, md.chat)
-    return acc
-
-
-def serialized(matrix):
-    return [[x.to_obj() for x in row] for row in matrix]
-
-
 class TestSyllableCache:
     @pytest.mark.parametrize("name,param", [
         ("su2", 1), ("su2", 2), ("su2", 3), ("su2", 4),
-        ("cyclic_odd", 3), ("cyclic_odd", 5),
+        ("cyclic_odd", 3), ("cyclic_odd", 5), ("su2-file", 3),
+        ("trivial", None),
     ])
     def test_matches_token_by_token(self, name, param):
-        md = builtin_model(name, param)
+        # the packed product read at the order rule, against the CycloNum
+        # product token by token, orders included
+        if name == "su2-file":  # every S entry at the stored order
+            md = loads(builtin_model("su2", param).dumps())
+        else:
+            md = builtin_model(name, param)
         n = md.conductor_n()
-        rng = Lcg(param)
+        rng = Lcg(param or 7)
         cases = [IDENTITY, -IDENTITY, S_GEN, t_gen(5), S_GEN * t_gen(-2)]
         assert decompose(cases[-1]).tokens[-1][0] == "t"
         cases += [random_word_matrix(rng) for _ in range(50)]
         cases += [sample_gamma(n, rng) for _ in range(50)]
+        # the Bezout matrices [[a, y], [q, x]] of lambda_mat at a/q
+        cases += [bezout(Fraction(a, q)).matrix() for q in range(1, 16)
+                  for a in range(q) if math.gcd(a, q) == 1]
         for m in cases:
             assert serialized(rep_evaluate(md, m)) == \
                 serialized(rep_evaluate_by_token(md, m)), m
-
-    def test_keyed_by_integer_exponent(self):
-        md = builtin_model("su2", 1)
-        n = md.conductor_n()
-        for k in (1, 1 + n, -1):
-            rep_evaluate(md, t_gen(k) * S_GEN)
-        assert sorted(md._ts_cache) == [-1, 1, 1 + n]
 
     def test_corrupt_syllable_fails_level_check(self, monkeypatch):
         md = builtin_model("su2", 1)
@@ -176,7 +177,8 @@ class TestSyllableCache:
         suite = galois.congruence_suite(md, 1, seed, ())
         assert suite[0].human_line() == line
         syl = md.packed.syllable(k)
-        monkeypatch.setitem(md.packed._syllables, k, PackedMatrix(
+        key = k % md.packed.order  # the syllable cache's key for k
+        monkeypatch.setitem(md.packed._syllables, key, PackedMatrix(
             syl.packing, syl.den,
             tuple(tuple(2 * v for v in row) for row in syl.rows),
             syl.bits + 1, 2 * syl.norm))

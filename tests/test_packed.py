@@ -1,8 +1,8 @@
 """The packed single-field evaluator against the CycloNum one.
 
-`rep_evaluate` (CycloNum entries, one `cyclo.dot` per product entry) is the
-reference: every packed matrix must convert to the same values, give the
-same identity verdicts, and map under sigma_l to the CycloNum image.  The
+`word_oracle.rep_evaluate_by_token` (CycloNum entries, token by token) is
+the reference: every packed matrix must convert to the same values, give
+the same identity verdicts, and map under sigma_l to the CycloNum image.  The
 bound cases pin the widths at which a product, a comparison and an
 identity test stop trusting the packed ints.
 """
@@ -28,7 +28,6 @@ from modata.modrep import (
     S_GEN,
     lift_to_sl2z,
     random_word_matrix,
-    rep_evaluate,
     rep_evaluate_packed,
     sample_gamma,
     syllables,
@@ -52,6 +51,7 @@ from modata.packed import (
     roots,
     width_for,
 )
+from word_oracle import rep_evaluate_by_token
 
 MODELS = [("su2", 1), ("su2", 2), ("su2", 3), ("su2", 4),
           ("cyclic_odd", 3), ("cyclic_odd", 5)]
@@ -83,7 +83,7 @@ def check_against_reference(md, cases):
     ls = [l for l in (5, 7, 11, 13) if math.gcd(l, n) == 1]
     assert ls
     for m in cases:
-        ref = rep_evaluate(md, m)
+        ref = rep_evaluate_by_token(md, m)
         got = rep_evaluate_packed(md, m)
         assert mx.mat_eq(got.to_matrix(), ref), m
         assert got.is_identity() == mx.is_identity(ref), m
@@ -126,8 +126,9 @@ def test_frobenius_verdicts_match(name, param):
             lp = galois.coprime_lift(l, n, md.packed.order)
             left = rep_evaluate_packed(md, m).sigma(lp)
             right = rep_evaluate_packed(md, lifted)
-            ref = mx.mat_eq(galois.sigma_matrix(l, rep_evaluate(md, m), n),
-                            rep_evaluate(md, lifted))
+            ref = mx.mat_eq(
+                galois.sigma_matrix(l, rep_evaluate_by_token(md, m), n),
+                rep_evaluate_by_token(md, lifted))
             assert ref and left == right
             assert not (left == rep_evaluate_packed(md, lifted * S_GEN))
 
@@ -150,7 +151,7 @@ def test_long_word_stays_narrow():
     assert got.lift().den == 6
     for syllable in md.packed._syllables.values():
         assert syllable.packing.width == width_for(syllable.bits)
-    ref = rep_evaluate(md, m)
+    ref = rep_evaluate_by_token(md, m)
     assert mx.mat_eq(got.to_matrix(), ref)
     assert got.is_identity() == mx.is_identity(ref)
     assert got.sigma(5).to_matrix() == galois.sigma_matrix(5, ref, 24)
@@ -169,7 +170,7 @@ def test_twelve_syllable_word_stays_narrow():
     assert len(syllables(m).steps) == 10
     got = rep_evaluate_packed(md, m)
     assert got.packing.width == 32
-    assert mx.mat_eq(got.to_matrix(), rep_evaluate(md, m))
+    assert mx.mat_eq(got.to_matrix(), rep_evaluate_by_token(md, m))
 
 
 def test_lift_divides_out_the_common_den():
@@ -185,7 +186,7 @@ def test_lift_divides_out_the_common_den():
     lifted = got.lift()
     assert lifted.den.bit_length() <= 3
     assert lifted == got
-    assert mx.mat_eq(lifted.to_matrix(), rep_evaluate(md, m))
+    assert mx.mat_eq(lifted.to_matrix(), rep_evaluate_by_token(md, m))
     assert_bounds_hold(lifted)
 
 
@@ -214,13 +215,23 @@ def test_kernel_criterion_matches_cyclonum(name, param, doubled):
     assert verdicts == {True, False}
 
 
-def test_syllables_keyed_by_integer_exponent():
+def test_word_caches_keyed_mod_field_order():
+    # T = diag(zeta_M^w), so T^k and T^k S are kept under k mod M: k and
+    # k + M share one entry, k and k + 1 do not
     md = builtin_model("su2", 1)
-    n = md.conductor_n()
-    for k in (1, 1 + n, -1):
+    pm = md.packed
+    m = pm.order
+    for k in (1, 1 + m, -1, 1 - 2 * m):
         rep_evaluate_packed(md, t_gen(k) * S_GEN)
+        rep_evaluate_packed(md, t_gen(k))
     rep_evaluate_packed(md, S_GEN)
-    assert sorted(md.packed._syllables) == [-1, 0, 1, 1 + n]
+    assert sorted(pm._syllables) == [0, 1, m - 1]
+    assert sorted(pm._t_powers) == [0, 1, m - 1]
+    for k in (1, -1, 5):
+        assert pm.syllable(k + m) is pm.syllable(k)
+        assert pm.t_power(k + m) is pm.t_power(k)
+        assert pm.syllable(k + 1) != pm.syllable(k)
+        assert pm.t_power(k + 1).exponents != pm.t_power(k).exponents
 
 
 class TestBounds:
@@ -652,7 +663,8 @@ def test_syllable_is_a_row_scaling_of_s():
         for k in (0, 1, -1, 5, pm.order + 3):
             syllable = pm.syllable(k)
             assert syllable == diagonal_oracle(pm.t_power(k)) @ pm.s
-            assert syllable == pack(md.ts_syllable(k), pm.order)
+            assert syllable == pack(
+                rep_evaluate_by_token(md, t_gen(k) * S_GEN), pm.order)
             assert syllable._digits is not None
 
 
@@ -720,7 +732,8 @@ class TestSharedModels:
         assert shifted.packed is not md.packed
         for model in (md, shifted):
             pm = model.packed
-            assert pm.syllable(1) == pack(model.ts_syllable(1), pm.order)
+            assert pm.syllable(1) == pack(
+                rep_evaluate_by_token(model, t_gen(1) * S_GEN), pm.order)
 
     def test_table_keeps_the_contents_used_last(self):
         mds = [builtin_model("su2", 1, c0_override=c0) for c0 in (1, 9, 17)]

@@ -99,6 +99,38 @@ MUTANTS = [
         ["tests/test_modrep.py::TestSampling::"
          "test_random_word_matrix_on_four_ints"],
     ),
+    (
+        # a zero term's orders enter the lcm of a product entry
+        "modata/modrep.py",
+        "if x and y for o in (ox, oy)",
+        "for o in (ox, oy)",
+        ["tests/test_modrep.py::TestSyllableCache::"
+         "test_matches_token_by_token"],
+    ),
+    (
+        # a bare s read as T^0 S: S's zero entries drop to order 1
+        "modata/modrep.py",
+        "steps.append(q or None)",
+        "steps.append(q)",
+        ["tests/test_modrep.py::TestSyllableCache::"
+         "test_matches_token_by_token"],
+    ),
+    (
+        # -I permutes the values but leaves the orders of S^2 out
+        "modata/modrep.py",
+        "[[x.order for x in row] for row in md.chat]",
+        "[[1] * rank for _ in md.chat]",
+        ["tests/test_modrep.py::TestSyllableCache::"
+         "test_matches_token_by_token"],
+    ),
+    (
+        # a tie a/e = q + 1/2 rounds up: another word for the same matrix
+        "modata/modrep.py",
+        "if 2 * abs(r) > abs(e):",
+        "if 2 * abs(r) >= abs(e):",
+        ["tests/test_modrep.py::TestDecompose::"
+         "test_syllables_match_token_walk"],
+    ),
 ]
 
 
