@@ -455,24 +455,21 @@ class CycloNum:
         return CycloNum(new_order, self.den, nums)
 
     def _descend(self, sub_order: int) -> "CycloNum":
-        # Solve for coordinates over the power basis of the subfield.
+        """This element at the divisor `sub_order` of its order.
+
+        When every prime of step = order/sub_order divides sub_order,
+        Phi_order(x) = Phi_sub(x^step), so the subfield's power basis is
+        every step-th power of zeta_order and the coordinates are a read of
+        every step-th digit; any other nonzero digit puts the element
+        outside the subfield.  Otherwise they are solved for."""
         if sub_order == self.order:
             return self
-        big = _context(self.order)
-        small = _context(sub_order)
         step = self.order // sub_order
-        # column j is zeta^(step*j): the previous column times zeta^step
-        cols = [[1] + [0] * (big.phi - 1)]
-        for _ in range(small.phi - 1):
-            cols.append(big.reduce([0] * step + cols[-1]))
-        target = [Fraction(n, self.den) for n in self.nums]
-        sol = _solve_exact(cols, target, big.phi)
-        if sol is None:
-            raise NotEmbeddableError(
-                f"element of Q(zeta_{self.order}) is not in Q(zeta_{sub_order})"
-            )
-        nums, den = _clear_denominators(sol)
-        return CycloNum(sub_order, den, nums)
+        if any(sub_order % p for p in _factorize(step)):
+            return _descend_by_solve(self, sub_order)
+        if any(c for j, c in enumerate(self.nums) if j % step):
+            raise _not_embeddable(self.order, sub_order)
+        return CycloNum(sub_order, self.den, self.nums[::step])
 
     def minimal_order(self) -> int:
         """Smallest divisor n of the order with the element inside Q(zeta_n).
@@ -608,6 +605,29 @@ def _clear_denominators(coeffs) -> tuple[list[int], int]:
         den = den * c.denominator // math.gcd(den, c.denominator)
     nums = [int(c * den) for c in coeffs]
     return nums, den
+
+
+def _not_embeddable(order: int, sub_order: int) -> NotEmbeddableError:
+    return NotEmbeddableError(
+        f"element of Q(zeta_{order}) is not in Q(zeta_{sub_order})")
+
+
+def _descend_by_solve(x: CycloNum, sub_order: int) -> CycloNum:
+    """x at the divisor `sub_order` of its order, by solving for its
+    coordinates over the power basis of the subfield."""
+    big = _context(x.order)
+    small = _context(sub_order)
+    step = x.order // sub_order
+    # column j is zeta^(step*j): the previous column times zeta^step
+    cols = [[1] + [0] * (big.phi - 1)]
+    for _ in range(small.phi - 1):
+        cols.append(big.reduce([0] * step + cols[-1]))
+    target = [Fraction(n, x.den) for n in x.nums]
+    sol = _solve_exact(cols, target, big.phi)
+    if sol is None:
+        raise _not_embeddable(x.order, sub_order)
+    nums, den = _clear_denominators(sol)
+    return CycloNum(sub_order, den, nums)
 
 
 def _solve_exact(cols, target, nrows):

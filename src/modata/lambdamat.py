@@ -161,7 +161,8 @@ class _Phased:
     field, so it is carried in the phases: T^u (e(c) X) T^v has the phases
     u*w_i and v*w_j, with T = diag(e(w_i)).  Transposes, conjugates and row
     permutations act on X and move or negate the phases; a product is taken
-    at M, and equality compares entries as the one exact rule of `__eq__`.
+    at M, and `mismatches` compares entries as the one exact rule of
+    equality.
     """
 
     __slots__ = ("pm", "x", "den", "a", "b", "c")
@@ -224,15 +225,16 @@ class _Phased:
                        tuple(g * q for q in other.b),
                        f * self.c + g * other.c)
 
-    def __eq__(self, other) -> bool:
-        """Entry (i, j) of each side is equal when X_ij e(d_ij) == Y_ij, d_ij
+    def mismatches(self, other: "_Phased"):
+        """The (i, j) of the entries where this matrix and `other` differ,
+        in row-major order.
+
+        Entry (i, j) of each side is equal when X_ij e(d_ij) == Y_ij, d_ij
         the difference of their phases.  When e(d_ij) lies in Q(zeta_M), it
         is sign * zeta_M^k, and the sides compare as sign * zeta_M^k * x *
         den_y == y * den_x, the root applied as an exponent shift of the
         digits of x; otherwise both entries lie in the field and e(d_ij)
         does not, so they are equal only when both are zero."""
-        if not isinstance(other, _Phased):
-            return NotImplemented
         order = self.pm.order
         ctx = _context(order)
         den = math.lcm(self.den, other.den)
@@ -247,19 +249,23 @@ class _Phased:
                       self.x, other.x)
         dx, dy = xm.den, ym.den
         unpack = xm.packing.unpack
-        for ai, xr, yr in zip(da, xm.rows, ym.rows):
-            for bj, x, y in zip(db, xr, yr):
+        for i, (ai, xr, yr) in enumerate(zip(da, xm.rows, ym.rows)):
+            for j, (bj, x, y) in enumerate(zip(db, xr, yr)):
                 root = _field_root(ai + bj + dc, den, order)
                 if root is None:
                     if x or y:
-                        return False
+                        yield i, j
                 elif root == (1, 0):
                     if x * dy != y * dx:
-                        return False
+                        yield i, j
                 elif any(p * dy != q * dx for p, q in zip(
                         _times_root(ctx, unpack(x), root), unpack(y))):
-                    return False
-        return True
+                    yield i, j
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _Phased):
+            return NotImplemented
+        return next(self.mismatches(other), None) is None
 
     __hash__ = None
 

@@ -17,8 +17,19 @@ The distinguished automorphism is the vacuum for odd N (a theorem), and the
 configurable tau2 of the parent datum for even N; every report states which
 convention was active.  The orbifold phase representative scales as
 c0(orbifold) = N * c0(parent).
+
+`orb_s_entry` builds one entry as a CycloNum.  The consistency and charge
+reports instead compare whole blocks: `orb_s_block` holds the rank x rank
+entries of one pair of twists and charges as one `lambdamat._Phased` value,
+the hat packed over the parent's field Q(zeta_M) with its phases as
+exponents, so a check costs rank^2 packed comparisons per block rather than
+rank^2 CycloNum products at orders up to lcm(M, N).  Each block check
+yields its witnesses in the order of the entry loop it replaces.  The
+unitarity of each hat is still checked on the CycloNum `OrbSlice.hat`,
+and `orb_s_entry` is the oracle of the blocks in the tests.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,7 +38,7 @@ from fractions import Fraction
 from . import matrixops as mx
 from .cyclo import CycloNum, make, root_of_unity_exp
 from .errors import NonIntegralMultiplicityError, OutOfScopeError
-from .lambdamat import lambda_hat
+from .lambdamat import _hat, _Phased, lambda_hat, phase_g
 from .modular_data import ModularData, is_real_positive
 from .reporting import CheckRecord, first_failure, notice
 
@@ -59,7 +70,9 @@ class OrbSlice:
         self.c0 = parent.c0 * order
         self.tau = parent.tau2 if order % 2 == 0 else 0
         self._hat_cache: dict[int, mx.Matrix] = {}
+        self._hat_blocks: dict[int, _Phased] = {}
         self._roots: dict[int, CycloNum] = {}
+        self._t_roots: dict[int, CycloNum] = {}
 
     def zeta(self, e: int) -> CycloNum:
         """zeta_N^e, built once per e mod N; roots are immutable, so every
@@ -77,6 +90,36 @@ class OrbSlice:
             cached = lambda_hat(self.parent, Fraction(i, self.n))
             self._hat_cache[i] = cached
         return cached
+
+    def hat_block(self, i: int) -> _Phased:
+        """`hat(i)` as one packed `_Phased` value over the parent's field,
+        its phases kept as exponents; built once per i mod N."""
+        i %= self.n
+        cached = self._hat_blocks.get(i)
+        if cached is None:
+            parent = self.parent
+            cached = self._hat_blocks[i] = _hat(
+                parent, Fraction(i, self.n),
+                functools.partial(phase_g, parent.c, parent.c0))
+        return cached
+
+    def t_root(self, lam: int) -> CycloNum:
+        """T_lam^(1/N) * exp(2*pi*i*(c - c0)(N - 1/N)/24), the part of a
+        twisted-sector T entry that does not depend on twist and charge;
+        built once per label."""
+        root = self._t_roots.get(lam)
+        if root is None:
+            parent, n = self.parent, self.n
+            root = self._t_roots[lam] = root_of_unity_exp(
+                (parent.delta[lam] - parent.c0 / 24) / n
+            ) * root_of_unity_exp(
+                (parent.c - parent.c0) * (n - Fraction(1, n)) / 24)
+        return root
+
+    @functools.cached_property
+    def twist_dim(self) -> CycloNum:
+        """The factor (1/S_00)^(N-1) of every unit-twist dimension."""
+        return self.parent.s00_inv() ** (self.n - 1)
 
     def convention_note(self, suite: str) -> CheckRecord:
         tau_name = self.parent.labels[self.tau]
@@ -125,21 +168,44 @@ def orb_s_entry(slice_: OrbSlice, a: OrbLabel, b: OrbLabel) -> CycloNum:
     return phase * base * Fraction(1, n_cyc)
 
 
+def _over(block: _Phased, n: int) -> _Phased:
+    """The block divided by the integer n."""
+    return _Phased(block.pm, block.x.over(n), block.den, block.a, block.b,
+                   block.c)
+
+
+def orb_s_block(slice_: OrbSlice, ta: int, tb: int, j1: int, j2: int
+                ) -> _Phased:
+    """The S entries [(lam, ta, j1), (mu, tb, j2)] over all parent labels
+    lam, mu, for a unit twist ta, as one packed `_Phased` value: the hat
+    at tb * ta^-1 / N, or for tb = 0 the parent S with the distinguished
+    automorphism acting on the rows, over N and at the scalar phase
+    -(j1 * tb + j2 * ta) / N.  Entry (lam, mu) is the `orb_s_entry` of
+    those labels."""
+    n_cyc = slice_.n
+    if math.gcd(ta, n_cyc) != 1:
+        raise OutOfScopeError(f"twist {ta} is not a unit mod {n_cyc}")
+    tb %= n_cyc
+    if tb == 0:
+        parent = slice_.parent
+        pm = parent.packed
+        s = pm.s
+        if slice_.tau:
+            s = s.take_rows([parent.fuse_auto(slice_.tau, lam)
+                             for lam in range(parent.rank)])
+        base = _Phased(pm, s)
+    else:
+        base = slice_.hat_block(tb * pow(ta, -1, n_cyc))
+    return _over(base, n_cyc).t(scalar=Fraction(-(j1 * tb + j2 * ta), n_cyc))
+
+
 def orb_t_entry(slice_: OrbSlice, a: OrbLabel) -> CycloNum:
     """One twisted-sector T entry, for unit twist:
     zeta_N^(n*k) * T_lam^(1/N) * exp(2*pi*i*(c - c0)(N - 1/N)/24)."""
     n_cyc = slice_.n
     if math.gcd(a.twist, n_cyc) != 1:
         raise OutOfScopeError(f"twist {a.twist} is not a unit mod {n_cyc}")
-    parent = slice_.parent
-    val = root_of_unity_exp(
-        (parent.delta[a.base] - parent.c0 / 24) / n_cyc
-    )
-    val = val * slice_.zeta(a.twist * a.charge)
-    val = val * root_of_unity_exp(
-        (parent.c - parent.c0) * (n_cyc - Fraction(1, n_cyc)) / 24
-    )
-    return val
+    return slice_.t_root(a.base) * slice_.zeta(a.twist * a.charge)
 
 
 def orb_qdim(slice_: OrbSlice, a: OrbLabel) -> CycloNum:
@@ -151,7 +217,7 @@ def orb_qdim(slice_: OrbSlice, a: OrbLabel) -> CycloNum:
         return parent.qdim(a.base)
     if math.gcd(a.twist, slice_.n) != 1:
         raise OutOfScopeError(f"twist {a.twist} is not a unit mod {slice_.n}")
-    return parent.qdim(a.base) * parent.s00_inv() ** (slice_.n - 1)
+    return parent.qdim(a.base) * slice_.twist_dim
 
 
 def mu_scaling_check(slice_: OrbSlice) -> list[CheckRecord]:
@@ -161,7 +227,10 @@ def mu_scaling_check(slice_: OrbSlice) -> list[CheckRecord]:
     suite = "orbifold"
     n_cyc = slice_.n
     parent = slice_.parent
-    _, units = sector_set(slice_)
+    units = (OrbLabel(lam, tw, ch)
+             for lam in range(parent.rank)
+             for tw in range(n_cyc) if math.gcd(tw, n_cyc) == 1
+             for ch in range(n_cyc))
     total = sum(
         (d * d for d in (orb_qdim(slice_, a) for a in units)),
         CycloNum.zero(),
@@ -233,10 +302,9 @@ def consistency_report(slice_: OrbSlice) -> list[CheckRecord]:
     records.append(first_failure(
         suite, "hat_closure",
         (f"i={i}, entry ({lam},{mu})"
-         for i in units for hat in [slice_.hat(i)]
-         for lam in range(rank) for mu in range(rank)
-         if orb_s_entry(slice_, OrbLabel(lam, 1, 0), OrbLabel(mu, i, 0))
-         * n_cyc != hat[lam][mu]),
+         for i in units
+         for lam, mu in orb_s_block(slice_, 1, i, 0, 0).mismatches(
+             _over(slice_.hat_block(i), n_cyc))),
         n=n_cyc,
     ))
 
@@ -244,10 +312,8 @@ def consistency_report(slice_: OrbSlice) -> list[CheckRecord]:
         suite, "route_independence",
         (f"twists ({ta},{tb}), entry ({lam},{mu})"
          for ta in units for tb in units
-         for lam in range(rank) for mu in range(rank)
-         for x in [OrbLabel(lam, ta, 1)]
-         for y in [OrbLabel(mu, tb, 2 % n_cyc)]
-         if orb_s_entry(slice_, x, y) != orb_s_entry(slice_, y, x)),
+         for lam, mu in orb_s_block(slice_, ta, tb, 1, 2 % n_cyc).mismatches(
+             orb_s_block(slice_, tb, ta, 2 % n_cyc, 1).transpose())),
         n=n_cyc,
     ))
 
@@ -286,19 +352,21 @@ def charge_invariants(slice_: OrbSlice) -> list[CheckRecord]:
     by direct recomputation."""
     suite = "orbifold"
     n_cyc = slice_.n
-    parent = slice_.parent
-    rank = parent.rank
+    rank = slice_.parent.rank
     units = [t for t in range(1, n_cyc) if math.gcd(t, n_cyc) == 1]
+    pairs = ((1, 0), (0, 1), (2, 3))
+    # per twist pair, every failing entry with its charge pair, ordered
+    # by entry first and charge pair second
     charge_transport = first_failure(
         suite, "charge_transport",
         (f"twists ({ta},{tb}) charges ({j1},{j2}) entry ({lam},{mu})"
          for ta in units for tb in [*units, 0]
-         for lam in range(rank) for mu in range(rank)
-         for base in [orb_s_entry(slice_, OrbLabel(lam, ta, 0),
-                                  OrbLabel(mu, tb, 0))]
-         for j1, j2 in ((1, 0), (0, 1), (2, 3))
-         if orb_s_entry(slice_, OrbLabel(lam, ta, j1), OrbLabel(mu, tb, j2))
-         != base * slice_.zeta(-(ta * j2 + tb * j1))),
+         for base in [orb_s_block(slice_, ta, tb, 0, 0)]
+         for lam, mu, k in sorted(
+             (lam, mu, k) for k, (j1, j2) in enumerate(pairs)
+             for lam, mu in orb_s_block(slice_, ta, tb, j1, j2).mismatches(
+                 base.t(scalar=Fraction(-(ta * j2 + tb * j1), n_cyc))))
+         for j1, j2 in [pairs[k]]),
         n=n_cyc,
     )
     t_charge_shift = first_failure(

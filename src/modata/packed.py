@@ -256,6 +256,12 @@ class PackedMatrix:
                           tuple(self.rows[p] for p in perm), self.bits,
                           self.norm, digits)
 
+    def over(self, n: int) -> "PackedMatrix":
+        """This matrix divided by the positive integer n: the same digits
+        over den * n, so bits and norm still hold."""
+        return PackedMatrix(self.packing, self.den * n, self.rows, self.bits,
+                            self.norm, self._digits)
+
     def mismatches(self, other: "PackedMatrix"):
         """The (i, j) of the entries where this matrix and `other`, of one
         shape, differ, in row-major order.

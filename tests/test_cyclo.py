@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import modata.cyclo as cyclo
 from modata.cyclo import (
     CycloNum,
     MAX_EMBED_DIGITS,
@@ -127,6 +128,39 @@ class TestCoerce:
     def test_not_embeddable(self):
         with pytest.raises(NotEmbeddableError):
             coerce(zeta(8), 12)
+
+
+@pytest.mark.parametrize("big,sub", [(16, 8), (24, 12), (72, 36), (360, 180)])
+def test_descent_digit_read_matches_the_solve(big, sub, monkeypatch):
+    # every prime of big/sub divides sub, so `_descend` reads every
+    # (big/sub)-th digit and never solves; the solve is the oracle, on
+    # subfield elements at the big order, alone and with one digit off
+    # the subfield's basis added, and on random elements of the big field
+    rnd = random.Random(big)
+    step = big // sub
+
+    def element(order):
+        return CycloNum(order, rnd.randint(1, 30), [
+            rnd.randint(-9, 9) for _ in range(euler_phi(order))])
+
+    def outcome(descend, x):
+        try:
+            y = descend(x, sub)
+        except NotEmbeddableError as exc:
+            return str(exc)
+        return y.order, y.den, y.nums
+
+    cases = []
+    for _ in range(12):
+        x = coerce(element(sub), big)
+        off = list(x.nums)
+        off[rnd.randrange(euler_phi(big) // step) * step
+            + rnd.randrange(1, step)] += 1
+        cases += [x, CycloNum(big, x.den, off), element(big)]
+    expected = [outcome(cyclo._descend_by_solve, x) for x in cases]
+    monkeypatch.setattr(cyclo, "_descend_by_solve", None)
+    assert [outcome(CycloNum._descend, x) for x in cases] == expected
+    assert sum(isinstance(e, str) for e in expected) == 24
 
 
 class TestMinimalOrder:

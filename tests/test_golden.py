@@ -7,8 +7,10 @@ orbifold, before products by roots of unity became exponent shifts, or,
 for the su2:1 (c0 = -7, where g(1/3) != 0) and cyclic_odd:5 hatted
 lambdas, before the lambda suite moved to packed matrices, or, for the
 su2:6 Galois report and the two corrupted su2:3 files, before S S^dagger,
-S T S and the signed permutation G_l moved to the packed S; a change to
-the evaluators must leave every byte of these reports as it was.
+S T S and the signed permutation G_l moved to the packed S, or, for the
+su2:2 orbifold at N = 4 with tau2 = 2, before the orbifold S entries moved
+to packed blocks; a change to the evaluators must leave every byte of
+these reports as it was.
 """
 
 import json
@@ -47,6 +49,9 @@ CASES = {
                               "--json"],
     "orbifold-su2-2-order9": ["orbifold", "--model", "su2:2", "--order", "9",
                               "--json"],
+    # even N with tau2 != 0: the tb = 0 blocks move S's rows by label 2
+    "orbifold-su2-2-order4-tau2-2": ["orbifold", "--model", "su2:2",
+                                     "--order", "4", "--tau2", "2", "--json"],
     "verify-cyclic_odd-9": ["verify", "--model", "cyclic_odd:9", "--json"],
     "verify-cyclic_odd-11": ["verify", "--model", "cyclic_odd:11", "--json"],
     "verify-su2-7": ["verify", "--model", "su2:7", "--json"],

@@ -1,6 +1,7 @@
 """Cyclic orbifold sectors: entries, twisted T values, dimensions,
 multiplicities, and the cross-consistency reports."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from modata.orbifold import (
     multiplicity_trace_oracle,
     mu_scaling_check,
     orb_qdim,
+    orb_s_block,
     orb_s_entry,
     orb_t_entry,
     sector_set,
@@ -101,6 +103,65 @@ class TestSEntries:
         val = orb_s_entry(sl, OrbLabel(0, 1, 0), OrbLabel(0, 0, 0))
         # row label is moved by the order-two automorphism before lookup
         assert val == md.s[1][0] * Fraction(1, 2)
+
+
+#: Parents for the block oracle: (name, param, tau2); tau2 != 0 moves the
+#: rows of the tb = 0 blocks at even N.
+ORACLE_PARENTS = [("su2", 1, 0), ("su2", 2, 0), ("su2", 4, 0),
+                  ("cyclic_odd", 3, 0), ("trivial", None, 0),
+                  ("su2", 1, 1), ("su2", 2, 2), ("su2", 4, 4)]
+ORACLE_ORDERS = [2, 3, 4, 5, 6, 7, 9, 15]
+
+
+def oracle_slices():
+    for name, param, tau2 in ORACLE_PARENTS:
+        md = builtin_model(name, param, tau2=tau2)
+        for order in ORACLE_ORDERS:
+            if tau2 == 0 or order % 2 == 0:
+                yield pytest.param(md, order,
+                                   id=f"{md.name}-tau2={tau2}-N={order}")
+
+
+def block_entries(block):
+    """The entries e(a_i + b_j + c) X_ij of a `_Phased` block, as CycloNum
+    values."""
+    return [[x * root_of_unity_exp(Fraction(a + b + block.c, block.den))
+             for b, x in zip(block.b, row)]
+            for a, row in zip(block.a, block.x.to_matrix())]
+
+
+def three_root_t_entry(slice_, a):
+    """A twisted T entry as three roots of unity, as `orb_t_entry` formed
+    it before it kept the label's part per slice."""
+    md, n = slice_.parent, slice_.n
+    return (root_of_unity_exp((md.delta[a.base] - md.c0 / 24) / n)
+            * make(n, [(a.twist * a.charge, 1)])
+            * root_of_unity_exp((md.c - md.c0) * (n - Fraction(1, n)) / 24))
+
+
+@pytest.mark.parametrize("md,order", oracle_slices())
+def test_blocks_and_t_values_match_the_entry_oracle(md, order):
+    sl = OrbSlice(md, order)
+    units = [t for t in range(1, order) if math.gcd(t, order) == 1]
+    for ta in units:
+        for tb in [*units, 0]:
+            for j1, j2 in ((0, 0), (1, 0), (0, 1), (2, 3)):
+                block = block_entries(orb_s_block(sl, ta, tb, j1, j2))
+                for lam in range(md.rank):
+                    for mu in range(md.rank):
+                        assert block[lam][mu] == orb_s_entry(
+                            sl, OrbLabel(lam, ta, j1), OrbLabel(mu, tb, j2)
+                        ), (ta, tb, j1, j2, lam, mu)
+        for lam in range(md.rank):
+            for ch in range(order):
+                a = OrbLabel(lam, ta, ch)
+                assert orb_t_entry(sl, a) == three_root_t_entry(sl, a), a
+
+
+def test_block_needs_a_unit_row_twist(su2_1):
+    sl = OrbSlice(su2_1, 4)
+    with pytest.raises(OutOfScopeError):
+        orb_s_block(sl, 2, 1, 0, 0)
 
 
 class TestTEntries:

@@ -17,8 +17,9 @@ import modata.galois as galois
 import modata.matrixops as mx
 import modata.orbifold as orb
 from modata.errors import AxiomViolationError
+from modata.lambdamat import _Phased
 from modata.modular_data import ModularData, builtin_model
-from modata.packed import PackedMatrix
+from modata.packed import PackedMatrix, from_digits
 
 
 def lines(records):
@@ -30,15 +31,27 @@ def su2_1():
     return builtin_model("su2", 1)
 
 
+def doubled(block, hit=lambda lam, mu: True):
+    """The `_Phased` block with each entry (lam, mu) that satisfies `hit`
+    doubled."""
+    x = block.x
+    digits = [[[c * 2 for c in d] if hit(lam, mu) else d
+               for mu, d in enumerate(row)]
+              for lam, row in enumerate(x.digits())]
+    return _Phased(block.pm, from_digits(x.packing.order, x.den, digits),
+                   block.den, block.a, block.b, block.c)
+
+
 def perturb_s_entry(monkeypatch, hit):
-    """Double every orbifold S entry whose labels satisfy `hit`."""
-    real = orb.orb_s_entry
+    """Double every orbifold S entry whose labels satisfy `hit`, in the
+    blocks that `orb_s_block` builds."""
+    real = orb.orb_s_block
 
-    def entry(slice_, a, b):
-        val = real(slice_, a, b)
-        return val * 2 if hit(a, b) else val
+    def block(slice_, ta, tb, j1, j2):
+        return doubled(real(slice_, ta, tb, j1, j2), lambda lam, mu: hit(
+            orb.OrbLabel(lam, ta, j1), orb.OrbLabel(mu, tb, j2)))
 
-    monkeypatch.setattr(orb, "orb_s_entry", entry)
+    monkeypatch.setattr(orb, "orb_s_block", block)
 
 
 def conventions(n):
@@ -88,6 +101,7 @@ class TestOrbifold:
     def test_hat_unitary_from_corrupted_cache(self, su2_1):
         sl = orb.OrbSlice(su2_1, 5)
         sl._hat_cache[3] = mx.scalar_mul(2, sl.hat(3))
+        sl._hat_blocks[3] = doubled(sl.hat_block(3))
         assert lines(orb.consistency_report(sl)) == [
             conventions(5),
             "pass  orbifold.hat_closure  n=5",

@@ -131,6 +131,37 @@ MUTANTS = [
         ["tests/test_modrep.py::TestDecompose::"
          "test_syllables_match_token_walk"],
     ),
+    (
+        # the charge phase of an orbifold S block with its sign flipped
+        "modata/orbifold.py",
+        "t(scalar=Fraction(-(j1 * tb + j2 * ta), n_cyc))",
+        "t(scalar=Fraction(j1 * tb + j2 * ta, n_cyc))",
+        ["tests/test_orbifold.py::"
+         "test_blocks_and_t_values_match_the_entry_oracle"],
+    ),
+    (
+        # the hat at ta * tb^-1 / N, the transpose-dual of the right one
+        "modata/orbifold.py",
+        "slice_.hat_block(tb * pow(ta, -1, n_cyc))",
+        "slice_.hat_block(ta * pow(tb, -1, n_cyc))",
+        ["tests/test_orbifold.py::"
+         "test_blocks_and_t_values_match_the_entry_oracle"],
+    ),
+    (
+        # the untwisted column without the distinguished automorphism
+        "modata/orbifold.py",
+        "base = _Phased(pm, s)",
+        "base = _Phased(pm, pm.s)",
+        ["tests/test_orbifold.py::"
+         "test_blocks_and_t_values_match_the_entry_oracle"],
+    ),
+    (
+        # the subfield's digits read one digit off their places
+        "modata/cyclo.py",
+        "self.nums[::step]",
+        "self.nums[1::step]",
+        ["tests/test_cyclo.py::test_descent_digit_read_matches_the_solve"],
+    ),
 ]
 
 
