@@ -18,7 +18,11 @@ S^-1, D(m) and T lie in one field Q(zeta_M), M the lcm of the conductor
 and the stored S orders, so identity and equality tests and sigma_l build
 no CycloNum.  sigma_l acts on Q(zeta_M) through a lift l' = l (mod n)
 coprime to M, the same automorphism on the conductor field that holds
-every entry.  `sigma_matrix` remains for one row of T and `z_matrix`.
+every entry.  The Frobenius check evaluates sigma_l(D(m)) as the word of
+m in sigma_l syllables (`rep_evaluate_packed(md, m, l')`), so it takes no
+sigma of a product; `kernel_test` keeps sigma_d(D(m)), which measured no
+slower than a second word.  `sigma_matrix` remains for one row of T and
+`z_matrix`.
 
 Applying sigma_l to a matrix whose entries live at mixed ambient orders uses
 a lift l' = l (mod the field modulus that determines the action) chosen
@@ -247,7 +251,7 @@ def congruence_suite(md: ModularData, samples: int, seed: int,
             suite, "frobenius_equivariance",
             (f"sample {i}: {m.to_obj()}" for i, m in enumerate(drawn)
              for lifted in [lift_to_sl2z(n, tau_l(m, l, n))]
-             if rep_evaluate_packed(md, m).sigma(lp)
+             if rep_evaluate_packed(md, m, lp)
              != rep_evaluate_packed(md, lifted)),
             l=l, n=n, samples=samples,
         ))

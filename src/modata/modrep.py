@@ -9,8 +9,9 @@ One walk reads a matrix as its word (`syllables`: Euclidean reduction on
 the left column, each step a syllable t^k s, then the final t^k and the
 sign), and one engine multiplies it: the packed matrices of the model over
 its single field Q(zeta_M) (see `modata.packed`), -I permuting rows.
-`rep_evaluate_packed` returns that product, for the checks that need only
-identity and equality tests and sigma_l: the congruence and kernel
+`rep_evaluate_packed` returns that product, or its image under sigma_l as
+a word of sigma_l syllables, for the checks that need only identity and
+equality tests and sigma_l: the congruence and kernel
 sampling checks, the lambda identity suite and the spliced functional
 equation.  `rep_evaluate` reads the same product as CycloNum entries, each
 at the order the CycloNum chain of S, T powers and S^2 gives it (the order
@@ -205,13 +206,15 @@ def rep_evaluate(md: ModularData, m: SL2ZMat) -> mx.Matrix:
         for row, row_orders in zip(acc.digits(), orders))
 
 
-def rep_evaluate_packed(md: ModularData, m: SL2ZMat) -> PackedMatrix:
-    """D(m) over the model's single field (see `modata.packed`): the
-    syllables of m, a bare s being T^0 S, multiplied as packed matrices,
-    and -I a row permutation by `conj`."""
+def rep_evaluate_packed(md: ModularData, m: SL2ZMat, l: int = 1
+                        ) -> PackedMatrix:
+    """sigma_l(D(m)) over the model's single field (see `modata.packed`),
+    l coprime to its order: the syllables of m, a bare s being T^0 S, as
+    sigma_l syllables multiplied as packed matrices, and -I a row
+    permutation by `conj`."""
     w = syllables(m)
     return md.packed.product(
-        [0 if k is None else k for k in w.steps], w.last_t, w.central)
+        [0 if k is None else k for k in w.steps], w.last_t, w.central, l)
 
 
 # -- congruence subgroups ---------------------------------------------

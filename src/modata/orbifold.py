@@ -227,16 +227,15 @@ def mu_scaling_check(slice_: OrbSlice) -> list[CheckRecord]:
     suite = "orbifold"
     n_cyc = slice_.n
     parent = slice_.parent
-    units = (OrbLabel(lam, tw, ch)
-             for lam in range(parent.rank)
-             for tw in range(n_cyc) if math.gcd(tw, n_cyc) == 1
-             for ch in range(n_cyc))
-    total = sum(
-        (d * d for d in (orb_qdim(slice_, a) for a in units)),
-        CycloNum.zero(),
-    )
-    mu_pow = parent.s00_inv() ** (2 * n_cyc)  # parent total index to the N
     phi_n = sum(1 for t in range(n_cyc) if math.gcd(t, n_cyc) == 1)
+    # a unit-twist dimension depends on the label only, so the phi(N) unit
+    # twists and N charges of a label share one square
+    total = sum(
+        (d * d for d in (orb_qdim(slice_, OrbLabel(lam, 1 % n_cyc, 0))
+                         for lam in range(parent.rank))),
+        CycloNum.zero(),
+    ) * (phi_n * n_cyc)
+    mu_pow = parent.s00_inv() ** (2 * n_cyc)  # parent total index to the N
     expected = mu_pow * (phi_n * n_cyc)
     scaled_total = mu_pow * (n_cyc * n_cyc)
     records = [

@@ -7,13 +7,19 @@ permutation and the sampling checks run on one matrix type there.  An
 entry is one int: its phi(M) reduced power-basis coefficients as signed
 B-bit digits, sum_j c_j 2^(B*j), over one den per matrix.  A product
 entry is the big-int sum of a row times a column, reduced by folding
-x^phi = R (mod Phi_M) a fixed number of times per order.  Transposes and
-row permutations (S^dagger = sigma_-1(S) transposed, S^-1 = C S and the
-central -I by `conj`) move the ints.  A diagonal factor, such as a power
-of T, is a `Scaling`, never a matrix: `scale` multiplies each entry by
-its row's and column's packed factor, rank^2 products where a matrix
-product takes rank^3.  CycloNum values are read by `pack` and built only
-by `to_matrix`, for the witness of a failing check.
+x^phi = R (mod Phi_M) a fixed number of times per order.  A word of
+syllables is one chain (`_chain`).  While an entry has at most SLOT_BITS
+bits, a step packs each row of the right factor as one int, entry j in
+slot j (`SlotPacking`): row i of the product is then rank big-int
+products sum_k a_ik * B_k and one fold of all its slots at once.  Wider
+entries take the entry-by-entry product, which measured faster there.
+Transposes and row permutations (S^dagger = sigma_-1(S) transposed,
+S^-1 = C S and the central -I by `conj`) move the ints.  A diagonal
+factor, such as a power of T, is a `Scaling`, never a matrix: `scale`
+multiplies each entry by its row's and column's packed factor, rank^2
+products where a matrix product takes rank^3.  CycloNum values are read
+by `pack` and built only by `to_matrix`, for the witness of a failing
+check.
 
 A carry between digits would corrupt them silently, so every matrix holds
 a proven bound: its digits are below 2^bits in absolute value and `norm`
@@ -21,26 +27,30 @@ bounds each column's digit l1 norm.  `_fit` sets every width B with
 bits + ceil(log2(g)) <= B - 1, g the right factor's norm (a scaling's
 largest l1 norm) times the fold growth, the largest row l1 norm of the
 map of sigma_l, or 2^(bit length of the other den) for a comparison.  A
-claimed bound is remeasured on the digits before the width grows.
+claimed bound is remeasured on the digits before the width grows.  A
+slot step of a chain is taken only where that rule keeps the width; a
+step that would widen is a matrix product, which remeasures first.
 
 Caches are keyed on exponents and automorphisms, per model content:
-T^k and T^k S under k mod M, sigma_l(S) under l.  T = diag(zeta_M^w), so
-T^(k+M) = T^k entry by entry, an identity of roots of unity; a model then
-holds at most M of each.  No cache is keyed on a group element mod N: that
-would assume the congruence property that the sampled checks test, so
-every syllable of every word is still multiplied.  A model's content is
-its field order, its packed S, its conjugation and its T weights;
+T^k and T^k S under k mod M, sigma_l(S) under l, and sigma_l(T^k S) under
+(l mod M, k mod M).  T = diag(zeta_M^w), so T^(k+M) = T^k entry by entry,
+an identity of roots of unity; a model then holds at most M of each, and
+at most M sigma_l syllables per unit l used.  sigma_l(D(m)) is the word
+of m in sigma_l syllables, then T^(l*last) and C, so no sigma is taken
+of a product.  No cache is keyed on a group element mod N: that would
+assume the congruence property that the sampled checks test, so every
+syllable of every word is still multiplied.  A model's content is its
+field order, its packed S, its conjugation and its T weights;
 `packed_model` keeps one `PackedModel` per content for the process, for
 the `MODEL_TABLE_SIZE` contents used last, so requests that build the same
 model again share its caches."""
 
-import functools
 import math
 import threading
 from collections import OrderedDict
 from functools import lru_cache
 from itertools import zip_longest
-from operator import matmul, mul
+from operator import mul
 
 from .cyclo import CycloNum, _context, _factorize
 
@@ -160,16 +170,83 @@ def packing(order: int, width: int) -> Packing:
     return Packing(order, width)
 
 
+#: A chain of products multiplies by slot rows while a packed entry has at
+#: most this many bits (phi * width); above it, slot products measured
+#: slower than `PackedMatrix.__matmul__`.
+SLOT_BITS = 256
+
+
+class SlotPacking:
+    """Rows of `rank` entries of Q(zeta_order) at digit width `width`, each
+    row one int with entry j in slot j, 2*phi digits wide.  Use
+    `slot_packing(order, width, rank)`, which shares one per triple.
+
+    A packed entry times a slot row puts each entry product, unreduced
+    (degree at most 2*phi - 2), in its own slot, so row i of a product is
+    sum_k a_ik * B_k over the slot rows B_k of the right factor.  Adding
+    2^(B-1) to digits 0 .. 2*phi - 2 of every slot makes every digit
+    nonnegative, so the slots split by masks without a borrow.  A fold
+    round takes every slot's low phi digits, plus its high digits, less
+    their offset, times R (x^phi = R), plus the offset again in the high
+    digits; after `folds` rounds the high digits are zero and each entry
+    is its slot's low digits less their offset.  The digits of every round
+    are those `Packing.reduce` meets, so the same width holds them."""
+
+    __slots__ = ("packing", "_cuts", "_offset", "_low", "_high", "_high_up")
+
+    def __init__(self, order: int, width: int, rank: int):
+        self.packing = p = packing(order, width)
+        slot = 2 * p.phi * width
+        self._cuts = range(0, slot * rank, slot)
+
+        def spread(digits):  # the same digits in every slot
+            one = p.pack(digits)
+            return sum(one << cut for cut in self._cuts)
+
+        self._offset = spread([p._half] * (2 * p.phi - 1))
+        self._low = spread([p._digit] * p.phi)
+        self._high = spread([p._half] * (p.phi - 1))
+        self._high_up = self._high << p._shift
+
+    def pack_row(self, row) -> int:
+        """One row of packed ints at this width as slot entries."""
+        return sum(v << cut for v, cut in zip(row, self._cuts))
+
+    def product(self, rows, slot_rows) -> tuple[tuple[int, ...], ...]:
+        """The reduced packed entries of the rows of packed ints `rows` times
+        the matrix with slot rows `slot_rows`, whose digits, and those of
+        each fold, lie in [-2^(B-1), 2^(B-1))."""
+        p = self.packing
+        shift, fold, mask, entry_offset = p._shift, p._fold, p._mask, p._offset
+        offset, low, high, high_up = (self._offset, self._low, self._high,
+                                      self._high_up)
+        folds, cuts = range(p.folds), self._cuts
+        out = []
+        for row in rows:
+            t = sum(map(mul, row, slot_rows), offset)
+            for _ in folds:
+                t = (t & low) + (((t >> shift) & low) - high) * fold + high_up
+            out.append(tuple([((t >> cut) & mask) - entry_offset
+                              for cut in cuts]))
+        return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def slot_packing(order: int, width: int, rank: int) -> SlotPacking:
+    return SlotPacking(order, width, rank)
+
+
 class PackedMatrix:
     """A matrix over Q(zeta_order): packed integer entries over `den`.
 
     Every digit is below 2^bits in absolute value, bits <= width - 1, and
     every column's digits have l1 norm at most `norm`.  A matrix packed from
     digits keeps them, so that packing it again at another width costs no
-    unpacking.  Immutable.
+    unpacking.  Immutable; the slot rows of `slot_rows` are kept per width.
     """
 
-    __slots__ = ("packing", "den", "rows", "bits", "norm", "_digits")
+    __slots__ = ("packing", "den", "rows", "bits", "norm", "_digits",
+                 "_slot_rows")
 
     def __init__(self, packing: Packing, den: int, rows, bits: int,
                  norm: int, digits=None):
@@ -179,6 +256,7 @@ class PackedMatrix:
         self.bits = bits
         self.norm = norm
         self._digits = digits
+        self._slot_rows = None
 
     def digits(self) -> list[list[list[int]]]:
         if self._digits is not None:
@@ -206,9 +284,24 @@ class PackedMatrix:
             tuple([reduce(sum(map(mul, row, col))) for col in cols])
             for row in a.rows
         ])
-        bits = a.bits + _clog2(b.norm * p.reduce_growth)
-        return PackedMatrix(p, a.den * b.den, rows, bits,
-                            len(rows) * p.phi * ((1 << bits) - 1))
+        return _product_matrix(p, a.den * b.den, rows,
+                               a.bits + _clog2(b.norm * p.reduce_growth))
+
+    def slot_rows(self, width: int) -> tuple[int, ...]:
+        """Each row as one int of `slot_packing` at `width`, the right factor
+        of a slot product; kept per width."""
+        kept = self._slot_rows
+        if kept is None:
+            kept = self._slot_rows = {}
+        rows = kept.get(width)
+        if rows is None:
+            sp = slot_packing(self.packing.order, width, len(self.rows[0]))
+            if width == self.packing.width:
+                packed = self.rows
+            else:
+                packed = [map(sp.packing.pack, row) for row in self.digits()]
+            rows = kept[width] = tuple(map(sp.pack_row, packed))
+        return rows
 
     def is_identity(self) -> bool:
         """Every diagonal entry equals den and every other entry is zero;
@@ -332,13 +425,46 @@ class PackedMatrix:
                     for row, f in zip(a.rows, factors))
         bits = a.bits + _clog2(l1 * p.reduce_growth)
         den = a.den * (rows.den if rows else 1) * (cols.den if cols else 1)
-        return PackedMatrix(p, den, out, bits, n * p.phi * ((1 << bits) - 1))
+        return _product_matrix(p, den, out, bits)
 
     def to_matrix(self):
         """The entries as CycloNum values at the packing order."""
         order, den = self.packing.order, self.den
         return tuple(tuple(CycloNum(order, den, d) for d in row)
                      for row in self.digits())
+
+
+def _chain(factors) -> PackedMatrix:
+    """The product of the nonempty list `factors` over one field, left to
+    right, each step at the width `__matmul__` takes.  A step whose bound
+    fits the accumulator's width, by `__matmul__`'s rule, with an entry of
+    at most SLOT_BITS bits, is a slot product on the accumulator's rows,
+    with no `_fit` and no matrix built; any other step is `__matmul__`,
+    which remeasures and widens."""
+    acc = factors[0]
+    p, rows, bits, den = acc.packing, acc.rows, acc.bits, acc.den
+    for b in factors[1:]:
+        width = p.width
+        if (bits + _clog2(b.norm * p.stage_growth) < width
+                and b.packing.width <= width and p.phi * width <= SLOT_BITS):
+            sp = slot_packing(p.order, width, len(b.rows[0]))
+            rows = sp.product(rows, b.slot_rows(width))
+            bits += _clog2(b.norm * p.reduce_growth)
+            den *= b.den
+            acc = None
+            continue
+        if acc is None:
+            acc = _product_matrix(p, den, rows, bits)
+        acc = acc @ b
+        p, rows, bits, den = acc.packing, acc.rows, acc.bits, acc.den
+    return _product_matrix(p, den, rows, bits) if acc is None else acc
+
+
+def _product_matrix(p: Packing, den: int, rows, bits: int) -> PackedMatrix:
+    """A computed matrix with digits below 2^bits, without its digits: the
+    column norm is the generic rank * phi * (2^bits - 1)."""
+    return PackedMatrix(p, den, rows, bits,
+                        len(rows) * p.phi * ((1 << bits) - 1))
 
 
 def _fit(need, *operands) -> list[PackedMatrix]:
@@ -481,7 +607,10 @@ def _roots(order: int, exponents: tuple[int, ...]) -> Scaling:
 
 def t_weights(md, order: int) -> tuple[int, ...]:
     """The w with T = diag(zeta_order^w): w = (delta - c0/24) * order, an
-    integer because the orders of the T entries divide the field order."""
+    integer because the orders of the T entries divide the field order.
+    They are not reduced mod the order: T^r for a non-integer r depends on
+    c0 mod 24 * den(r), so models whose c0 differ by 24 share every integer
+    T power but not T^(1/2), and stay two contents."""
     return tuple(int((d - md.c0 / 24) * order) for d in md.delta)
 
 
@@ -501,6 +630,7 @@ class PackedModel:
         self.s_inv = s.take_rows(self.conj)
         self.t_weights = t_weights(md, self.order)
         self._syllables: dict[int, PackedMatrix] = {}
+        self._sigma_syllables: dict[tuple[int, int], PackedMatrix] = {}
         self._t_powers: dict[int, Scaling] = {}
         self._sigma_s: dict[int, PackedMatrix] = {}
 
@@ -514,29 +644,44 @@ class PackedModel:
         return _cached(self._t_powers, k, lambda: roots(
             self.order, [w * k for w in self.t_weights]))
 
-    def syllable(self, k: int) -> PackedMatrix:
-        """T^k S: row i of S's digits turned by x^(w_i * k), packed at the
-        narrowest width that holds it, kept under k mod M."""
+    def syllable(self, k: int, l: int = 1) -> PackedMatrix:
+        """sigma_l(T^k S), l coprime to M.  T^k S is row i of S's digits
+        turned by x^(w_i * k), packed at the narrowest width that holds it,
+        kept under k mod M.  For l != 1 mod M it is sigma_l of that,
+        remeasured and kept without its digits under (l mod M, k mod M)."""
         k %= self.order
-        return _cached(self._syllables, k, lambda: from_digits(
-            self.order, self.s.den, [
-                [_context(self.order).substitute(d, 1, e) for d in row]
-                for e, row in zip(self.t_power(k).exponents,
-                                  self.s.digits())]))
+        l %= self.order
+        if l == 1 % self.order:
+            return _cached(self._syllables, k, lambda: from_digits(
+                self.order, self.s.den, [
+                    [_context(self.order).substitute(d, 1, e) for d in row]
+                    for e, row in zip(self.t_power(k).exponents,
+                                      self.s.digits())]))
+        return _cached(self._sigma_syllables, (l, k),
+                       lambda: _bare(self.syllable(k).sigma(l).lift()))
 
     def sigma_s(self, l: int) -> PackedMatrix:
         """sigma_l(S), remeasured, for l coprime to M."""
         return _cached(self._sigma_s, l, lambda: self.s.sigma(l).lift())
 
-    def product(self, syllables, last_t: int | None, central: bool
-                ) -> PackedMatrix:
-        """The product of T^k S over the k in `syllables`, then T^last_t as
-        a column scaling, then C when `central`, as a row permutation."""
-        factors = [self.syllable(k) for k in syllables]
-        acc = functools.reduce(matmul, factors) if factors else self.identity()
+    def product(self, syllables, last_t: int | None, central: bool,
+                l: int = 1) -> PackedMatrix:
+        """sigma_l, l coprime to M, of the product of T^k S over the k in
+        `syllables`, then T^last_t as a column scaling, then C when
+        `central`, as a row permutation.  sigma_l is a ring map fixing the
+        integer C, and sigma_l(T^k) = T^(l*k), so this is the product of
+        the sigma_l syllables, then T^(l*last_t), then C."""
+        factors = [self.syllable(k, l) for k in syllables]
+        acc = _chain(factors) if factors else self.identity()
         if last_t is not None:
+            last_t *= l
             acc = acc.scale(cols=self.t_power(last_t))
         return acc.take_rows(self.conj) if central else acc
+
+
+def _bare(m: PackedMatrix) -> PackedMatrix:
+    """m without its digits, bits and norm kept."""
+    return PackedMatrix(m.packing, m.den, m.rows, m.bits, m.norm)
 
 
 #: How many model contents `packed_model` keeps; the least recently used

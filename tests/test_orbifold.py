@@ -7,7 +7,12 @@ from fractions import Fraction
 import pytest
 
 import modata.orbifold as orb
-from modata.cyclo import make, root_of_unity_exp, sqrt_nonneg_rational
+from modata.cyclo import (
+    CycloNum,
+    make,
+    root_of_unity_exp,
+    sqrt_nonneg_rational,
+)
 from modata.errors import OutOfScopeError
 from modata.lambdamat import lambda_hat
 from modata.modular_data import builtin_model
@@ -211,6 +216,25 @@ class TestDimensions:
     def test_mu_scaling(self, su2_1, order):
         sl = OrbSlice(su2_1, order)
         assert all(r.passed for r in mu_scaling_check(sl))
+
+    @pytest.mark.parametrize("order", [2, 3, 5, 9, 15])
+    def test_mu_scaling_squares_one_dimension_per_label(
+            self, monkeypatch, su2_2, order):
+        # against the sum over every unit-twist label, which the check
+        # made before: rank * phi(N) * N dimensions
+        sl = OrbSlice(su2_2, order)
+        units = [OrbLabel(lam, tw, ch) for lam in range(su2_2.rank)
+                 for tw in range(order) if math.gcd(tw, order) == 1
+                 for ch in range(order)]
+        full = sum((orb_qdim(sl, a) ** 2 for a in units), CycloNum.zero())
+        calls = []
+        monkeypatch.setattr(orb, "orb_qdim",
+                            lambda sl, a: calls.append(a) or orb_qdim(sl, a))
+        records = mu_scaling_check(sl)
+        assert [r.passed for r in records] == [True, True]
+        assert len(calls) == su2_2.rank
+        mu_n = su2_2.s00_inv() ** (2 * order)
+        assert full == mu_n * (len(units) // su2_2.rank)
 
 
 class TestMultiplicities:

@@ -4,15 +4,20 @@
 the reference: every packed matrix must convert to the same values, give
 the same identity verdicts, and map under sigma_l to the CycloNum image.  The
 bound cases pin the widths at which a product, a comparison and an
-identity test stop trusting the packed ints.
+identity test stop trusting the packed ints.  A chain of slot products
+must give the ints `@` gives, and a word of sigma_l syllables the sigma_l
+image of the word.
 """
 
 import collections
+import functools
 import json
 import math
 import sys
 import threading
+from fractions import Fraction
 from itertools import zip_longest
+from operator import matmul
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +25,7 @@ from hypothesis import strategies as st
 
 from modata import cli, galois
 from modata import matrixops as mx
+from modata import lambdamat
 from modata import packed as packed_module
 from modata.cyclo import CycloNum, _context, _factorize, euler_phi, make
 from modata.modrep import (
@@ -37,11 +43,13 @@ from modata.modrep import (
 from modata.modular_data import builtin_model, loads
 from modata.packed import (
     MODEL_TABLE_SIZE,
+    SLOT_BITS,
     WIDTH_STEP,
     IntegerMatrix,
     PackedMatrix,
     PackedModel,
     Scaling,
+    _chain,
     _fold_constants,
     from_digits,
     integers,
@@ -49,6 +57,7 @@ from modata.packed import (
     packed_model,
     packing,
     roots,
+    slot_packing,
     width_for,
 )
 from word_oracle import rep_evaluate_by_token
@@ -92,6 +101,7 @@ def check_against_reference(md, cases):
             lp = galois.coprime_lift(l, n, md.packed.order)
             assert mx.mat_eq(got.sigma(lp).to_matrix(),
                              galois.sigma_matrix(l, ref, n)), (m, l)
+            assert rep_evaluate_packed(md, m, lp) == got.sigma(lp), (m, l)
 
 
 @pytest.mark.parametrize("name,param", MODELS)
@@ -374,6 +384,16 @@ def test_products_match_cyclonum_on_adversarial_digits(pair):
     assert other == prod
     if len(ref) == len(ref[0]):
         assert prod.is_identity() == mx.is_identity(ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_pairs())
+def test_chain_step_matches_matmul_on_adversarial_digits(pair):
+    # the same ints, width, bits and den as `@`, whichever step it takes
+    a, b = pair
+    got, want = _chain([a, b]), a @ b
+    assert (got.packing, got.bits, got.den, got.rows) == (
+        want.packing, want.bits, want.den, want.rows)
 
 
 def assert_bounds_hold(m):
@@ -778,3 +798,203 @@ class TestSharedModels:
         assert all(len(out) == 8 * 300 for out in seen)
         assert [len(set(map(id, out))) for out in seen] == [1, 1, 1]
         assert len(packed_module._models) == len(models)
+
+
+class TestSlotProducts:
+    """The slot product of a chain step against `__matmul__`, and the
+    chain's dispatch between them."""
+
+    #: the builtins whose entries have at most SLOT_BITS bits at width 32
+    SLOT_MODELS = [("trivial", None), ("su2", 1), ("su2", 2), ("su2", 4),
+                   ("cyclic_odd", 3), ("cyclic_odd", 5), ("cyclic_odd", 9)]
+
+    def at_the_bound(self, order, rank, width, seed):
+        """(a, b) over Q(zeta_order) at `width`, rank x rank, with
+        a.bits + ceil(log2(b.norm * stage growth)) == width - 1: b's digits
+        random, a's at +-(2^bits - 1), both as packed at `width`."""
+        rng = Lcg(seed)
+        phi = euler_phi(order)
+        top = 2 ** rng.int_in(1, 12)
+        b = from_digits(order, rng.int_in(1, 50), [
+            [[rng.int_in(-top, top) for _ in range(phi)] for _ in range(rank)]
+            for _ in range(rank)], width)
+        stage = _fold_constants(order)[1]
+        bits = width - 1 - (b.norm * stage - 1).bit_length()
+        extreme = 2 ** bits - 1
+        a = from_digits(order, 1, [  # den 1: no common factor divides out
+            [[extreme if rng.below(3) else -extreme for _ in range(phi)]
+             for _ in range(rank)] for _ in range(rank)], width)
+        assert a.bits == bits and a.packing.width == b.packing.width == width
+        return a, b
+
+    @pytest.mark.parametrize("name,param,width", [
+        *((name, param, 32) for name, param in SLOT_MODELS),
+        # phi <= 4: orders 1, 12 and 5
+        ("trivial", None, 64), ("cyclic_odd", 3, 64), ("cyclic_odd", 5, 64),
+    ])
+    def test_slot_step_matches_matmul(self, name, param, width):
+        md = builtin_model(name, param)
+        order, rank = md.packed.order, md.rank
+        assert euler_phi(order) * width <= SLOT_BITS
+        sp = slot_packing(order, width, rank)
+        for seed in range(6):
+            a, b = self.at_the_bound(order, rank, width, seed)
+            want = a @ b
+            assert want.packing.width == width
+            assert sp.product(a.rows, b.slot_rows(width)) == want.rows
+            # the product of a syllable of the model, itself at a narrower
+            # width, by the same slot rows
+            syllable = md.packed.syllable(seed)
+            wide = syllable.lift(width)
+            assert sp.product(wide.rows, b.slot_rows(width)) == (
+                wide @ b).rows
+        # slot rows of a narrower matrix are packed from its digits
+        narrow = md.packed.syllable(1)
+        assert narrow.slot_rows(width) == narrow.lift(width).slot_rows(width)
+
+    def test_slot_rows_kept_per_width(self):
+        m = builtin_model("su2", 2).packed.syllable(3)
+        assert m.slot_rows(32) is m.slot_rows(32)
+        assert m.slot_rows(64) is not m.slot_rows(32)
+
+    @pytest.mark.parametrize("name,param", [*SLOT_MODELS[1:], ("su2", 3),
+                                            ("cyclic_odd", 7)])
+    def test_chain_matches_matmul_chain(self, name, param):
+        # same rule, same arithmetic: the same widths, bits, dens and ints
+        md = builtin_model(name, param)
+        pm = md.packed
+        for m in word_set(md, param)[:60]:
+            factors = [pm.syllable(0 if k is None else k)
+                       for k in syllables(m).steps]
+            if not factors:
+                continue
+            got = _chain(factors)
+            want = functools.reduce(matmul, factors)
+            assert (got.packing, got.bits, got.den, got.rows) == (
+                want.packing, want.bits, want.den, want.rows), m
+            assert got.norm == want.norm
+
+    @pytest.mark.parametrize("spec,slot_steps", [(("su2", 3), False),
+                                                 (("su2", 4), True)])
+    def test_dispatch(self, monkeypatch, spec, slot_steps):
+        # su2:3 lies in Q(zeta_40), 16 digits of 32 bits: above SLOT_BITS,
+        # so every step takes __matmul__; su2:4 (8 digits) takes none
+        md = builtin_model(*spec)
+        pm = md.packed
+        assert (euler_phi(pm.order) * 32 <= SLOT_BITS) == slot_steps
+        calls = []
+        real = PackedMatrix.__matmul__
+
+        def matmul_(a, b):
+            calls.append(b)
+            return real(a, b)
+
+        monkeypatch.setattr(PackedMatrix, "__matmul__", matmul_)
+        steps = (1, 2, 3)
+        got = pm.product(steps, None, False)
+        assert len(calls) == (0 if slot_steps else len(steps) - 1)
+        assert got == pack(rep_evaluate_by_token(
+            md, t_gen(1) * S_GEN * t_gen(2) * S_GEN * t_gen(3) * S_GEN),
+            pm.order)
+
+    @pytest.mark.parametrize("x,y,width", [
+        # a bound of exactly 32 bits, both factors at width 32: the step
+        # takes __matmul__, which widens; one bit less stays a slot step
+        (-(2 ** 31 - 1), 2, 64), (-(2 ** 30 - 1), 2, 32),
+        (2 ** 31 - 1, -(2 ** 31 - 1), 64), (2 ** 15 - 1, 2 ** 15, 32),
+        # the cases of TestBounds.test_product_width
+        (-(2 ** 31 - 1), 2 ** 32 - 1, 64), (-(2 ** 31 - 1), 2 ** 33 - 1, 96),
+        (-3, 2 ** 61 - 1, 64), (-3, 2 ** 62 - 1, 96),
+    ])
+    def test_chain_widens_at_the_bound(self, x, y, width):
+        a, b = from_digits(1, 1, [[[x]]]), from_digits(1, 1, [[[y]]])
+        z = _chain([a, b])
+        assert z.packing.width == width
+        assert z.rows == ((x * y,),)
+        assert z.bits == (abs(x).bit_length()
+                          + (abs(y) - 1).bit_length())
+
+
+#: the builtins of the sigma-word tests: orders 24, 16, 40, 24, 56, 32 and
+#: 12, 5, 28, 9
+SIGMA_MODELS = [*(("su2", k) for k in range(1, 7)),
+                *(("cyclic_odd", n) for n in (3, 5, 7, 9))]
+
+
+@pytest.mark.parametrize("name,param", SIGMA_MODELS)
+def test_sigma_word_is_sigma_of_the_word(name, param):
+    """product(..., l) against sigma_l of the product, at every unit l mod
+    M, with the final T power absent, negative and positive, and with and
+    without the central factor."""
+    md = builtin_model(name, param)
+    pm = md.packed
+    order = pm.order
+    rng = Lcg(param)
+    words = [((), None), ((0,), -1)]
+    for last_t in (None, -rng.int_in(1, 3 * order), rng.int_in(1, 99)):
+        words.append(([rng.int_in(-order, order) for _ in range(3)], last_t))
+    units = [l for l in range(1, order + 1) if math.gcd(l, order) == 1]
+    for l in units:
+        for steps, last_t in words:
+            for central in (False, True):
+                want = pm.product(steps, last_t, central).sigma(l)
+                got = pm.product(steps, last_t, central, l)
+                assert got == want, (l, steps, last_t, central)
+                # l is read mod M
+                assert pm.product(steps, last_t, central, l + order) == want
+    assert all(key[0] in units and 0 <= key[1] < order
+               for key in pm._sigma_syllables)
+
+
+def test_sigma_syllables_cached_per_unit():
+    md = builtin_model("su2", 1)
+    pm = md.packed
+    m = pm.order
+    for l, k in ((5, 1), (5 + m, 1 + m), (7, 1), (5, 2)):
+        pm.syllable(k, l)
+    assert {(5, 1), (7, 1), (5, 2)} <= set(pm._sigma_syllables)
+    assert pm.syllable(1, 5) is pm.syllable(1 + m, 5 + m)
+    assert pm.syllable(1, 5) == pm.syllable(1).sigma(5)
+    assert pm.syllable(1, 5) != pm.syllable(1, 7)
+    assert pm.syllable(1, 1 + m) is pm.syllable(1)
+    assert pm.syllable(1, 5)._digits is None
+
+
+def test_frobenius_check_takes_no_sigma_of_a_product(monkeypatch):
+    # sigma_l is taken of syllables only, once per (l, k) of each model
+    packed_module.clear_models()
+    md = builtin_model("su2", 2)
+    calls = []
+    real = PackedMatrix.sigma
+
+    def sigma(self, l):
+        calls.append(self)
+        return real(self, l)
+
+    monkeypatch.setattr(PackedMatrix, "sigma", sigma)
+    records = galois.congruence_suite(md, 8, 5, (5, 7))
+    assert [r.passed for r in records] == [True] * 4
+    pm = md.packed
+    assert len(calls) == len(pm._sigma_syllables) > 0
+    assert all(any(m is s for s in pm._syllables.values()) for m in calls)
+
+
+def test_c0_shift_by_24_is_another_model():
+    """T^r for a non-integer r depends on c0 mod 24 * den(r): su2:1 with
+    c and c0 both raised by 24 has the same integer T powers, but other
+    T^(1/2) and hatted matrices, so its packed model is its own."""
+    md = builtin_model("su2", 1)
+    obj = md.to_obj()
+    obj["c"] = str(md.c + 24)
+    obj["c0"] = str(md.c0 + 24)
+    shifted = loads(json.dumps(obj))
+    assert shifted.c0 == md.c0 + 24
+    assert shifted.packed is not md.packed
+    assert shifted.packed.t_weights == tuple(
+        w - md.packed.order for w in md.packed.t_weights)
+    for k in (1, 2, 5):
+        assert shifted.t_entries(k) == md.t_entries(k)
+        assert shifted.packed.syllable(k) == md.packed.syllable(k)
+    assert shifted.t_entries(Fraction(1, 2)) != md.t_entries(Fraction(1, 2))
+    assert not mx.mat_eq(lambdamat.lambda_hat(shifted, Fraction(1, 3)),
+                         lambdamat.lambda_hat(md, Fraction(1, 3)))

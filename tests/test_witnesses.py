@@ -150,14 +150,14 @@ def test_index_sum_below_scaled_total(monkeypatch, su2_1, factor, below):
 def test_congruence_witnesses_and_later_stream(monkeypatch, su2_1):
     real = galois.rep_evaluate_packed
 
-    def rep(md, m):
+    def rep(md, m, l=1):
         if abs(m.b) % 7 == 3:  # breaks level-n and word samples
-            d = real(md, m)
+            d = real(md, m, l)
             rows = tuple(tuple(-v for v in row) for row in d.rows)
             return PackedMatrix(d.packing, d.den, rows, d.bits, d.norm)
         if m.b % 24 == 10:  # makes some intermediate samples act trivially
             return md.packed.identity()
-        return real(md, m)
+        return real(md, m, l)
 
     monkeypatch.setattr(galois, "rep_evaluate_packed", rep)
     assert lines(galois.congruence_suite(su2_1, 12, 3, (5, 7, 11))) == [

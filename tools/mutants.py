@@ -162,6 +162,46 @@ MUTANTS = [
         "self.nums[1::step]",
         ["tests/test_cyclo.py::test_descent_digit_read_matches_the_solve"],
     ),
+    (
+        # a fold round of a slot product that leaves the high digits of
+        # every slot signed, so the next round's masks borrow
+        "modata/packed.py",
+        " * fold + high_up",
+        " * fold",
+        ["tests/test_packed.py::TestSlotProducts::"
+         "test_slot_step_matches_matmul"],
+    ),
+    (
+        # the high digits folded in with their offset still on them
+        "modata/packed.py",
+        "& low) - high) * fold",
+        "& low)) * fold",
+        ["tests/test_packed.py::TestSlotProducts::"
+         "test_slot_step_matches_matmul"],
+    ),
+    (
+        # a slot step taken at a bound of exactly the width
+        "modata/packed.py",
+        "p.stage_growth) < width",
+        "p.stage_growth) <= width",
+        ["tests/test_packed.py::TestSlotProducts::"
+         "test_chain_widens_at_the_bound"],
+    ),
+    (
+        # sigma_l(D(m)) with T^last_t where sigma_l(T^k) = T^(l*k)
+        "modata/packed.py",
+        "last_t *= l",
+        "last_t *= 1",
+        ["tests/test_packed.py::test_sigma_word_is_sigma_of_the_word"],
+    ),
+    (
+        # sigma_l syllables of different l sharing one cache entry
+        "modata/packed.py",
+        "self._sigma_syllables, (l, k),",
+        "self._sigma_syllables, k,",
+        ["tests/test_packed.py::test_sigma_word_is_sigma_of_the_word",
+         "tests/test_packed.py::test_sigma_syllables_cached_per_unit"],
+    ),
 ]
 
 
