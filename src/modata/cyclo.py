@@ -10,11 +10,12 @@ order are equal exactly when their stored tuples are equal.
 Mixed-order arithmetic coerces both operands to the least common multiple of
 their orders; callers never manage orders by hand.  All values are immutable
 and every operation is pure.  The inverse is the norm inverse: the product
-of the other Galois conjugates of x, divided by the norm, which is that
-product times x and rational.  A value keeps its own multiplicative inverse
-once it has been asked for it, so code that divides by the same value many
-times (a vacuum row, a root of unity) pays for one norm; the memo is a
-cache invisible to equality, hashing and serialization.
+of the distinct Galois conjugates of x other than x, divided by the norm,
+which is that product times x and rational.  A value keeps its own
+multiplicative inverse once it has been asked for it, so code that divides
+by the same value many times (a vacuum row, a root of unity) pays for one
+norm; the memo is a cache invisible to equality, hashing and
+serialization.
 
 A sum of products, such as a matrix product entry, is one `dot`: the terms
 accumulate unreduced over one common denominator and the sum is reduced
@@ -362,10 +363,15 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
-        """Multiplicative inverse by the norm: with c the product of
-        sigma_l(x) over the units l = 2..M-1, c*x = N(x) is rational and
-        1/x = c / N(x); a root of unity zeta^k inverts to zeta^-k.  Computed
-        once per value and then returned from the `_inv` slot."""
+        """Multiplicative inverse by the norm: with c the product of the
+        distinct conjugates sigma_l(x) != x over the units l mod M, c*x is
+        the product of the Galois orbit of x, the norm of x from Q(x) down
+        to Q, which is rational and nonzero, and 1/x = c / (c*x).  An
+        element of a small subfield stored at a large order repeats each
+        conjugate, and a real one has at most phi/2, so only the distinct
+        ones, told apart by their stored (den, nums) at M, are multiplied.
+        A root of unity zeta^k inverts to zeta^-k.  Computed once per value
+        and then returned from the `_inv` slot."""
         inv = getattr(self, "_inv", None)
         if inv is not None:
             return inv
@@ -378,9 +384,13 @@ class CycloNum:
         else:
             m = self.order
             cofactor = CycloNum.one(m)
+            seen = {(self.den, self.nums)}
             for l in range(2, m):
                 if math.gcd(l, m) == 1:
-                    cofactor = cofactor * self.galois(l)
+                    y = self.galois(l)
+                    if (y.den, y.nums) not in seen:
+                        seen.add((y.den, y.nums))
+                        cofactor = cofactor * y
             inv = cofactor * (1 / (cofactor * self).as_fraction())
         object.__setattr__(self, "_inv", inv)
         return inv

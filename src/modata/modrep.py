@@ -90,14 +90,6 @@ class GenWord:
         return len(self.tokens)
 
 
-def evaluate_word(word: GenWord) -> SL2ZMat:
-    """Integer evaluation of a generator word."""
-    m = IDENTITY
-    for kind, k in word.tokens:
-        m = m * (S_GEN if kind == "s" else t_gen(k))
-    return -m if word.sign < 0 else m
-
-
 @dataclass(frozen=True)
 class Syllables:
     """A generator word read as the factors of its representation matrix:

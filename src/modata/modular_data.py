@@ -14,17 +14,30 @@ exp(2*pi*i*(delta_lam - c0/24)*r); no logarithm branches exist anywhere.
 Validation runs on S packed as one matrix type (see `modata.packed`),
 with T and the phases as scalings of it.  Over the field of the S
 entries, which comes before any T entry can push the order past
-MODATA_MAX_ORDER, S S^dagger (sigma_-1(S) transposed) is compared with
-the identity, and each Verlinde table N_lam = S diag(S[lam][d] / S[0][d])
-S^dagger is S with scaled columns times S^dagger, read off the packed
-ints; N_lam S is compared with that scaled S.  S T S == T^-1 S T^-1 and
-c0_consistency's fusion-phase check run over the model's single field.
-A failing packed comparison's witness is its first (i, j); a failing
-fusion entry's is one `verlinde_value`, a `cyclo.dot` of r terms held at
-the lcm of the orders of its nonzero terms, the value `verlinde_sum`
-returns.  S^2 stays the one CycloNum product, because its entry orders
-are those the order rule of `rep_evaluate` gives the central -I, and so
-reach the `lambda --json` report (the packed model reads only `conj`).
+MODATA_MAX_ORDER, S and S^dagger (sigma_-1(S) transposed) are packed once
+(`packed_s`) and S S^dagger is compared with the identity.  Each Verlinde
+table N_lam = S diag(S[lam][d] / S[0][d]) S^dagger is `fusion_matrix`: S
+with scaled columns times S^dagger, read off the packed ints; N_lam S is
+compared with that scaled S.  S T S == T^-1 S T^-1 and c0_consistency's
+fusion-phase check run over the model's single field.  A failing packed
+comparison's witness is its first (i, j); a failing fusion entry's is one
+`verlinde_value`, a `cyclo.dot` of r terms held at the lcm of the orders
+of its nonzero terms.
+
+`verlinde_sum` reads its coefficient off the same tables.  The process
+keeps them for the `packed.MODEL_TABLE_SIZE` S matrices used last, each
+with S packed, S^dagger and every N_lam asked for so far, built one label
+at a time.  The key is the identity of the S matrix, a tuple of tuples of
+immutable CycloNum: hashing rank^2 entries per call would cost more than
+the lookup saves.  The table holds the matrix, so its id is not reused
+while the entry lives.  An S given as lists is computed fresh and not
+kept.  Validation builds its own tables and fills none of these, so a
+model costs the same to build whether or not its fusion is read later.
+
+S^2 stays the one CycloNum product of validation, because its entry
+orders are those the order rule of `rep_evaluate` gives the central -I,
+and so reach the `lambda --json` report (the packed model reads only
+`conj`).
 The scalar character sums (the total index, the statistical phase sum,
 the soliton multiplicity) are `sum(terms, CycloNum.zero())`: each term is
 a product of three or more factors (or a square), which `dot` cannot
@@ -36,6 +49,8 @@ term-by-term chain.
 import functools
 import json
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,6 +71,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .packed import (
+    MODEL_TABLE_SIZE,
     PackedMatrix,
     PackedModel,
     Scaling,
@@ -89,36 +105,84 @@ class ConductorInfo:
 
 def eigenvalues(s: mx.Matrix, lam: int) -> tuple[CycloNum, ...]:
     """S[lam][d] / S[0][d] over the columns d: the eigenvalues of the fusion
-    matrix N_lam, whose eigenvector for d is column d of S.  The vacuum-row
-    entries keep their inverses (see `CycloNum.inverse`)."""
+    matrix N_lam, whose eigenvector for d is column d of S.  `fusion_matrix`
+    takes them once per label and table, and `verlinde_value` once per
+    witness.  The vacuum-row entries keep their inverses (see
+    `CycloNum.inverse`)."""
     return tuple(s[lam][d] * s[0][d].inverse() for d in range(len(s)))
 
 
 def verlinde_value(s: mx.Matrix, lam: int, mu: int, nu: int) -> CycloNum:
     """The Verlinde character sum over S columns d of
     S[mu][d] (S[lam][d] / S[0][d]) conj(S[nu][d]), as one `dot`: the
-    (mu, nu) entry of S diag(eigenvalues(s, lam)) S^dagger.  Its terms are
-    pairwise products, which `dot` fuses; the scalar character sums, whose
-    terms have more factors, use `sum` (see the module docstring)."""
+    (mu, nu) entry of S diag(eigenvalues(s, lam)) S^dagger, as the witness
+    of an entry that is not a nonnegative integer.  Its terms are pairwise
+    products, which `dot` fuses; the scalar character sums, whose terms
+    have more factors, use `sum` (see the module docstring)."""
     return dot(
         [x * e for x, e in zip(s[mu], eigenvalues(s, lam))],
         [x.conjugate() for x in s[nu]],
     )
 
 
-def verlinde_sum(s: mx.Matrix, lam: int, mu: int, nu: int) -> int:
-    """One fusion coefficient, `verlinde_value`, exactly the coefficient
-    the validated table holds.
+def packed_s(s: mx.Matrix) -> tuple[PackedMatrix, PackedMatrix]:
+    """S packed over the field of its entries, and S^dagger there
+    (sigma_-1(S) transposed): the two factors of every Verlinde table."""
+    order = math.lcm(*(x.order for row in s for x in row))
+    ps = pack(s, order)
+    return ps, ps.sigma(order - 1).transpose()
 
-    Raises NonIntegralFusionError when the sum is not a nonnegative integer,
-    which signals corrupt input data.
+
+def fusion_matrix(s: mx.Matrix, ps: PackedMatrix, s_dag: PackedMatrix,
+                  lam: int) -> tuple[PackedMatrix, tuple]:
+    """N_lam = S diag(eigenvalues(s, lam)) S^dagger on the factors of
+    `packed_s`: `ps` with its columns scaled by the eigenvalues, and that
+    times `s_dag` read by `nonneg_integers`, None at each entry that is not
+    a nonnegative integer."""
+    order = ps.packing.order
+    ev = pack([eigenvalues(s, lam)], order)
+    sd = ps.scale(cols=Scaling(order, ev.digits()[0], ev.den))
+    return sd, (sd @ s_dag).nonneg_integers()
+
+
+# id(S) -> (S, S packed, S^dagger, {lam: N_lam}), least recently used first
+_fusion_tables: "OrderedDict[int, tuple]" = OrderedDict()
+_fusion_lock = threading.Lock()
+
+
+def _fusion_table(s, lam: int) -> tuple:
+    """N_lam of `fusion_matrix`, from the process table when S is a matrix
+    (see the module docstring), else computed fresh."""
+    if not (isinstance(s, tuple) and all(isinstance(r, tuple) for r in s)):
+        return fusion_matrix(s, *packed_s(s), lam)[1]
+    with _fusion_lock:
+        entry = _fusion_tables.pop(id(s), None)
+        if entry is None or entry[0] is not s:
+            entry = (s, *packed_s(s), {})
+            if len(_fusion_tables) >= MODEL_TABLE_SIZE:
+                _fusion_tables.popitem(last=False)
+        _fusion_tables[id(s)] = entry
+        tables = entry[3]
+        if lam not in tables:
+            tables[lam] = fusion_matrix(s, entry[1], entry[2], lam)[1]
+        return tables[lam]
+
+
+def verlinde_sum(s: mx.Matrix, lam: int, mu: int, nu: int) -> int:
+    """One fusion coefficient: entry (mu, nu) of N_lam, read off the
+    process table of Verlinde tables (see the module docstring), exactly
+    the coefficient validation finds.
+
+    Raises NonIntegralFusionError, with the `verlinde_value` of the entry,
+    when it is not a nonnegative integer, which signals corrupt input data.
     """
-    acc = verlinde_value(s, lam, mu, nu)
-    if not acc.is_nonneg_integer():
+    n = _fusion_table(s, lam)[mu][nu]
+    if n is None:
         raise NonIntegralFusionError(
-            f"fusion ({lam},{mu};{nu}) is {acc!r}, not a nonnegative integer"
+            f"fusion ({lam},{mu};{nu}) is {verlinde_value(s, lam, mu, nu)!r},"
+            " not a nonnegative integer"
         )
-    return acc.nums[0]
+    return n
 
 
 def phase_sum(s: mx.Matrix, delta) -> CycloNum:
@@ -409,10 +473,9 @@ def _axiom_checks(labels, s, delta, c, c0, tau2):
     rec("s_symmetric", sym is None, "" if sym is None else f"entry {sym[:2]}")
 
     # over the field of the S entries (see the module docstring)
-    s_order = math.lcm(*(x.order for row in s for x in row))
-    ps = pack(s, s_order)
-    s_dag = ps.sigma(s_order - 1).transpose()
-    uni = next((ps @ s_dag).mismatches(identity(s_order, rank)), None)
+    ps, s_dag = packed_s(s)
+    uni = next((ps @ s_dag).mismatches(identity(ps.packing.order, rank)),
+               None)
     if not rec("s_unitary", uni is None,
                "" if uni is None else f"entry {uni}"):
         return records, derived
@@ -489,12 +552,11 @@ def _axiom_checks(labels, s, delta, c, c0, tau2):
 
 
 def _fusion_checks(s: mx.Matrix, ps: PackedMatrix, s_dag: PackedMatrix):
-    """The fusion table of S and its two checks, on S packed as `ps` and
-    S^dagger as `s_dag`, over the field of the S entries: N_lam is `ps`
-    with its columns scaled by eigenvalues(s, lam), times `s_dag`, read as
-    integers off the packed ints.  The scan over (lam, mu, nu) in
-    lexicographic order stops at the first entry that is not a nonnegative
-    integer, whose `verlinde_value` is the witness.
+    """The fusion table of S and its two checks, on the factors `ps` and
+    `s_dag` of `packed_s`: N_lam is `fusion_matrix`, built here for this
+    model and not kept in the process table.  The scan over (lam, mu, nu)
+    in lexicographic order stops at the first entry that is not a
+    nonnegative integer, whose `verlinde_value` is the witness.
     fusion_diagonalized_by_s compares N_lam S with the scaled S.  Returns
     the records, the second only when the table is integral, and the table
     or None."""
@@ -503,9 +565,7 @@ def _fusion_checks(s: mx.Matrix, ps: PackedMatrix, s_dag: PackedMatrix):
     fusion, scaled = [], []
     witness = ""
     for lam in range(len(s)):
-        ev = pack([eigenvalues(s, lam)], order)
-        sd = ps.scale(cols=Scaling(order, ev.digits()[0], ev.den))
-        table = (sd @ s_dag).nonneg_integers()
+        sd, table = fusion_matrix(s, ps, s_dag, lam)
         bad = next(((mu, nu) for mu, row in enumerate(table)
                     for nu, n in enumerate(row) if n is None), None)
         if bad is not None:

@@ -133,19 +133,6 @@ class OrbSlice:
         )
 
 
-def sector_set(slice_: OrbSlice) -> tuple[tuple[OrbLabel, ...], tuple[OrbLabel, ...]]:
-    """All sector triples, and the sub-sequence with unit twist."""
-    n = slice_.n
-    full = tuple(
-        OrbLabel(lam, tw, ch)
-        for lam in range(slice_.parent.rank)
-        for tw in range(n)
-        for ch in range(n)
-    )
-    units = tuple(a for a in full if math.gcd(a.twist, n) == 1)
-    return full, units
-
-
 def orb_s_entry(slice_: OrbSlice, a: OrbLabel, b: OrbLabel) -> CycloNum:
     """One orbifold S entry; requires a unit twist on at least one side."""
     n_cyc = slice_.n

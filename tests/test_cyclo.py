@@ -386,6 +386,64 @@ def test_inverse_at_degree_96():
     assert x * y == 1
 
 
+def _full_product_inverse(x):
+    """1/x as the product of sigma_l(x) over every unit l = 2..M-1, over
+    the norm that product times x is: the inverse before repeated
+    conjugates were skipped."""
+    m = x.order
+    cofactor = CycloNum.one(m)
+    for l in range(2, m):
+        if math.gcd(l, m) == 1:
+            cofactor = cofactor * x.galois(l)
+    return cofactor * (1 / (cofactor * x).as_fraction())
+
+
+def _plain(x):
+    """x without its memo or its root tag, so inverse() takes the norm."""
+    return CycloNum(x.order, x.den, x.nums)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_dense_elements())
+def test_inverse_over_distinct_conjugates_is_the_full_product(x):
+    want = _stored(_full_product_inverse(_plain(x)))
+    assert _stored(_plain(x).inverse()) == want
+    real = x + x.conjugate()
+    if real:
+        assert _stored(_plain(real).inverse()) == _stored(
+            _full_product_inverse(_plain(real)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=3, max_value=120), st.integers(min_value=0))
+def test_untagged_root_inverse_is_the_full_product(order, e):
+    x = _plain(zeta(order, e))
+    assert x.exponent is None
+    assert _stored(x.inverse()) == _stored(_full_product_inverse(_plain(x)))
+    assert _stored(x.inverse()) == _stored(_oracle_root(order, -e))
+
+
+@pytest.mark.parametrize("order,distinct", [(8, 4), (120, 4), (3600, 4)])
+def test_subfield_element_multiplies_its_distinct_conjugates(
+        monkeypatch, order, distinct):
+    # 1 + 2 zeta_8 has 4 conjugates, each repeated phi(order)/4 times
+    x = _plain(coerce(make(8, [(0, 1), (1, 2)]), order))
+    if order <= 120:
+        want = _stored(_full_product_inverse(_plain(x)))
+    products = []
+    real_mul = CycloNum.__mul__
+    monkeypatch.setattr(
+        CycloNum, "__mul__",
+        lambda a, b: products.append(b) or real_mul(a, b))
+    inv = x.inverse()
+    monkeypatch.undo()
+    # distinct - 1 conjugates into the cofactor, then x and 1/N(x)
+    assert len(products) == distinct + 1
+    assert inv.order == order and x * inv == 1
+    if order <= 120:
+        assert _stored(inv) == want
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=360), st.integers(min_value=0))
 def test_root_of_unity_inverse_is_conjugate(order, e):

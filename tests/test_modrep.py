@@ -16,7 +16,6 @@ from modata.modrep import (
     S_GEN,
     SL2ZMat,
     decompose,
-    evaluate_word,
     in_gamma,
     in_gamma1,
     lift_to_sl2z,
@@ -30,6 +29,7 @@ from modata.modrep import (
 from modata.modular_data import builtin_model, loads
 from modata.packed import PackedMatrix
 from word_oracle import (
+    evaluate_word,
     rep_evaluate_by_token,
     serialized,
     token_syllables,

@@ -5,6 +5,8 @@ import itertools
 import json
 import math
 import random
+import threading
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -187,6 +189,20 @@ def _exact(x):
     return x.order, x.den, x.nums
 
 
+def _corrupted(md):
+    """S of `md` with S[1][2] = S[2][1] divided by 3, as a new matrix."""
+    s = [list(row) for row in md.s]
+    s[2][1] = s[1][2] = s[2][1] * Fraction(1, 3)
+    return mx.mat(s)
+
+
+# every model of the benchmark's catalog workload
+_CATALOG_MODELS = [
+    *(("su2", k) for k in (1, 2, 3, 4, 5, 6, 7, 8, 10)),
+    *(("cyclic_odd", n) for n in (3, 5, 7, 9, 11)),
+]
+
+
 class TestFusionOrbits:
     """The table built as r matrix products N_lam = S diag(S[lam]/S[0])
     S^dagger against every one of the rank^3 term-by-term sums."""
@@ -253,21 +269,17 @@ class TestFusionOrbits:
         assert fusion[r] == pack(md.s, _s_order(md.s))
         assert all(rows is None for rows, _ in scales[2:])
 
-    @pytest.mark.parametrize("name,param", [
-        *(("su2", k) for k in range(1, 5)),
-        *(("cyclic_odd", n) for n in (3, 5)),
-    ])
+    @pytest.mark.parametrize("name,param", _CATALOG_MODELS)
     def test_verlinde_sum_equals_term_sum(self, name, param):
         md = builtin_model(name, param)
-        for lam, mu, nu in itertools.product(range(md.rank), repeat=3):
-            value = _verlinde_value(md.s, lam, mu, nu)
-            assert verlinde_sum(md.s, lam, mu, nu) == value.nums[0]
-            assert value.is_nonneg_integer()
+        for m in (md, loads(md.dumps())):  # mixed orders, one order
+            for lam, mu, nu in itertools.product(range(m.rank), repeat=3):
+                value = _verlinde_value(m.s, lam, mu, nu)
+                assert value.is_nonneg_integer()
+                assert verlinde_sum(m.s, lam, mu, nu) == value.nums[0]
 
     def test_non_integral_sum_reports_term_sum(self, su2_2):
-        s = [list(row) for row in su2_2.s]
-        s[2][1] = s[1][2] = s[2][1] * Fraction(1, 3)
-        s = mx.mat(s)
+        s = _corrupted(su2_2)
         failed = 0
         for lam, mu, nu in itertools.product(range(3), repeat=3):
             value = _verlinde_value(s, lam, mu, nu)
@@ -325,6 +337,119 @@ class TestFusionOrbits:
         for lam in range(3):
             assert eigenvalues(su2_2.s, lam) == tuple(
                 su2_2.s[lam][d] / su2_2.s[0][d] for d in range(3))
+
+
+@pytest.fixture
+def fusion_tables(monkeypatch):
+    """An empty process table of Verlinde tables for one test."""
+    tables = OrderedDict()
+    monkeypatch.setattr(modular_data, "_fusion_tables", tables)
+    return tables
+
+
+class TestFusionTable:
+    """`verlinde_sum` reads N_lam off the process table, keyed on the
+    identity of the S matrix."""
+
+    def test_list_input_is_not_stored(self, fusion_tables, su2_2):
+        rows = [list(row) for row in su2_2.s]
+        for lam, mu, nu in itertools.product(range(3), repeat=3):
+            assert verlinde_sum(rows, lam, mu, nu) == su2_2.fusion[lam][mu][nu]
+        assert not fusion_tables
+
+    def test_equal_matrices_are_separate_entries(self, fusion_tables, su2_2):
+        copy = mx.mat(su2_2.s)
+        assert copy == su2_2.s and copy is not su2_2.s
+        for s in (su2_2.s, copy):
+            for lam, mu, nu in itertools.product(range(3), repeat=3):
+                assert verlinde_sum(s, lam, mu, nu) == \
+                    su2_2.fusion[lam][mu][nu]
+        assert [entry[0] for entry in fusion_tables.values()] == [
+            su2_2.s, copy]
+        assert fusion_tables[id(copy)][0] is copy
+        assert sorted(fusion_tables[id(copy)][3]) == [0, 1, 2]
+
+    def test_labels_built_when_first_read(self, fusion_tables, monkeypatch,
+                                          su2_2):
+        built = []
+        real = modular_data.fusion_matrix
+        monkeypatch.setattr(
+            modular_data, "fusion_matrix",
+            lambda s, ps, s_dag, lam: built.append(lam) or real(
+                s, ps, s_dag, lam))
+        for lam in (2, 2, 0, 2, 0):
+            verlinde_sum(su2_2.s, lam, 1, 1)
+        assert built == [2, 0]
+
+    def test_least_recently_used_is_evicted(self, fusion_tables, monkeypatch,
+                                            su2_1):
+        packed = []
+        real = modular_data.packed_s
+        monkeypatch.setattr(modular_data, "packed_s",
+                            lambda s: packed.append(s) or real(s))
+        size = modular_data.MODEL_TABLE_SIZE
+        first = su2_1.s
+        others = [mx.mat(su2_1.s) for _ in range(2 * size - 1)]
+        verlinde_sum(first, 1, 1, 0)
+        for s in others[:size - 1]:
+            assert verlinde_sum(s, 1, 1, 0) == 1
+        # size - 1 other matrices since: still kept, and now the newest
+        assert verlinde_sum(first, 1, 1, 1) == 0
+        assert len(packed) == size and id(first) in fusion_tables
+        for s in others[size - 1:]:
+            assert verlinde_sum(s, 1, 1, 0) == 1
+        # size other matrices since: gone, and built again when read
+        assert len(fusion_tables) == size and id(first) not in fusion_tables
+        assert verlinde_sum(first, 1, 1, 0) == 1
+        assert len(packed) == 2 * size + 1 and packed[-1] is first
+
+    def test_corrupted_after_valid_raises(self, fusion_tables, su2_2):
+        for lam, mu, nu in itertools.product(range(3), repeat=3):
+            verlinde_sum(su2_2.s, lam, mu, nu)
+        bad = _corrupted(su2_2)
+        value = modular_data.verlinde_value(bad, 1, 1, 2)
+        assert not value.is_nonneg_integer()
+        with pytest.raises(NonIntegralFusionError) as exc:
+            verlinde_sum(bad, 1, 1, 2)
+        assert str(exc.value) == (
+            f"fusion (1,1;2) is {value!r}, not a nonnegative integer")
+
+    def test_entry_under_a_reused_id_is_not_read(self, fusion_tables, su2_2):
+        # Were a stored matrix freed and its id given to another, the entry
+        # left under that id would hold the first: it must not be read.
+        good = mx.mat([list(row) for row in su2_2.s])
+        assert verlinde_sum(good, 1, 1, 2) == 1
+        bad = _corrupted(su2_2)
+        fusion_tables[id(bad)] = fusion_tables.pop(id(good))
+        with pytest.raises(NonIntegralFusionError):
+            verlinde_sum(bad, 1, 1, 2)
+        assert fusion_tables[id(bad)][0] is bad
+
+    def test_concurrent_readers(self, fusion_tables):
+        # more models than the table holds, so threads evict each other's
+        models = [builtin_model("su2", k) for k in range(1, 6)] + [
+            builtin_model("cyclic_odd", n) for n in (3, 5, 7, 9)]
+        assert len(models) > modular_data.MODEL_TABLE_SIZE
+        start = threading.Barrier(4)
+        wrong = []
+
+        def read(seed):
+            order = random.Random(seed).sample(models, len(models))
+            start.wait()
+            for md in order * 2:
+                for lam, mu, nu in itertools.product(range(md.rank),
+                                                     repeat=3):
+                    if verlinde_sum(md.s, lam, mu, nu) != \
+                            md.fusion[lam][mu][nu]:
+                        wrong.append((md.name, lam, mu, nu))
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+        assert not wrong
+        assert len(fusion_tables) == modular_data.MODEL_TABLE_SIZE
 
 
 _SUM_MODELS = [

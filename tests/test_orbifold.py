@@ -28,7 +28,6 @@ from modata.orbifold import (
     orb_s_block,
     orb_s_entry,
     orb_t_entry,
-    sector_set,
     soliton_multiplicity,
 )
 
@@ -49,18 +48,6 @@ def slice2(su2_1):
 
 
 class TestSectors:
-    def test_counts_order_two(self, slice2):
-        full, units = sector_set(slice2)
-        assert len(full) == 2 * 2 * 2
-        assert len(units) == 4
-        assert {a.twist for a in units} == {1}
-
-    def test_counts_order_three(self, su2_2):
-        sl = OrbSlice(su2_2, 3)
-        full, units = sector_set(sl)
-        assert len(full) == 9 * 3
-        assert len(units) == 6 * 3
-
     def test_order_bound(self, su2_1):
         with pytest.raises(ValueError):
             OrbSlice(su2_1, 1)

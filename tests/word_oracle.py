@@ -7,10 +7,21 @@ and the sign, and a pass merges adjacent t tokens.  `rep_evaluate_by_token`
 multiplies CycloNum matrices along those tokens, a product by S for each s
 and a column scaling by T^k for each t^k, so its entries sit at the orders
 `cyclo.dot` and the products by roots of unity give them.  Neither reads a
-packed matrix, a syllable or `syllables`."""
+packed matrix, a syllable or `syllables`.  `evaluate_word` multiplies the
+integer matrices of a `modrep.GenWord`'s tokens, for the round trip of
+`modrep.decompose`."""
 
 from modata import matrixops as mx
-from modata.modrep import Syllables
+from modata.modrep import IDENTITY, S_GEN, Syllables, t_gen
+
+
+def evaluate_word(word):
+    """The integer matrix of a `modrep.GenWord`: the product of its tokens,
+    negated when it carries -I."""
+    m = IDENTITY
+    for kind, k in word.tokens:
+        m = m * (S_GEN if kind == "s" else t_gen(k))
+    return -m if word.sign < 0 else m
 
 
 def token_walk(m) -> tuple[tuple[tuple[str, int], ...], int]:

@@ -202,6 +202,32 @@ MUTANTS = [
         ["tests/test_packed.py::test_sigma_word_is_sigma_of_the_word",
          "tests/test_packed.py::test_sigma_syllables_cached_per_unit"],
     ),
+    (
+        # a fusion coefficient read off N_0 whatever lam, row mu
+        "modata/modular_data.py",
+        "n = _fusion_table(s, lam)[mu][nu]",
+        "n = _fusion_table(s, 0)[mu][nu]",
+        ["tests/test_modular_data.py::TestFusionOrbits::"
+         "test_verlinde_sum_equals_term_sum"],
+    ),
+    (
+        # x itself in the cofactor of its inverse: c*x is no longer the norm
+        "modata/cyclo.py",
+        "seen = {(self.den, self.nums)}",
+        "seen = set()",
+        ["tests/test_cyclo.py::"
+         "test_inverse_over_distinct_conjugates_is_the_full_product",
+         "tests/test_cyclo.py::"
+         "test_subfield_element_multiplies_its_distinct_conjugates"],
+    ),
+    (
+        # an entry read by id alone, whatever matrix it holds
+        "modata/modular_data.py",
+        "if entry is None or entry[0] is not s:",
+        "if entry is None:",
+        ["tests/test_modular_data.py::TestFusionTable::"
+         "test_entry_under_a_reused_id_is_not_read"],
+    ),
 ]
 
 
