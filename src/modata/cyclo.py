@@ -755,8 +755,9 @@ def sqrt_nonneg_rational(q) -> CycloNum:
     """The real nonnegative square root of q >= 0, exactly.
 
     sqrt(p/q) is computed as sqrt(p*q)/q so the radicand stays integral;
-    square-free prime factors are handled by Gauss sums.  The sign is fixed
-    by a floating embedding check (positive real part).
+    square-free prime factors are handled by Gauss sums.  Each
+    `_sqrt_prime` is the positive root, by Gauss's sign of the quadratic
+    Gauss sum, so their product with the positive rational part is too.
     """
     q = Fraction(q)
     if q < 0:
@@ -773,8 +774,6 @@ def sqrt_nonneg_rational(q) -> CycloNum:
     result = CycloNum.rational(Fraction(square_part, q.denominator))
     for p in sorted(odd_primes):
         result = result * _sqrt_prime(p)
-    if result.embed().real < 0:
-        result = -result
     return result
 
 

@@ -108,13 +108,10 @@ def phase_g(c, c0, r) -> Fraction:
     return rec(r)
 
 
-def lambda_mat(md: ModularData, r, bez: ReducedFraction | None = None) -> mx.Matrix:
+def lambda_mat(md: ModularData, r) -> mx.Matrix:
     """The fractional modular matrix L(r) = T^-r D(m) T^-r*."""
     r = Fraction(r)
-    if bez is None:
-        bez = bezout(r)
-    elif bez.value != r:
-        raise ValueError("Bezout data does not describe r")
+    bez = bezout(r)
     d = rep_evaluate(md, bez.matrix())
     return mx.scale_cols(
         mx.scale_rows(md.t_entries(-r), d), md.t_entries(-bez.dual)

@@ -24,16 +24,6 @@ comparison's witness is its first (i, j); a failing fusion entry's is one
 `verlinde_value`, a `cyclo.dot` of r terms held at the lcm of the orders
 of its nonzero terms.
 
-`verlinde_sum` reads its coefficient off the same tables.  The process
-keeps them for the `packed.MODEL_TABLE_SIZE` S matrices used last, each
-with S packed, S^dagger and every N_lam asked for so far, built one label
-at a time.  The key is the identity of the S matrix, a tuple of tuples of
-immutable CycloNum: hashing rank^2 entries per call would cost more than
-the lookup saves.  The table holds the matrix, so its id is not reused
-while the entry lives.  An S given as lists is computed fresh and not
-kept.  Validation builds its own tables and fills none of these, so a
-model costs the same to build whether or not its fusion is read later.
-
 S^2 stays the one CycloNum product of validation, because its entry
 orders are those the order rule of `rep_evaluate` gives the central -I,
 and so reach the `lambda --json` report (the packed model reads only
@@ -49,8 +39,6 @@ term-by-term chain.
 import functools
 import json
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,7 +59,6 @@ from .errors import (
     UnsupportedModelError,
 )
 from .packed import (
-    MODEL_TABLE_SIZE,
     PackedMatrix,
     PackedModel,
     Scaling,
@@ -145,38 +132,27 @@ def fusion_matrix(s: mx.Matrix, ps: PackedMatrix, s_dag: PackedMatrix,
     return sd, (sd @ s_dag).nonneg_integers()
 
 
-# id(S) -> (S, S packed, S^dagger, {lam: N_lam}), least recently used first
-_fusion_tables: "OrderedDict[int, tuple]" = OrderedDict()
-_fusion_lock = threading.Lock()
+class _ValidatedS(tuple):
+    """The S of a validated model: the tuple of tuples `mx.mat` gives,
+    carrying the fusion table validation found as `fusion`."""
 
-
-def _fusion_table(s, lam: int) -> tuple:
-    """N_lam of `fusion_matrix`, from the process table when S is a matrix
-    (see the module docstring), else computed fresh."""
-    if not (isinstance(s, tuple) and all(isinstance(r, tuple) for r in s)):
-        return fusion_matrix(s, *packed_s(s), lam)[1]
-    with _fusion_lock:
-        entry = _fusion_tables.pop(id(s), None)
-        if entry is None or entry[0] is not s:
-            entry = (s, *packed_s(s), {})
-            if len(_fusion_tables) >= MODEL_TABLE_SIZE:
-                _fusion_tables.popitem(last=False)
-        _fusion_tables[id(s)] = entry
-        tables = entry[3]
-        if lam not in tables:
-            tables[lam] = fusion_matrix(s, entry[1], entry[2], lam)[1]
-        return tables[lam]
+    def __new__(cls, s, fusion):
+        self = super().__new__(cls, s)
+        self.fusion = fusion
+        return self
 
 
 def verlinde_sum(s: mx.Matrix, lam: int, mu: int, nu: int) -> int:
-    """One fusion coefficient: entry (mu, nu) of N_lam, read off the
-    process table of Verlinde tables (see the module docstring), exactly
-    the coefficient validation finds.
+    """One fusion coefficient: entry (mu, nu) of N_lam.  The S of a
+    `ModularData` carries the table validation found; any other S gets its
+    N_lam from `fusion_matrix`, built for this call.
 
     Raises NonIntegralFusionError, with the `verlinde_value` of the entry,
     when it is not a nonnegative integer, which signals corrupt input data.
     """
-    n = _fusion_table(s, lam)[mu][nu]
+    if isinstance(s, _ValidatedS):
+        return s.fusion[lam][mu][nu]
+    n = fusion_matrix(s, *packed_s(s), lam)[1][mu][nu]
     if n is None:
         raise NonIntegralFusionError(
             f"fusion ({lam},{mu};{nu}) is {verlinde_value(s, lam, mu, nu)!r},"
@@ -210,7 +186,7 @@ class ModularData:
         self.name = name
         self.labels = labels
         self.rank = len(labels)
-        self.s = derived["s"]
+        self.s = _ValidatedS(derived["s"], derived["fusion"])
         self.delta = delta
         self.c = c
         self.c0 = c0
@@ -553,10 +529,9 @@ def _axiom_checks(labels, s, delta, c, c0, tau2):
 
 def _fusion_checks(s: mx.Matrix, ps: PackedMatrix, s_dag: PackedMatrix):
     """The fusion table of S and its two checks, on the factors `ps` and
-    `s_dag` of `packed_s`: N_lam is `fusion_matrix`, built here for this
-    model and not kept in the process table.  The scan over (lam, mu, nu)
-    in lexicographic order stops at the first entry that is not a
-    nonnegative integer, whose `verlinde_value` is the witness.
+    `s_dag` of `packed_s`: N_lam is `fusion_matrix`.  The scan over
+    (lam, mu, nu) in lexicographic order stops at the first entry that is
+    not a nonnegative integer, whose `verlinde_value` is the witness.
     fusion_diagonalized_by_s compares N_lam S with the scaled S.  Returns
     the records, the second only when the table is integral, and the table
     or None."""

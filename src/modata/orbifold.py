@@ -367,11 +367,6 @@ def charge_invariants(slice_: OrbSlice) -> list[CheckRecord]:
     return [charge_transport, t_charge_shift]
 
 
-def _fusion_matrix(md: ModularData, lam: int) -> list[list[int]]:
-    return [[md.fusion[lam][mu][nu] for nu in range(md.rank)]
-            for mu in range(md.rank)]
-
-
 def _int_matmul(a, b):
     n = len(a)
     return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
@@ -383,7 +378,7 @@ def handle_operator(md: ModularData) -> list[list[int]]:
     inserts into the fusion trace; it depends on the model only."""
     handle = None
     for nu in range(md.rank):
-        h = _int_matmul(_fusion_matrix(md, nu), _fusion_matrix(md, md.conj[nu]))
+        h = _int_matmul(md.fusion[nu], md.fusion[md.conj[nu]])
         handle = h if handle is None else [
             [x + y for x, y in zip(r1, r2)] for r1, r2 in zip(handle, h)
         ]
@@ -401,9 +396,9 @@ def multiplicity_trace_oracle(md: ModularData, labels, handle=None) -> int:
     genus = (n - 1) * (n - 2) // 2
     if n == 2:
         return 1 if md.conj[labels[0]] == labels[1] else 0
-    prod = _fusion_matrix(md, labels[0])
+    prod = md.fusion[labels[0]]
     for lam in labels[1:]:
-        prod = _int_matmul(prod, _fusion_matrix(md, lam))
+        prod = _int_matmul(prod, md.fusion[lam])
     if genus >= 2 and handle is None:
         handle = handle_operator(md)
     for _ in range(genus - 1):

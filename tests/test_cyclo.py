@@ -203,6 +203,15 @@ class TestSqrt:
         z = embed_complex(x, 10)
         assert z.real > 0 and abs(z.imag) < 1e-10
 
+    def test_prime_root_is_positive(self):
+        # sqrt_nonneg_rational takes the sign of each prime's root as given
+        primes = [p for p in range(2, 400)
+                  if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        for p in primes:
+            x = cyclo._sqrt_prime(p)
+            assert x * x == p, p
+            assert x.embed().real > 0, p
+
 
 class TestRootOfUnity:
     def test_trivial(self):

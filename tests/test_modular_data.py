@@ -6,7 +6,6 @@ import json
 import math
 import random
 import threading
-from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -270,9 +269,17 @@ class TestFusionOrbits:
         assert all(rows is None for rows, _ in scales[2:])
 
     @pytest.mark.parametrize("name,param", _CATALOG_MODELS)
-    def test_verlinde_sum_equals_term_sum(self, name, param):
+    def test_verlinde_sum_equals_term_sum(self, monkeypatch, name, param):
         md = builtin_model(name, param)
-        for m in (md, loads(md.dumps())):  # mixed orders, one order
+        models = (md, loads(md.dumps()))  # mixed orders, one order
+
+        def unused(*args):
+            raise AssertionError("a validated S builds no Verlinde table")
+
+        # each validated S answers from the table validation found
+        monkeypatch.setattr(modular_data, "fusion_matrix", unused)
+        monkeypatch.setattr(modular_data, "packed_s", unused)
+        for m in models:
             for lam, mu, nu in itertools.product(range(m.rank), repeat=3):
                 value = _verlinde_value(m.s, lam, mu, nu)
                 assert value.is_nonneg_integer()
@@ -339,71 +346,31 @@ class TestFusionOrbits:
                 su2_2.s[lam][d] / su2_2.s[0][d] for d in range(3))
 
 
-@pytest.fixture
-def fusion_tables(monkeypatch):
-    """An empty process table of Verlinde tables for one test."""
-    tables = OrderedDict()
-    monkeypatch.setattr(modular_data, "_fusion_tables", tables)
-    return tables
-
-
 class TestFusionTable:
-    """`verlinde_sum` reads N_lam off the process table, keyed on the
-    identity of the S matrix."""
+    """`verlinde_sum` reads the table a validated S carries, and builds N_lam
+    for any other S."""
 
-    def test_list_input_is_not_stored(self, fusion_tables, su2_2):
-        rows = [list(row) for row in su2_2.s]
-        for lam, mu, nu in itertools.product(range(3), repeat=3):
-            assert verlinde_sum(rows, lam, mu, nu) == su2_2.fusion[lam][mu][nu]
-        assert not fusion_tables
-
-    def test_equal_matrices_are_separate_entries(self, fusion_tables, su2_2):
-        copy = mx.mat(su2_2.s)
-        assert copy == su2_2.s and copy is not su2_2.s
-        for s in (su2_2.s, copy):
-            for lam, mu, nu in itertools.product(range(3), repeat=3):
-                assert verlinde_sum(s, lam, mu, nu) == \
-                    su2_2.fusion[lam][mu][nu]
-        assert [entry[0] for entry in fusion_tables.values()] == [
-            su2_2.s, copy]
-        assert fusion_tables[id(copy)][0] is copy
-        assert sorted(fusion_tables[id(copy)][3]) == [0, 1, 2]
-
-    def test_labels_built_when_first_read(self, fusion_tables, monkeypatch,
-                                          su2_2):
+    def test_list_input_is_not_stored(self, monkeypatch, su2_2):
         built = []
         real = modular_data.fusion_matrix
         monkeypatch.setattr(
             modular_data, "fusion_matrix",
             lambda s, ps, s_dag, lam: built.append(lam) or real(
                 s, ps, s_dag, lam))
-        for lam in (2, 2, 0, 2, 0):
-            verlinde_sum(su2_2.s, lam, 1, 1)
-        assert built == [2, 0]
+        rows = [list(row) for row in su2_2.s]
+        triples = list(itertools.product(range(3), repeat=3))
+        for lam, mu, nu in triples:
+            assert verlinde_sum(rows, lam, mu, nu) == su2_2.fusion[lam][mu][nu]
+        assert built == [lam for lam, _, _ in triples]
 
-    def test_least_recently_used_is_evicted(self, fusion_tables, monkeypatch,
-                                            su2_1):
-        packed = []
-        real = modular_data.packed_s
-        monkeypatch.setattr(modular_data, "packed_s",
-                            lambda s: packed.append(s) or real(s))
-        size = modular_data.MODEL_TABLE_SIZE
-        first = su2_1.s
-        others = [mx.mat(su2_1.s) for _ in range(2 * size - 1)]
-        verlinde_sum(first, 1, 1, 0)
-        for s in others[:size - 1]:
-            assert verlinde_sum(s, 1, 1, 0) == 1
-        # size - 1 other matrices since: still kept, and now the newest
-        assert verlinde_sum(first, 1, 1, 1) == 0
-        assert len(packed) == size and id(first) in fusion_tables
-        for s in others[size - 1:]:
-            assert verlinde_sum(s, 1, 1, 0) == 1
-        # size other matrices since: gone, and built again when read
-        assert len(fusion_tables) == size and id(first) not in fusion_tables
-        assert verlinde_sum(first, 1, 1, 0) == 1
-        assert len(packed) == 2 * size + 1 and packed[-1] is first
+    def test_copy_is_computed_fresh(self, su2_2):
+        copy = mx.mat(su2_2.s)
+        assert copy == su2_2.s and not hasattr(copy, "fusion")
+        for lam, mu, nu in itertools.product(range(3), repeat=3):
+            assert verlinde_sum(copy, lam, mu, nu) == \
+                verlinde_sum(su2_2.s, lam, mu, nu) == su2_2.fusion[lam][mu][nu]
 
-    def test_corrupted_after_valid_raises(self, fusion_tables, su2_2):
+    def test_corrupted_after_valid_raises(self, su2_2):
         for lam, mu, nu in itertools.product(range(3), repeat=3):
             verlinde_sum(su2_2.s, lam, mu, nu)
         bad = _corrupted(su2_2)
@@ -414,22 +381,9 @@ class TestFusionTable:
         assert str(exc.value) == (
             f"fusion (1,1;2) is {value!r}, not a nonnegative integer")
 
-    def test_entry_under_a_reused_id_is_not_read(self, fusion_tables, su2_2):
-        # Were a stored matrix freed and its id given to another, the entry
-        # left under that id would hold the first: it must not be read.
-        good = mx.mat([list(row) for row in su2_2.s])
-        assert verlinde_sum(good, 1, 1, 2) == 1
-        bad = _corrupted(su2_2)
-        fusion_tables[id(bad)] = fusion_tables.pop(id(good))
-        with pytest.raises(NonIntegralFusionError):
-            verlinde_sum(bad, 1, 1, 2)
-        assert fusion_tables[id(bad)][0] is bad
-
-    def test_concurrent_readers(self, fusion_tables):
-        # more models than the table holds, so threads evict each other's
+    def test_concurrent_readers(self):
         models = [builtin_model("su2", k) for k in range(1, 6)] + [
             builtin_model("cyclic_odd", n) for n in (3, 5, 7, 9)]
-        assert len(models) > modular_data.MODEL_TABLE_SIZE
         start = threading.Barrier(4)
         wrong = []
 
@@ -447,9 +401,9 @@ class TestFusionTable:
         for th in threads:
             th.start()
         for th in threads:
-            th.join()
+            th.join(timeout=60)
+            assert not th.is_alive()
         assert not wrong
-        assert len(fusion_tables) == modular_data.MODEL_TABLE_SIZE
 
 
 _SUM_MODELS = [

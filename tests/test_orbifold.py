@@ -280,13 +280,12 @@ def oracle_rebuilding_handle(md, labels):
     genus = (n - 1) * (n - 2) // 2
     if n == 2:
         return 1 if md.conj[labels[0]] == labels[1] else 0
-    prod = orb._fusion_matrix(md, labels[0])
+    prod = md.fusion[labels[0]]
     for lam in labels[1:]:
-        prod = orb._int_matmul(prod, orb._fusion_matrix(md, lam))
+        prod = orb._int_matmul(prod, md.fusion[lam])
     handle = None
     for nu in range(md.rank):
-        h = orb._int_matmul(orb._fusion_matrix(md, nu),
-                            orb._fusion_matrix(md, md.conj[nu]))
+        h = orb._int_matmul(md.fusion[nu], md.fusion[md.conj[nu]])
         handle = h if handle is None else [
             [x + y for x, y in zip(r1, r2)] for r1, r2 in zip(handle, h)
         ]

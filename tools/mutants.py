@@ -203,10 +203,10 @@ MUTANTS = [
          "tests/test_packed.py::test_sigma_syllables_cached_per_unit"],
     ),
     (
-        # a fusion coefficient read off N_0 whatever lam, row mu
+        # a fusion coefficient read off N_0 whatever lam
         "modata/modular_data.py",
-        "n = _fusion_table(s, lam)[mu][nu]",
-        "n = _fusion_table(s, 0)[mu][nu]",
+        "s.fusion[lam][mu]",
+        "s.fusion[0][mu]",
         ["tests/test_modular_data.py::TestFusionOrbits::"
          "test_verlinde_sum_equals_term_sum"],
     ),
@@ -221,12 +221,19 @@ MUTANTS = [
          "test_subfield_element_multiplies_its_distinct_conjugates"],
     ),
     (
-        # an entry read by id alone, whatever matrix it holds
+        # N_lam read transposed: equal only when the conjugation is trivial
         "modata/modular_data.py",
-        "if entry is None or entry[0] is not s:",
-        "if entry is None:",
-        ["tests/test_modular_data.py::TestFusionTable::"
-         "test_entry_under_a_reused_id_is_not_read"],
+        "return s.fusion[lam][mu][nu]",
+        "return s.fusion[lam][nu][mu]",
+        ["tests/test_modular_data.py::TestFusionOrbits::"
+         "test_verlinde_sum_equals_term_sum"],
+    ),
+    (
+        # -sqrt(p) for p = 3 mod 4: the Gauss sum i*sqrt(p) times i, not -i
+        "modata/cyclo.py",
+        "return g * make(4, [(1, -1)])",
+        "return g * make(4, [(1, 1)])",
+        ["tests/test_cyclo.py::TestSqrt::test_prime_root_is_positive"],
     ),
 ]
 
