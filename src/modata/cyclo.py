@@ -10,12 +10,17 @@ order are equal exactly when their stored tuples are equal.
 Mixed-order arithmetic coerces both operands to the least common multiple of
 their orders; callers never manage orders by hand.  All values are immutable
 and every operation is pure.  The inverse is the norm inverse: the product
-of the distinct Galois conjugates of x other than x, divided by the norm,
-which is that product times x and rational.  A value keeps its own
-multiplicative inverse once it has been asked for it, so code that divides
-by the same value many times (a vacuum row, a root of unity) pays for one
-norm; the memo is a cache invisible to equality, hashing and
-serialization.
+of the distinct Galois conjugates of x other than x, taken at the minimal
+order of x, divided by the norm, which is that product times x and
+rational.  A value keeps its own multiplicative inverse once it has been
+asked for it, so code that divides by the same value many times (a vacuum
+row, a root of unity) pays for one norm; the memo is a cache invisible to
+equality, hashing and serialization.
+
+Coercion to a subfield, the minimal order, the hash and the inverse share
+one exact integer descent, one prime of the order at a time: a read of
+every p-th digit when p still divides the smaller order, and otherwise a
+split of the digits over Q(zeta_k)(zeta_p) (see `_drop_prime`).
 
 A sum of products, such as a matrix product entry, is one `dot`: the terms
 accumulate unreduced over one common denominator and the sum is reduced
@@ -37,9 +42,10 @@ Reduction modulo Phi_M is sparse: a context keeps Phi_M and its nonzero low
 terms, O(phi) memory per order, and one routine reduces every product, Galois
 image, coercion and constructed element.  One placement routine puts
 coefficients at their exponents mod M for coercion, Galois images and
-shifts; for even M it folds the upper half down by zeta^(M/2) = -1 first.  The ambient order is capped by the
-MODATA_MAX_ORDER environment variable (default 4096) as a time guard: dense
-products and the exact descent solve grow at least as phi^2.
+shifts; for even M it folds the upper half down by zeta^(M/2) = -1 first.
+The ambient order is capped by the MODATA_MAX_ORDER environment variable
+(default 4096) as a time guard: dense products grow as phi^2, and a norm
+inverse takes up to phi of them.
 """
 
 import cmath
@@ -97,19 +103,6 @@ def euler_phi(m: int) -> int:
     for p in _factorize(m):
         result -= result // p
     return result
-
-
-def divisors(m: int) -> list[int]:
-    """Positive divisors of m, ascending."""
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
 
 
 def _poly_divmod_int(num: list[int], den: list[int]) -> list[int]:
@@ -305,10 +298,17 @@ class CycloNum:
         if self.is_rational():
             return hash(Fraction(self.nums[0], self.den))
         if self._hash is None:
-            n = self.minimal_order()
-            rep = self if n == self.order else self._descend(n)
-            object.__setattr__(self, "_hash", hash((n, rep.den, rep.nums)))
+            rep = self._at_minimal_order()
+            object.__setattr__(
+                self, "_hash", hash((rep.order, rep.den, rep.nums)))
         return self._hash
+
+    def __reduce__(self):
+        # copies and pickles go through the constructors, the slots being
+        # read-only; a root keeps its exponent and the memos are dropped
+        if self.exponent is not None:
+            return _root, (self.order, self.exponent)
+        return CycloNum, (self.order, self.den, self.nums)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -363,15 +363,15 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
-        """Multiplicative inverse by the norm: with c the product of the
-        distinct conjugates sigma_l(x) != x over the units l mod M, c*x is
-        the product of the Galois orbit of x, the norm of x from Q(x) down
-        to Q, which is rational and nonzero, and 1/x = c / (c*x).  An
-        element of a small subfield stored at a large order repeats each
-        conjugate, and a real one has at most phi/2, so only the distinct
-        ones, told apart by their stored (den, nums) at M, are multiplied.
-        A root of unity zeta^k inverts to zeta^-k.  Computed once per value
-        and then returned from the `_inv` slot."""
+        """Multiplicative inverse by the norm: with x at its minimal order
+        n and c the product of the distinct conjugates sigma_l(x) != x over
+        the units l mod n, c*x is the product of the Galois orbit of x, the
+        norm of x from Q(x) down to Q, which is rational and nonzero, and
+        1/x = c / (c*x), coerced back to the stored order.  A real x has at
+        most phi(n)/2 distinct conjugates, so only the distinct ones, told
+        apart by their stored (den, nums), are multiplied.  A root of unity
+        zeta^k inverts to zeta^-k.  Computed once per value and then
+        returned from the `_inv` slot."""
         inv = getattr(self, "_inv", None)
         if inv is not None:
             return inv
@@ -382,16 +382,18 @@ class CycloNum:
         elif self.is_rational():
             inv = CycloNum.rational(1 / self.as_fraction(), self.order)
         else:
-            m = self.order
-            cofactor = CycloNum.one(m)
-            seen = {(self.den, self.nums)}
-            for l in range(2, m):
-                if math.gcd(l, m) == 1:
-                    y = self.galois(l)
+            x = self._at_minimal_order()
+            n = x.order
+            cofactor = CycloNum.one(n)
+            seen = {(x.den, x.nums)}
+            for l in range(2, n):
+                if math.gcd(l, n) == 1:
+                    y = x.galois(l)
                     if (y.den, y.nums) not in seen:
                         seen.add((y.den, y.nums))
                         cofactor = cofactor * y
-            inv = cofactor * (1 / (cofactor * self).as_fraction())
+            inv = (cofactor * (1 / (cofactor * x).as_fraction())).coerce(
+                self.order)
         object.__setattr__(self, "_inv", inv)
         return inv
 
@@ -465,42 +467,48 @@ class CycloNum:
         return CycloNum(new_order, self.den, nums)
 
     def _descend(self, sub_order: int) -> "CycloNum":
-        """This element at the divisor `sub_order` of its order.
-
-        When every prime of step = order/sub_order divides sub_order,
-        Phi_order(x) = Phi_sub(x^step), so the subfield's power basis is
-        every step-th power of zeta_order and the coordinates are a read of
-        every step-th digit; any other nonzero digit puts the element
-        outside the subfield.  Otherwise they are solved for."""
+        """This element at the divisor `sub_order` of its order, one prime
+        p of the step at a time, from order m to k = m/p.  When p divides k,
+        Phi_m(x) = Phi_k(x^p): the coordinates are every p-th digit, and any
+        other nonzero digit puts the element outside.  These steps come
+        first, as one read of every r-th digit, r their product; the primes
+        that leave the order are then dropped by `_drop_prime`."""
         if sub_order == self.order:
             return self
         step = self.order // sub_order
-        if any(sub_order % p for p in _factorize(step)):
-            return _descend_by_solve(self, sub_order)
-        if any(c for j, c in enumerate(self.nums) if j % step):
+        fresh = [p for p in _factorize(step) if sub_order % p]
+        read = step // math.prod(fresh)
+        if any(c for j, c in enumerate(self.nums) if j % read):
             raise _not_embeddable(self.order, sub_order)
-        return CycloNum(sub_order, self.den, self.nums[::step])
+        nums, k = self.nums[::read], self.order // read
+        for p in fresh:
+            k //= p
+            nums = _drop_prime(nums, k, p)
+            if nums is None:
+                raise _not_embeddable(self.order, sub_order)
+        return CycloNum(sub_order, self.den, nums)
+
+    def _at_minimal_order(self) -> "CycloNum":
+        """This element at the least order it lies at.  Q(zeta_a) and
+        Q(zeta_b) meet in Q(zeta_gcd(a, b)), so the orders the element lies
+        at are the multiples of the least that divide its order, and
+        dropping one prime of the order at a time, while the element still
+        descends, ends there."""
+        x = self
+        for p in _factorize(self.order):
+            while x.order % p == 0:
+                try:
+                    x = x._descend(x.order // p)
+                except NotEmbeddableError:
+                    break
+        return x
 
     def minimal_order(self) -> int:
-        """Smallest divisor n of the order with the element inside Q(zeta_n).
-
-        Decided by the fixed-field test: the element must be invariant under
-        every automorphism zeta -> zeta^j with j = 1 (mod n), gcd(j, M) = 1.
-        """
+        """Smallest divisor n of the order with the element inside
+        Q(zeta_n)."""
         if self.is_rational():
             return 1
-        m = self.order
-        for n in divisors(m):
-            if n == m:
-                return m
-            fixed = True
-            for j in range(1 + n, m, n):
-                if math.gcd(j, m) == 1 and self.galois(j) != self:
-                    fixed = False
-                    break
-            if fixed:
-                return n
-        return m
+        return self._at_minimal_order().order
 
     # -- numeric embedding -------------------------------------------------
 
@@ -622,55 +630,29 @@ def _not_embeddable(order: int, sub_order: int) -> NotEmbeddableError:
         f"element of Q(zeta_{order}) is not in Q(zeta_{sub_order})")
 
 
-def _descend_by_solve(x: CycloNum, sub_order: int) -> CycloNum:
-    """x at the divisor `sub_order` of its order, by solving for its
-    coordinates over the power basis of the subfield."""
-    big = _context(x.order)
-    small = _context(sub_order)
-    step = x.order // sub_order
-    # column j is zeta^(step*j): the previous column times zeta^step
-    cols = [[1] + [0] * (big.phi - 1)]
-    for _ in range(small.phi - 1):
-        cols.append(big.reduce([0] * step + cols[-1]))
-    target = [Fraction(n, x.den) for n in x.nums]
-    sol = _solve_exact(cols, target, big.phi)
-    if sol is None:
-        raise _not_embeddable(x.order, sub_order)
-    nums, den = _clear_denominators(sol)
-    return CycloNum(sub_order, den, nums)
+def _drop_prime(nums, k: int, p: int):
+    """The digits at order k of the element with digits `nums` at order
+    k*p, p a prime not dividing k, or None when it is not in Q(zeta_k).
+    With u = 1/p mod k and v = 1/k mod p, zeta_kp = zeta_k^u zeta_p^v, and
+    the element is the sum over t of B_t zeta_p^t, B_t in Q(zeta_k) taking
+    digit j to the power u*j mod k when v*j = t mod p.  As zeta_p^(p-1) is
+    minus the sum of the basis 1, ..., zeta_p^(p-2) of Q(zeta_kp) over
+    Q(zeta_k), the element is in Q(zeta_k) exactly when each B_t - B_(p-1),
+    0 < t < p-1, is zero mod Phi_k, and it is then B_0 - B_(p-1)."""
+    u, v = pow(p, -1, k), pow(k, -1, p)
+    parts = [[0] * k for _ in range(p)]
+    for j, c in enumerate(nums):
+        if c:
+            parts[v * j % p][u * j % k] += c
+    last = parts[p - 1]
+    reduce = _context(k).reduce
 
+    def minus_last(t):
+        return reduce([a - b for a, b in zip(parts[t], last)])
 
-def _solve_exact(cols, target, nrows):
-    # Gaussian elimination over Q for the system cols * x = target.
-    ncols = len(cols)
-    rows = [
-        [Fraction(cols[j][i]) for j in range(ncols)] + [target[i]]
-        for i in range(nrows)
-    ]
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if rows[i][ncols]:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivot_cols):
-        sol[c] = rows[i][ncols]
-    return sol
+    if any(any(minus_last(t)) for t in range(1, p - 1)):
+        return None
+    return minus_last(0)
 
 
 # -- module-level operation surface ------------------------------------------

@@ -68,6 +68,7 @@ from .packed import (
     pack,
     packed_model,
     roots,
+    t_weights,
 )
 from .reporting import CheckRecord, first_failure
 
@@ -140,6 +141,9 @@ class _ValidatedS(tuple):
         self = super().__new__(cls, s)
         self.fusion = fusion
         return self
+
+    def __reduce__(self):
+        return _ValidatedS, (tuple(self), self.fusion)
 
 
 def verlinde_sum(s: mx.Matrix, lam: int, mu: int, nu: int) -> int:
@@ -488,7 +492,7 @@ def _axiom_checks(labels, s, delta, c, c0, tau2):
     # diagonal of exp(2*pi*i*(delta - c0/24)), as scalings of S.
     order = field_order(s, delta, c0)
     pm = pack(s, order)
-    weights = [int((d - c0 / 24) * order) for d in delta]
+    weights = t_weights(delta, c0, order)
     t, t_inv = roots(order, weights), roots(order, [-w for w in weights])
     mm = next((pm.scale(cols=t) @ pm).mismatches(pm.scale(t_inv, t_inv)),
               None)

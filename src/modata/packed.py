@@ -605,13 +605,14 @@ def _roots(order: int, exponents: tuple[int, ...]) -> Scaling:
                    exponents)
 
 
-def t_weights(md, order: int) -> tuple[int, ...]:
-    """The w with T = diag(zeta_order^w): w = (delta - c0/24) * order, an
-    integer because the orders of the T entries divide the field order.
-    They are not reduced mod the order: T^r for a non-integer r depends on
-    c0 mod 24 * den(r), so models whose c0 differ by 24 share every integer
-    T power but not T^(1/2), and stay two contents."""
-    return tuple(int((d - md.c0 / 24) * order) for d in md.delta)
+def t_weights(delta, c0, order: int) -> tuple[int, ...]:
+    """The w with T = diag(zeta_order^w) for the conformal weights `delta`
+    and the central charge representative `c0`: w = (delta - c0/24) *
+    order, an integer because the orders of the T entries divide the field
+    order.  They are not reduced mod the order: T^r for a non-integer r
+    depends on c0 mod 24 * den(r), so models whose c0 differ by 24 share
+    every integer T power but not T^(1/2), and stay two contents."""
+    return tuple(int((d - c0 / 24) * order) for d in delta)
 
 
 class PackedModel:
@@ -628,7 +629,7 @@ class PackedModel:
         self.s = s
         self.conj = md.conj
         self.s_inv = s.take_rows(self.conj)
-        self.t_weights = t_weights(md, self.order)
+        self.t_weights = t_weights(md.delta, md.c0, self.order)
         self._syllables: dict[int, PackedMatrix] = {}
         self._sigma_syllables: dict[tuple[int, int], PackedMatrix] = {}
         self._t_powers: dict[int, Scaling] = {}
@@ -698,7 +699,7 @@ def packed_model(md, s: PackedMatrix) -> PackedModel:
     packed as `s`: the field order and width, S's den and packed rows, the
     conjugation and the T weights."""
     order = s.packing.order
-    weights = t_weights(md, order)
+    weights = t_weights(md.delta, md.c0, order)
     key = (order, s.packing.width, s.den, s.rows, md.conj, weights)
     with _models_lock:
         model = _models.pop(key, None)

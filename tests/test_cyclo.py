@@ -1,8 +1,10 @@
 """Exact cyclotomic kernel: construction, field laws, Galois structure,
 square roots, coercion, and the independent reduction oracle."""
 
+import copy
 import functools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -18,7 +20,6 @@ from modata.cyclo import (
     conjugate,
     cyclo_from_obj,
     cyclotomic_polynomial,
-    divisors,
     embed_complex,
     euler_phi,
     field_arithmetic,
@@ -33,6 +34,10 @@ from modata.errors import NegativeRadicandError, NotCoprimeError, NotEmbeddableE
 
 def zeta(m, e=1):
     return make(m, [(e, 1)])
+
+
+def divisors(m):
+    return [d for d in range(1, m + 1) if m % d == 0]
 
 
 class TestMake:
@@ -130,37 +135,126 @@ class TestCoerce:
             coerce(zeta(8), 12)
 
 
-@pytest.mark.parametrize("big,sub", [(16, 8), (24, 12), (72, 36), (360, 180)])
-def test_descent_digit_read_matches_the_solve(big, sub, monkeypatch):
-    # every prime of big/sub divides sub, so `_descend` reads every
-    # (big/sub)-th digit and never solves; the solve is the oracle, on
-    # subfield elements at the big order, alone and with one digit off
-    # the subfield's basis added, and on random elements of the big field
-    rnd = random.Random(big)
-    step = big // sub
+def _descend_by_solve(x, sub_order):
+    """x at the divisor `sub_order` of its order, by Gaussian elimination
+    over Q for its coordinates over the power basis of the subfield: the
+    oracle of `CycloNum._descend`."""
+    big, small = euler_phi(x.order), euler_phi(sub_order)
+    step = x.order // sub_order
+    # column j is zeta^(step*j): the previous column times zeta^step
+    cols = [[1] + [0] * (big - 1)]
+    for _ in range(small - 1):
+        cols.append(cyclo._context(x.order).reduce([0] * step + cols[-1]))
+    rows = [[Fraction(col[i]) for col in cols] + [Fraction(x.nums[i], x.den)]
+            for i in range(big)]
+    pivots = []
+    for c in range(small):
+        pivot = next((i for i in range(len(pivots), big) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        r = len(pivots)
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i in range(big):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+    if any(row[small] for row in rows[len(pivots):]):
+        raise NotEmbeddableError(
+            f"element of Q(zeta_{x.order}) is not in Q(zeta_{sub_order})")
+    sol = [Fraction(0)] * small
+    for i, c in enumerate(pivots):
+        sol[c] = rows[i][small]
+    den = math.lcm(*(q.denominator for q in sol))
+    return CycloNum(sub_order, den, [int(q * den) for q in sol])
+
+
+def _descent_outcome(descend, x, sub):
+    try:
+        y = descend(x, sub)
+    except NotEmbeddableError as exc:
+        return str(exc)
+    return y.order, y.den, y.nums
+
+
+def _outside(big, sub):
+    """The digits j < phi(big) with zeta_big^j outside Q(zeta_sub): those
+    whose root's order big/gcd(j, big) does not divide lcm(2, sub)."""
+    return [j for j in range(euler_phi(big)) if j * math.lcm(2, sub) % big]
+
+
+@pytest.mark.parametrize("big,sub", [
+    (16, 8), (24, 12), (72, 36), (360, 180),
+    (24, 8), (30, 2), (60, 4), (105, 1), (360, 8), (420, 35)])
+def test_descent_digit_read_matches_the_solve(big, sub):
+    # the digit read (every prime of big/sub divides sub) and the steps
+    # that drop a prime from the order against the solve, on subfield
+    # elements at the big order, alone and with a root outside the
+    # subfield added, and on random elements of the big field
+    rnd = random.Random(big * sub)
 
     def element(order):
         return CycloNum(order, rnd.randint(1, 30), [
             rnd.randint(-9, 9) for _ in range(euler_phi(order))])
 
-    def outcome(descend, x):
-        try:
-            y = descend(x, sub)
-        except NotEmbeddableError as exc:
-            return str(exc)
-        return y.order, y.den, y.nums
-
     cases = []
     for _ in range(12):
         x = coerce(element(sub), big)
         off = list(x.nums)
-        off[rnd.randrange(euler_phi(big) // step) * step
-            + rnd.randrange(1, step)] += 1
+        off[rnd.choice(_outside(big, sub))] += 1
         cases += [x, CycloNum(big, x.den, off), element(big)]
-    expected = [outcome(cyclo._descend_by_solve, x) for x in cases]
-    monkeypatch.setattr(cyclo, "_descend_by_solve", None)
-    assert [outcome(CycloNum._descend, x) for x in cases] == expected
+    expected = [_descent_outcome(_descend_by_solve, x, sub) for x in cases]
+    assert [_descent_outcome(CycloNum._descend, x, sub)
+            for x in cases] == expected
     assert sum(isinstance(e, str) for e in expected) == 24
+
+
+@st.composite
+def _descents(draw, max_order=420):
+    """(x, sub): x at an order up to `max_order` and sub a divisor of it,
+    x in Q(zeta_sub), with a root outside it added, or drawn from the
+    whole field."""
+    big = draw(st.integers(min_value=1, max_value=max_order))
+    sub = draw(st.sampled_from(divisors(big)))
+    kind = draw(st.sampled_from(["inside", "perturbed", "random"]))
+    order = sub if kind != "random" else big
+    digits = st.integers(min_value=-9, max_value=9)
+    x = coerce(CycloNum(order, draw(st.integers(min_value=1, max_value=30)),
+                        draw(st.lists(digits, min_size=euler_phi(order),
+                                      max_size=euler_phi(order)))), big)
+    outside = _outside(big, sub)
+    if kind == "perturbed" and outside:
+        off = list(x.nums)
+        off[draw(st.sampled_from(outside))] += 1
+        x = CycloNum(big, x.den, off)
+    return x, sub
+
+
+@settings(max_examples=120, deadline=None)
+@given(_descents())
+def test_descent_matches_the_solve_up_to_order_420(case):
+    x, sub = case
+    assert (_descent_outcome(CycloNum._descend, x, sub)
+            == _descent_outcome(_descend_by_solve, x, sub))
+
+
+def _fixed_field_minimal_order(x):
+    """The least divisor n of the order whose field holds x, by the
+    fixed-field test: x is invariant under every zeta -> zeta^j with
+    j = 1 (mod n), gcd(j, M) = 1."""
+    m = x.order
+    return next(n for n in divisors(m) if all(
+        x.galois(j) == x for j in range(1 + n, m, n) if math.gcd(j, m) == 1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_descents(180))
+def test_minimal_order_is_the_fixed_field_scan(case):
+    x, _ = case
+    for y in (x, x + x.conjugate()):
+        assert minimal_order(y) == (
+            1 if y.is_rational() else _fixed_field_minimal_order(y))
 
 
 class TestMinimalOrder:
@@ -289,6 +383,17 @@ class TestSerialization:
     def test_length_enforced(self):
         with pytest.raises(ValueError):
             cyclo_from_obj({"order": 8, "coeffs": ["1", "0"]})
+
+    @pytest.mark.parametrize("x", [
+        CycloNum.one(), make(12, [(0, "1/2"), (2, -3), (3, "5/7")]),
+        sqrt_nonneg_rational(Fraction(2, 5)), zeta(12, 5), zeta(3600, 7),
+    ], ids=["one", "order-12", "sqrt-2/5", "root-12", "root-3600"])
+    def test_pickle_and_deepcopy(self, x):
+        x.inverse(), hash(x)
+        for twin in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert type(twin) is type(x) and twin.exponent == x.exponent
+            assert _stored(twin) == _stored(x) and twin == x
+            assert hash(twin) == hash(x) and twin * x.inverse() == 1
 
 
 # -- property tests ------------------------------------------------------
@@ -451,6 +556,21 @@ def test_subfield_element_multiplies_its_distinct_conjugates(
     assert inv.order == order and x * inv == 1
     if order <= 120:
         assert _stored(inv) == want
+
+
+def test_subfield_element_at_order_3600_takes_few_galois_images(
+        monkeypatch):
+    # the conjugates are taken at the minimal order 8 of 1 + 2 zeta_8,
+    # not over the 959 units above 1 mod 3600
+    x = _plain(coerce(make(8, [(0, 1), (1, 2)]), 3600))
+    calls = []
+    galois = CycloNum.galois
+    monkeypatch.setattr(
+        CycloNum, "galois", lambda y, l: calls.append(l) or galois(y, l))
+    inv = x.inverse()
+    monkeypatch.undo()
+    assert calls == [3, 5, 7]
+    assert inv.order == 3600 and x * inv == 1
 
 
 @settings(max_examples=40, deadline=None)

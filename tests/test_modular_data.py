@@ -1,9 +1,11 @@
 """Modular datum validation, fusion, phase class, conductor, builtins."""
 
+import copy
 import functools
 import itertools
 import json
 import math
+import pickle
 import random
 import threading
 from fractions import Fraction
@@ -36,6 +38,7 @@ from modata.modular_data import (
     phase_sum,
     verlinde_sum,
 )
+from modata.galois import congruence_suite
 from modata.orbifold import soliton_multiplicity
 from modata.packed import PackedMatrix, pack
 from modata.reporting import CheckRecord, first_failure
@@ -810,3 +813,25 @@ class TestSerialization:
     def test_tau2_preserved(self):
         md = builtin_model("su2", 2, tau2=2)
         assert from_obj(md.to_obj()).tau2 == 2
+
+
+class TestCopies:
+    """A validated model survives pickle and deepcopy, before and after its
+    packed model is read: the copy has the same serialized form, its S
+    still carries the fusion table, its T entries stay tagged roots, and
+    the congruence suite passes on it."""
+
+    @pytest.mark.parametrize("name,param", _CATALOG_MODELS)
+    def test_pickle_and_deepcopy(self, name, param):
+        md = builtin_model(name, param)
+        t = md.t_entries(1)
+        for packed_read in (False, True):
+            if packed_read:
+                md.packed
+            for twin in (pickle.loads(pickle.dumps(md)), copy.deepcopy(md)):
+                assert twin.dumps() == md.dumps()
+                assert twin.s == md.s and twin.s.fusion == md.fusion
+                assert ("packed" in vars(twin)) == packed_read
+                assert [(x.order, x.exponent) for x in twin.t_entries(1)] \
+                    == [(x.order, x.exponent) for x in t]
+                assert all(r.passed for r in congruence_suite(twin, 2, 1))

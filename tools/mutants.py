@@ -158,8 +158,8 @@ MUTANTS = [
     (
         # the subfield's digits read one digit off their places
         "modata/cyclo.py",
-        "self.nums[::step]",
-        "self.nums[1::step]",
+        "self.nums[::read]",
+        "self.nums[1::read]",
         ["tests/test_cyclo.py::test_descent_digit_read_matches_the_solve"],
     ),
     (
@@ -213,7 +213,7 @@ MUTANTS = [
     (
         # x itself in the cofactor of its inverse: c*x is no longer the norm
         "modata/cyclo.py",
-        "seen = {(self.den, self.nums)}",
+        "seen = {(x.den, x.nums)}",
         "seen = set()",
         ["tests/test_cyclo.py::"
          "test_inverse_over_distinct_conjugates_is_the_full_product",
@@ -234,6 +234,28 @@ MUTANTS = [
         "return g * make(4, [(1, -1)])",
         "return g * make(4, [(1, 1)])",
         ["tests/test_cyclo.py::TestSqrt::test_prime_root_is_positive"],
+    ),
+    (
+        # a dropped prime's value B_0 without subtracting B_(p-1)
+        "modata/cyclo.py",
+        "return minus_last(0)",
+        "return reduce(parts[0])",
+        ["tests/test_cyclo.py::test_descent_digit_read_matches_the_solve"],
+    ),
+    (
+        # a dropped prime's middle parts left unchecked: elements outside
+        # the subfield descend
+        "modata/cyclo.py",
+        "for t in range(1, p - 1)",
+        "for t in range(1, 1)",
+        ["tests/test_cyclo.py::test_descent_digit_read_matches_the_solve"],
+    ),
+    (
+        # zeta_kp split as zeta_k^v zeta_p^u, the inverses swapped
+        "modata/cyclo.py",
+        "u, v = pow(p, -1, k), pow(k, -1, p)",
+        "v, u = pow(p, -1, k), pow(k, -1, p)",
+        ["tests/test_cyclo.py::test_descent_digit_read_matches_the_solve"],
     ),
 ]
 
