@@ -459,33 +459,36 @@ class CycloNum:
         if new_order % m == 0:
             return self._coerce_up(new_order)
         g = math.gcd(m, new_order)
-        return self._descend(g)._coerce_up(new_order)
+        x = self._descend(g)
+        if x is None:
+            raise NotEmbeddableError(
+                f"element of Q(zeta_{m}) is not in Q(zeta_{g})")
+        return x._coerce_up(new_order)
 
     def _coerce_up(self, new_order: int) -> "CycloNum":
         nums = _context(new_order).substitute(
             self.nums, new_order // self.order)
         return CycloNum(new_order, self.den, nums)
 
-    def _descend(self, sub_order: int) -> "CycloNum":
-        """This element at the divisor `sub_order` of its order, one prime
-        p of the step at a time, from order m to k = m/p.  When p divides k,
-        Phi_m(x) = Phi_k(x^p): the coordinates are every p-th digit, and any
-        other nonzero digit puts the element outside.  These steps come
-        first, as one read of every r-th digit, r their product; the primes
-        that leave the order are then dropped by `_drop_prime`."""
-        if sub_order == self.order:
-            return self
+    def _descend(self, sub_order: int) -> "CycloNum | None":
+        """This element at the divisor `sub_order` of its order, or None
+        when it is not in that field; one prime p of the step at a time,
+        from order m to k = m/p.  When p divides k, Phi_m(x) = Phi_k(x^p):
+        the coordinates are every p-th digit, and any other nonzero digit
+        puts the element outside.  These steps come first, as one read of
+        every r-th digit, r their product; the primes that leave the order
+        are then dropped by `_drop_prime`."""
         step = self.order // sub_order
         fresh = [p for p in _factorize(step) if sub_order % p]
         read = step // math.prod(fresh)
         if any(c for j, c in enumerate(self.nums) if j % read):
-            raise _not_embeddable(self.order, sub_order)
+            return None
         nums, k = self.nums[::read], self.order // read
         for p in fresh:
             k //= p
             nums = _drop_prime(nums, k, p)
             if nums is None:
-                raise _not_embeddable(self.order, sub_order)
+                return None
         return CycloNum(sub_order, self.den, nums)
 
     def _at_minimal_order(self) -> "CycloNum":
@@ -497,10 +500,10 @@ class CycloNum:
         x = self
         for p in _factorize(self.order):
             while x.order % p == 0:
-                try:
-                    x = x._descend(x.order // p)
-                except NotEmbeddableError:
+                y = x._descend(x.order // p)
+                if y is None:
                     break
+                x = y
         return x
 
     def minimal_order(self) -> int:
@@ -623,11 +626,6 @@ def _clear_denominators(coeffs) -> tuple[list[int], int]:
         den = den * c.denominator // math.gcd(den, c.denominator)
     nums = [int(c * den) for c in coeffs]
     return nums, den
-
-
-def _not_embeddable(order: int, sub_order: int) -> NotEmbeddableError:
-    return NotEmbeddableError(
-        f"element of Q(zeta_{order}) is not in Q(zeta_{sub_order})")
 
 
 def _drop_prime(nums, k: int, p: int):

@@ -57,7 +57,7 @@ from .modrep import (
     tau_l,
 )
 from .modular_data import ModularData
-from .packed import _fit, integers
+from .packed import integers
 from .reporting import CheckRecord, first_failure, notice
 
 
@@ -122,7 +122,9 @@ def parity_decompose(md: ModularData, l: int) -> MonomialSignedPerm:
     entries are equal exactly when their packed ints are."""
     pk = md.packed
     lp = coprime_lift(l, md.conductor_n(), pk.order)
-    s, sig = _fit(lambda a, b: max(a.bits, b.bits), pk.s, pk.sigma_s(lp))
+    pair = pk.s, pk.sigma_s(lp)
+    width = max(m.packing.width for m in pair)
+    s, sig = (m if m.packing.width == width else m.lift(width) for m in pair)
     cols_s = list(zip(*s.rows))
     perm, signs = [], []
     for mu, col in enumerate(zip(*sig.rows)):

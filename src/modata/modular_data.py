@@ -621,6 +621,8 @@ def builtin_model(name: str, param: int | None = None,
     same class mod 8 (which also keeps c - c0 in 4Z).
     """
     if name == "trivial":
+        if param is not None:
+            raise UnsupportedModelError("trivial takes no parameter")
         labels, s, delta, c = (
             ["0"], [[CycloNum.one()]], [Fraction(0)], Fraction(0)
         )

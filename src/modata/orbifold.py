@@ -20,13 +20,14 @@ c0(orbifold) = N * c0(parent).
 
 `orb_s_entry` builds one entry as a CycloNum.  The consistency and charge
 reports instead compare whole blocks: `orb_s_block` holds the rank x rank
-entries of one pair of twists and charges as one `lambdamat._Phased` value,
-the hat packed over the parent's field Q(zeta_M) with its phases as
-exponents, so a check costs rank^2 packed comparisons per block rather than
-rank^2 CycloNum products at orders up to lcm(M, N).  Each block check
-yields its witnesses in the order of the entry loop it replaces.  The
-unitarity of each hat is still checked on the CycloNum `OrbSlice.hat`,
-and `orb_s_entry` is the oracle of the blocks in the tests.
+entries of one pair of twists and charges as one `packed.Phased` value,
+the `lambdamat.hat_phased` hat over the parent's field Q(zeta_M), divided
+by N with `Phased.over`, its phases kept as exponents, so a check costs
+rank^2 packed comparisons per block rather than rank^2 CycloNum products at
+orders up to lcm(M, N).  Each block check yields its witnesses in the
+order of the entry loop it replaces.  The unitarity of each hat is still
+checked on the CycloNum `OrbSlice.hat`, and `orb_s_entry` is the oracle of
+the blocks in the tests.
 """
 
 import functools
@@ -38,8 +39,9 @@ from fractions import Fraction
 from . import matrixops as mx
 from .cyclo import CycloNum, make, root_of_unity_exp
 from .errors import NonIntegralMultiplicityError, OutOfScopeError
-from .lambdamat import _hat, _Phased, lambda_hat, phase_g
+from .lambdamat import hat_phased, lambda_hat
 from .modular_data import ModularData, is_real_positive
+from .packed import Phased
 from .reporting import CheckRecord, first_failure, notice
 
 
@@ -70,7 +72,7 @@ class OrbSlice:
         self.c0 = parent.c0 * order
         self.tau = parent.tau2 if order % 2 == 0 else 0
         self._hat_cache: dict[int, mx.Matrix] = {}
-        self._hat_blocks: dict[int, _Phased] = {}
+        self._hat_blocks: dict[int, Phased] = {}
         self._roots: dict[int, CycloNum] = {}
         self._t_roots: dict[int, CycloNum] = {}
 
@@ -91,16 +93,14 @@ class OrbSlice:
             self._hat_cache[i] = cached
         return cached
 
-    def hat_block(self, i: int) -> _Phased:
-        """`hat(i)` as one packed `_Phased` value over the parent's field,
+    def hat_block(self, i: int) -> Phased:
+        """`hat(i)` as one packed `Phased` value over the parent's field,
         its phases kept as exponents; built once per i mod N."""
         i %= self.n
         cached = self._hat_blocks.get(i)
         if cached is None:
-            parent = self.parent
-            cached = self._hat_blocks[i] = _hat(
-                parent, Fraction(i, self.n),
-                functools.partial(phase_g, parent.c, parent.c0))
+            cached = self._hat_blocks[i] = hat_phased(
+                self.parent, Fraction(i, self.n))
         return cached
 
     def t_root(self, lam: int) -> CycloNum:
@@ -155,16 +155,10 @@ def orb_s_entry(slice_: OrbSlice, a: OrbLabel, b: OrbLabel) -> CycloNum:
     return phase * base * Fraction(1, n_cyc)
 
 
-def _over(block: _Phased, n: int) -> _Phased:
-    """The block divided by the integer n."""
-    return _Phased(block.pm, block.x.over(n), block.den, block.a, block.b,
-                   block.c)
-
-
 def orb_s_block(slice_: OrbSlice, ta: int, tb: int, j1: int, j2: int
-                ) -> _Phased:
+                ) -> Phased:
     """The S entries [(lam, ta, j1), (mu, tb, j2)] over all parent labels
-    lam, mu, for a unit twist ta, as one packed `_Phased` value: the hat
+    lam, mu, for a unit twist ta, as one packed `Phased` value: the hat
     at tb * ta^-1 / N, or for tb = 0 the parent S with the distinguished
     automorphism acting on the rows, over N and at the scalar phase
     -(j1 * tb + j2 * ta) / N.  Entry (lam, mu) is the `orb_s_entry` of
@@ -180,10 +174,10 @@ def orb_s_block(slice_: OrbSlice, ta: int, tb: int, j1: int, j2: int
         if slice_.tau:
             s = s.take_rows([parent.fuse_auto(slice_.tau, lam)
                              for lam in range(parent.rank)])
-        base = _Phased(pm, s)
+        base = Phased(pm, s)
     else:
         base = slice_.hat_block(tb * pow(ta, -1, n_cyc))
-    return _over(base, n_cyc).t(scalar=Fraction(-(j1 * tb + j2 * ta), n_cyc))
+    return base.over(n_cyc).t(scalar=Fraction(-(j1 * tb + j2 * ta), n_cyc))
 
 
 def orb_t_entry(slice_: OrbSlice, a: OrbLabel) -> CycloNum:
@@ -290,7 +284,7 @@ def consistency_report(slice_: OrbSlice) -> list[CheckRecord]:
         (f"i={i}, entry ({lam},{mu})"
          for i in units
          for lam, mu in orb_s_block(slice_, 1, i, 0, 0).mismatches(
-             _over(slice_.hat_block(i), n_cyc))),
+             slice_.hat_block(i).over(n_cyc))),
         n=n_cyc,
     ))
 

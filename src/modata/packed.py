@@ -18,18 +18,21 @@ S^-1 = C S and the central -I by `conj`) move the ints.  A diagonal
 factor, such as a power of T, is a `Scaling`, never a matrix: `scale`
 multiplies each entry by its row's and column's packed factor, rank^2
 products where a matrix product takes rank^3.  CycloNum values are read
-by `pack` and built only by `to_matrix`, for the witness of a failing
-check.
+by `pack` and none is built here.  `Phased` carries roots of unity
+outside the field, such as fractional powers of T, as phase exponents; a
+root inside it turns a packed entry only as the product by its packed
+monomial, reduced at the width rule of `scale`.
 
 A carry between digits would corrupt them silently, so every matrix holds
 a proven bound: its digits are below 2^bits in absolute value and `norm`
 bounds each column's digit l1 norm.  `_fit` sets every width B with
 bits + ceil(log2(g)) <= B - 1, g the right factor's norm (a scaling's
 largest l1 norm) times the fold growth, the largest row l1 norm of the
-map of sigma_l, or 2^(bit length of the other den) for a comparison.  A
-claimed bound is remeasured on the digits before the width grows.  A
-slot step of a chain is taken only where that rule keeps the width; a
-step that would widen is a matrix product, which remeasures first.
+map of sigma_l, or 2^(bit length of the other den) for a comparison
+(`_comparable`, with the rule of `scale` for a turn).  A claimed bound is
+remeasured on the digits before the width grows.  A slot step of a chain
+is taken only where that rule keeps the width; a step that would widen
+is a matrix product, which remeasures first.
 
 Caches are keyed on exponents and automorphisms, per model content:
 T^k and T^k S under k mod M, sigma_l(S) under l, and sigma_l(T^k S) under
@@ -52,7 +55,7 @@ from functools import lru_cache
 from itertools import zip_longest
 from operator import mul
 
-from .cyclo import CycloNum, _context, _factorize
+from .cyclo import _context, _factorize
 
 #: Digit widths are multiples of this many bits.
 WIDTH_STEP = 32
@@ -357,18 +360,11 @@ class PackedMatrix:
 
     def mismatches(self, other: "PackedMatrix"):
         """The (i, j) of the entries where this matrix and `other`, of one
-        shape, differ, in row-major order.
-
-        x / da == y / db exactly when x * db - y * da is zero.  Each digit
-        of x * db is below 2^(bits + db.bit_length()) in absolute value,
-        and so for y * da; at a width above both, every digit of the
-        difference is below 2^width in absolute value, so the difference
-        is zero exactly when its packed int is.
-        """
+        shape, differ, in row-major order, compared at `_comparable`'s
+        width."""
         if other.packing.order != self.packing.order:
             raise ValueError("packed matrices over different fields")
-        a, b = _fit(lambda a, b: max(a.bits + b.den.bit_length(),
-                                     b.bits + a.den.bit_length()), self, other)
+        a, b = _comparable(self, other)
         da, db = a.den, b.den
         for i, (rx, ry) in enumerate(zip(a.rows, b.rows)):
             for j, (x, y) in enumerate(zip(rx, ry)):
@@ -382,8 +378,6 @@ class PackedMatrix:
                 len(x) != len(y) for x, y in zip(self.rows, other.rows)):
             return False
         return next(self.mismatches(other), None) is None
-
-    __hash__ = None
 
     def sigma(self, l: int) -> "PackedMatrix":
         """zeta -> zeta^l on every entry, l coprime to the order: an entry's
@@ -426,12 +420,6 @@ class PackedMatrix:
         bits = a.bits + _clog2(l1 * p.reduce_growth)
         den = a.den * (rows.den if rows else 1) * (cols.den if cols else 1)
         return _product_matrix(p, den, out, bits)
-
-    def to_matrix(self):
-        """The entries as CycloNum values at the packing order."""
-        order, den = self.packing.order, self.den
-        return tuple(tuple(CycloNum(order, den, d) for d in row)
-                     for row in self.digits())
 
 
 def _chain(factors) -> PackedMatrix:
@@ -481,6 +469,24 @@ def _fit(need, *operands) -> list[PackedMatrix]:
     width = max(width, width_for(need(*operands)))
     return [m if m.packing.width == width else m.lift(width)
             for m in operands]
+
+
+def _comparable(x: PackedMatrix, y: PackedMatrix, l1: int = 0
+                ) -> list[PackedMatrix]:
+    """x and y at one width at which x / dx == y / dy is x * dy == y * dx on
+    the packed ints, each x first turned by a packed monomial of l1 norm at
+    most l1 (none when 0; `Phased.mismatches` proves the turn's rule).  Each
+    digit of x * dy is below 2^(bits + dy.bit_length()), and so for y * dx:
+    at a width above both, the difference is zero exactly when its packed
+    int is."""
+    def need(a, b):
+        bits, turn = a.bits, 0
+        if l1:
+            turn = bits + _clog2(l1 * a.packing.stage_growth)
+            bits += _clog2(l1 * a.packing.reduce_growth)
+        return max(turn, bits + b.den.bit_length(),
+                   b.bits + a.den.bit_length())
+    return _fit(need, x, y)
 
 
 def from_digits(order: int, den: int, rows, min_width: int = 0
@@ -683,6 +689,146 @@ class PackedModel:
 def _bare(m: PackedMatrix) -> PackedMatrix:
     """m without its digits, bits and norm kept."""
     return PackedMatrix(m.packing, m.den, m.rows, m.bits, m.norm)
+
+
+def _field_root(p: int, den: int, order: int) -> tuple[int, int] | None:
+    """e(p/den) = exp(2*pi*i*p/den) as (sign, k), the value sign *
+    zeta_order^k, when it lies in Q(zeta_order); else None.
+
+    The roots of unity of Q(zeta_M) are the M-th ones for even M and the
+    2M-th ones for odd M, where zeta_2M = -zeta_M^((M+1)/2)."""
+    big = order if order % 2 == 0 else 2 * order
+    if p * big % den:
+        return None
+    j = p * big // den % big
+    if big == order:
+        return 1, j
+    return (-1) ** j, j * (order + 1) // 2 % order
+
+
+class Phased:
+    """The matrix e(a_i + b_j + c) X_ij, e(q) = exp(2*pi*i*q), of a model
+    packed as `pm` (a `PackedModel`): X is packed over the model's field
+    Q(zeta_M), and the row phases a, the column phases b and the scalar
+    phase c are integer numerators over one denominator `den`.
+
+    T to a fractional power is a diagonal of roots of unity outside that
+    field, so it is carried in the phases: T^u (e(c) X) T^v has the phases
+    u*w_i and v*w_j, with T = diag(e(w_i)).  Transposes, conjugates and row
+    permutations act on X and move or negate the phases; a product is taken
+    at M, and `mismatches` compares entries as the one exact rule of
+    equality.  A root of unity in the field acts on X only as its packed
+    monomial, in `__matmul__` and in `mismatches`.
+    """
+
+    __slots__ = ("pm", "x", "den", "a", "b", "c")
+
+    def __init__(self, pm, x: PackedMatrix, den: int = 1, a=None, b=None,
+                 c: int = 0):
+        self.pm = pm
+        self.x = x
+        self.den = den
+        zero = (0,) * pm.rank
+        self.a = zero if a is None else a
+        self.b = zero if b is None else b
+        self.c = c
+
+    def t(self, rows=0, cols=0, scalar=0) -> "Phased":
+        """T^rows e(scalar) (this matrix) T^cols, for int or Fraction
+        exponents."""
+        order, w = self.pm.order, self.pm.t_weights
+        rd, cd = rows.denominator * order, cols.denominator * order
+        den = math.lcm(self.den, rd, cd, scalar.denominator)
+        f = den // self.den
+        u, v = rows.numerator * (den // rd), cols.numerator * (den // cd)
+        return Phased(self.pm, self.x, den,
+                      tuple(f * p + u * q for p, q in zip(self.a, w)),
+                      tuple(f * p + v * q for p, q in zip(self.b, w)),
+                      f * self.c
+                      + scalar.numerator * (den // scalar.denominator))
+
+    def over(self, n: int) -> "Phased":
+        """This matrix divided by the positive integer n."""
+        return Phased(self.pm, self.x.over(n), self.den, self.a, self.b,
+                      self.c)
+
+    def transpose(self) -> "Phased":
+        return Phased(self.pm, self.x.transpose(), self.den, self.b, self.a,
+                      self.c)
+
+    def conjugate(self, perm=None) -> "Phased":
+        """The complex conjugate, its row p taken from row perm[p]."""
+        perm = perm or range(self.pm.rank)
+        x = self.x.sigma(self.pm.order - 1).take_rows(perm)
+        return Phased(self.pm, x, self.den, tuple(-self.a[p] for p in perm),
+                      tuple(-q for q in self.b), -self.c)
+
+    def __matmul__(self, other: "Phased") -> "Phased":
+        """The product, multiplied at M: the middle phases b_l + a'_l must
+        lie in Q(zeta_M), and scale the rows of the right factor."""
+        order = self.pm.order
+        den = math.lcm(self.den, other.den)
+        f, g = den // self.den, den // other.den
+        middle = [_field_root(f * p + g * q, den, order)
+                  for p, q in zip(self.b, other.a)]
+        if None in middle:
+            raise ValueError("a middle phase lies outside Q(zeta_M)")
+        right = other.x
+        if any(root != (1, 0) for root in middle):
+            right = right.scale(Scaling(order, [
+                [sign * c for c in _monomial(order, k)]
+                for sign, k in middle]))
+        return Phased(self.pm, self.x @ right, den,
+                      tuple(f * p for p in self.a),
+                      tuple(g * q for q in other.b),
+                      f * self.c + g * other.c)
+
+    def mismatches(self, other: "Phased"):
+        """The (i, j) of the entries where this matrix and `other` differ,
+        in row-major order.
+
+        Entry (i, j) of each side is equal when X_ij e(d_ij) == Y_ij, d_ij
+        the difference of their phases.  For e(d_ij) outside Q(zeta_M), as
+        X_ij and Y_ij are inside, they are equal only when both are zero.
+        Else e(d_ij) = sign * zeta_M^k, and they compare as sign * (x * m_k
+        mod Phi_M) * dy == y * dx, m_k the packed monomial x^k (for k >= phi
+        of l1 norm up to 2 at M = 24, 18 at M = 76).
+
+        The turn's width: a digit of x * m_k is below 2^bits * l1, l1 the
+        largest l1 norm of the m_k used; each fold of `Packing.reduce` is
+        linear, so every digit the reduction meets is below 2^bits * l1 *
+        stage growth <= 2^(bits + ceil(log2(l1 * stage growth))) <= 2^(B-1)
+        at `_comparable`'s width, and the reduced ones below
+        2^(bits + ceil(log2(l1 * reduce growth)))."""
+        order = self.pm.order
+        den = math.lcm(self.den, other.den)
+        f, g = den // self.den, den // other.den
+        dc = f * self.c - g * other.c
+        db = [f * p - g * q for p, q in zip(self.b, other.b)]
+        turns = [[_field_root(f * p - g * q + dc + e, den, order) for e in db]
+                 for p, q in zip(self.a, other.a)]
+        ks = sorted({r[1] for row in turns for r in row if r and r[1]})
+        turn = roots(order, ks or [0])
+        xm, ym = _comparable(self.x, other.x, turn.l1 if ks else 0)
+        p = xm.packing
+        monomials = dict(zip(ks, turn.packed(p)))
+        dx, dy = xm.den, ym.den
+        for i, (row, xr, yr) in enumerate(zip(turns, xm.rows, ym.rows)):
+            for j, (root, x, y) in enumerate(zip(row, xr, yr)):
+                if root is None:
+                    if x or y:
+                        yield i, j
+                    continue
+                sign, k = root
+                if k:
+                    x = p.reduce(x * monomials[k])
+                if sign * x * dy != y * dx:
+                    yield i, j
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Phased):
+            return NotImplemented
+        return next(self.mismatches(other), None) is None
 
 
 #: How many model contents `packed_model` keeps; the least recently used

@@ -64,6 +64,12 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["trivial:3", "trivial:0"])
+    def test_trivial_with_a_parameter_is_parse_error(self, capsys, spec):
+        code, out, err = run(capsys, "verify", "--model", spec)
+        assert code == 2 and out == ""
+        assert err == "error: trivial takes no parameter\n"
+
     def test_unknown_builtin_is_parse_error(self, capsys):
         code, _, err = run(capsys, "verify", "--model", "su9:1")
         assert code == 2 and "error" in err

@@ -138,7 +138,7 @@ class TestCoerce:
 def _descend_by_solve(x, sub_order):
     """x at the divisor `sub_order` of its order, by Gaussian elimination
     over Q for its coordinates over the power basis of the subfield: the
-    oracle of `CycloNum._descend`."""
+    oracle of `CycloNum._descend`, which the tests reach through `coerce`."""
     big, small = euler_phi(x.order), euler_phi(sub_order)
     step = x.order // sub_order
     # column j is zeta^(step*j): the previous column times zeta^step
@@ -205,9 +205,18 @@ def test_descent_digit_read_matches_the_solve(big, sub):
         off[rnd.choice(_outside(big, sub))] += 1
         cases += [x, CycloNum(big, x.den, off), element(big)]
     expected = [_descent_outcome(_descend_by_solve, x, sub) for x in cases]
-    assert [_descent_outcome(CycloNum._descend, x, sub)
+    assert [_descent_outcome(coerce, x, sub)
             for x in cases] == expected
     assert sum(isinstance(e, str) for e in expected) == 24
+
+
+def test_descent_outside_the_subfield_is_none():
+    # `_descend` answers None, and only `coerce` raises; the minimal order
+    # stops on the None of each prime it cannot drop
+    assert CycloNum._descend(zeta(8), 4) is None
+    assert CycloNum._descend(coerce(zeta(8), 24), 12) is None
+    assert CycloNum._descend(make(24, [(3, 1)]), 8) == zeta(8)
+    assert make(72, [(9, 1)]).minimal_order() == 8
 
 
 @st.composite
@@ -235,7 +244,7 @@ def _descents(draw, max_order=420):
 @given(_descents())
 def test_descent_matches_the_solve_up_to_order_420(case):
     x, sub = case
-    assert (_descent_outcome(CycloNum._descend, x, sub)
+    assert (_descent_outcome(coerce, x, sub)
             == _descent_outcome(_descend_by_solve, x, sub))
 
 

@@ -1,4 +1,5 @@
-"""The runtime package imports nothing outside the standard library."""
+"""The runtime package imports nothing outside the standard library, and
+its modules import no private name from one another."""
 
 import ast
 import sys
@@ -23,3 +24,28 @@ def test_imports_only_the_standard_library():
                for name in absolute_imports(path)
                if name not in sys.stdlib_module_names]
     assert outside == []
+
+
+#: (importing file, module, name): the private names one module of the
+#: package may import from another, the kernel's context and factorization
+#: that the packed arithmetic is built on.
+PRIVATE_IMPORTS = {("packed.py", "cyclo", "_context"),
+                   ("packed.py", "cyclo", "_factorize")}
+
+
+def private_imports(path):
+    """(module, name) of each underscore name, not a dunder, that one source
+    file imports from a module of the package."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("modata")):
+            module = (node.module or "").rpartition(".")[2]
+            yield from ((module, alias.name) for alias in node.names
+                        if alias.name.startswith("_")
+                        and not alias.name.startswith("__"))
+
+
+def test_no_private_name_crosses_a_module():
+    found = {(path.name, *pair) for path in sorted(SRC.glob("*.py"))
+             for pair in private_imports(path)}
+    assert found == PRIVATE_IMPORTS

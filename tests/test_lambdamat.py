@@ -23,8 +23,6 @@ from modata.cyclo import make, root_of_unity_exp
 from modata.errors import PhaseConstraintError
 from modata.lambdamat import (
     ReducedFraction,
-    _field_root,
-    _Phased,
     bezout,
     hat_functional_equation_check,
     lambda_hat,
@@ -34,7 +32,7 @@ from modata.lambdamat import (
 )
 from modata.modrep import S_GEN, t_gen
 from modata.modular_data import builtin_model
-from modata.packed import from_digits, pack
+from modata.packed import Phased, _field_root, from_digits, pack
 from modata.reporting import CheckRecord, notice
 
 import word_oracle
@@ -479,7 +477,7 @@ class TestPackedSuiteMatchesReference:
 
 
 class TestEqualityRule:
-    """`_Phased.__eq__`: X_ij e(d_ij) == Y_ij entry by entry."""
+    """`Phased.__eq__`: X_ij e(d_ij) == Y_ij entry by entry."""
 
     def test_field_roots(self):
         assert _field_root(3, 24, 24) == (1, 3)
@@ -497,17 +495,17 @@ class TestEqualityRule:
     def test_phase_outside_field(self):
         md = builtin_model("su2", 1)
         pm = md.packed
-        s = _Phased(pm, pm.s)
+        s = Phased(pm, pm.s)
         assert s.t(scalar=Fraction(1, 7)) != s
         zero = from_digits(pm.order, 1, [[[0] * 8] * 2] * 2)
-        assert _Phased(pm, zero).t(scalar=Fraction(1, 7)) == _Phased(pm, zero)
+        assert Phased(pm, zero).t(scalar=Fraction(1, 7)) == Phased(pm, zero)
         # a row phase outside the field on a row that is zero on both sides
         one, nil = [1] + [0] * 7, [0] * 8
         x = from_digits(pm.order, 1, [[one, nil], [nil, nil]])
-        assert _Phased(pm, x, 7, (0, 1), (0, 0), 0) == _Phased(pm, x)
-        assert _Phased(pm, x, 7, (1, 0), (0, 0), 0) != _Phased(pm, x)
+        assert Phased(pm, x, 7, (0, 1), (0, 0), 0) == Phased(pm, x)
+        assert Phased(pm, x, 7, (1, 0), (0, 0), 0) != Phased(pm, x)
         # nonzero against zero
-        assert _Phased(pm, x).t(scalar=Fraction(1, 7)) != _Phased(pm, zero)
+        assert Phased(pm, x).t(scalar=Fraction(1, 7)) != Phased(pm, zero)
 
     def test_odd_order_sign(self):
         md = builtin_model("cyclic_odd", 5)
@@ -515,24 +513,24 @@ class TestEqualityRule:
         assert pm.order == 5
         s = md.s
         minus = pack([[-x for x in row] for row in s], 5)
-        assert _Phased(pm, pm.s).t(scalar=Fraction(1, 2)) == _Phased(pm, minus)
-        assert _Phased(pm, pm.s).t(scalar=Fraction(1, 2)) != _Phased(pm, pm.s)
+        assert Phased(pm, pm.s).t(scalar=Fraction(1, 2)) == Phased(pm, minus)
+        assert Phased(pm, pm.s).t(scalar=Fraction(1, 2)) != Phased(pm, pm.s)
         # e(1/10) = -zeta_5^3 lies in Q(zeta_5)
         root = make(5, [(3, -1)])
         turned = pack([[x * root for x in row] for row in s], 5)
-        assert _Phased(pm, pm.s).t(scalar=Fraction(1, 10)) == \
-            _Phased(pm, turned)
-        assert _Phased(pm, pm.s).t(scalar=Fraction(3, 10)) != \
-            _Phased(pm, turned)
+        assert Phased(pm, pm.s).t(scalar=Fraction(1, 10)) == \
+            Phased(pm, turned)
+        assert Phased(pm, pm.s).t(scalar=Fraction(3, 10)) != \
+            Phased(pm, turned)
 
     def test_product_middle_phase(self):
         md = builtin_model("su2", 1)
         pm = md.packed
-        s = _Phased(pm, pm.s)
+        s = Phased(pm, pm.s)
         # S T . S: the middle phase w is an integer T power, in the field;
         # the oracle is the packed CycloNum diagonal of T
         t = pack(mx.diagonal(md.t_entries(1)), pm.order)
-        assert s.t(cols=1) @ s == _Phased(pm, pm.s @ t @ pm.s)
+        assert s.t(cols=1) @ s == Phased(pm, pm.s @ t @ pm.s)
         # S T^(1/7) . S: outside Q(zeta_24)
         with pytest.raises(ValueError):
             s.t(cols=Fraction(1, 7)) @ s

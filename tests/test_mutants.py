@@ -2,6 +2,7 @@
 once in its file and every named test exists, so that the table cannot go
 stale between runs of the tool."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -14,7 +15,22 @@ mutants = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(mutants)
 
 
-@pytest.mark.parametrize("file,old,new,nodes", mutants.MUTANTS)
+def mutant_id(file, old, new):
+    """The entry's file and texts with a short digest of the texts: an
+    entry keeps its id wherever it stands in the table."""
+    digest = hashlib.sha256(f"{old}\0{new}".encode()).hexdigest()[:8]
+    return f"{file}-{old}-{new}-{digest}"
+
+
+MUTANT_IDS = [mutant_id(*entry[:3]) for entry in mutants.MUTANTS]
+
+
+def test_mutant_ids_are_unique():
+    assert len(set(MUTANT_IDS)) == len(MUTANT_IDS)
+
+
+@pytest.mark.parametrize("file,old,new,nodes", mutants.MUTANTS,
+                         ids=MUTANT_IDS)
 def test_mutant_matches_the_tree(file, old, new, nodes):
     text = (mutants.SRC / file).read_text()
     assert mutants.replace_once(text, file, old, new) != text

@@ -31,6 +31,8 @@ from modata.orbifold import (
     soliton_multiplicity,
 )
 
+from word_oracle import cyclo_matrix
+
 
 @pytest.fixture(scope="module")
 def su2_1():
@@ -115,11 +117,11 @@ def oracle_slices():
 
 
 def block_entries(block):
-    """The entries e(a_i + b_j + c) X_ij of a `_Phased` block, as CycloNum
+    """The entries e(a_i + b_j + c) X_ij of a `Phased` block, as CycloNum
     values."""
     return [[x * root_of_unity_exp(Fraction(a + b + block.c, block.den))
              for b, x in zip(block.b, row)]
-            for a, row in zip(block.a, block.x.to_matrix())]
+            for a, row in zip(block.a, cyclo_matrix(block.x))]
 
 
 def three_root_t_entry(slice_, a):

@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import threading
+import types
 from fractions import Fraction
 from itertools import zip_longest
 from operator import matmul
@@ -27,7 +28,8 @@ from modata import cli, galois
 from modata import matrixops as mx
 from modata import lambdamat
 from modata import packed as packed_module
-from modata.cyclo import CycloNum, _context, _factorize, euler_phi, make
+from modata.cyclo import (CycloNum, _context, _factorize, euler_phi, make,
+                          root_of_unity_exp)
 from modata.modrep import (
     IDENTITY,
     Lcg,
@@ -48,6 +50,7 @@ from modata.packed import (
     IntegerMatrix,
     PackedMatrix,
     PackedModel,
+    Phased,
     Scaling,
     _chain,
     _fold_constants,
@@ -60,7 +63,7 @@ from modata.packed import (
     slot_packing,
     width_for,
 )
-from word_oracle import rep_evaluate_by_token
+from word_oracle import cyclo_matrix, rep_evaluate_by_token
 
 MODELS = [("su2", 1), ("su2", 2), ("su2", 3), ("su2", 4),
           ("cyclic_odd", 3), ("cyclic_odd", 5)]
@@ -94,12 +97,12 @@ def check_against_reference(md, cases):
     for m in cases:
         ref = rep_evaluate_by_token(md, m)
         got = rep_evaluate_packed(md, m)
-        assert mx.mat_eq(got.to_matrix(), ref), m
+        assert mx.mat_eq(cyclo_matrix(got), ref), m
         assert got.is_identity() == mx.is_identity(ref), m
         assert got == pack(ref, md.packed.order), m
         for l in ls:
             lp = galois.coprime_lift(l, n, md.packed.order)
-            assert mx.mat_eq(got.sigma(lp).to_matrix(),
+            assert mx.mat_eq(cyclo_matrix(got.sigma(lp)),
                              galois.sigma_matrix(l, ref, n)), (m, l)
             assert rep_evaluate_packed(md, m, lp) == got.sigma(lp), (m, l)
 
@@ -162,9 +165,9 @@ def test_long_word_stays_narrow():
     for syllable in md.packed._syllables.values():
         assert syllable.packing.width == width_for(syllable.bits)
     ref = rep_evaluate_by_token(md, m)
-    assert mx.mat_eq(got.to_matrix(), ref)
+    assert mx.mat_eq(cyclo_matrix(got), ref)
     assert got.is_identity() == mx.is_identity(ref)
-    assert got.sigma(5).to_matrix() == galois.sigma_matrix(5, ref, 24)
+    assert cyclo_matrix(got.sigma(5)) == galois.sigma_matrix(5, ref, 24)
     # the product with its inverse is the identity
     inv = rep_evaluate_packed(md, m.inverse())
     assert (got @ inv).is_identity()
@@ -180,7 +183,7 @@ def test_twelve_syllable_word_stays_narrow():
     assert len(syllables(m).steps) == 10
     got = rep_evaluate_packed(md, m)
     assert got.packing.width == 32
-    assert mx.mat_eq(got.to_matrix(), rep_evaluate_by_token(md, m))
+    assert mx.mat_eq(cyclo_matrix(got), rep_evaluate_by_token(md, m))
 
 
 def test_lift_divides_out_the_common_den():
@@ -196,7 +199,7 @@ def test_lift_divides_out_the_common_den():
     lifted = got.lift()
     assert lifted.den.bit_length() <= 3
     assert lifted == got
-    assert mx.mat_eq(lifted.to_matrix(), rep_evaluate_by_token(md, m))
+    assert mx.mat_eq(cyclo_matrix(lifted), rep_evaluate_by_token(md, m))
     assert_bounds_hold(lifted)
 
 
@@ -259,7 +262,7 @@ class TestBounds:
         z = x @ y
         assert z.packing.width == width
         value = -(2 ** a - 1) * (2 ** b - 1)
-        assert z.to_matrix()[0][0] == CycloNum.rational(value)
+        assert cyclo_matrix(z)[0][0] == CycloNum.rational(value)
         assert z.bits == a + b == abs(value).bit_length()
 
     def test_product_width_with_folds(self):
@@ -270,7 +273,7 @@ class TestBounds:
         y = self.one(4, 1, [top, -top])
         z = x @ y
         assert z.packing.width == 64
-        assert z.to_matrix()[0][0] == CycloNum(4, 1, [2 * top * top, 0])
+        assert cyclo_matrix(z)[0][0] == CycloNum(4, 1, [2 * top * top, 0])
         assert all(abs(d) < 2 ** z.bits for d in z.digits()[0][0])
 
     @pytest.mark.parametrize("order,l", [(12, 5), (20, 3), (24, 5),
@@ -292,7 +295,7 @@ class TestBounds:
             assert y.packing.width == width
             assert y.bits == bits == max(
                 abs(c) for c in y.digits()[0][0]).bit_length()
-            assert y.to_matrix()[0][0] == x.to_matrix()[0][0].galois(l)
+            assert cyclo_matrix(y)[0][0] == cyclo_matrix(x)[0][0].galois(l)
 
     def test_bounds_hold_on_random_products(self):
         for name, param in MODELS:
@@ -317,6 +320,60 @@ class TestBounds:
         assert x.rows[0][0] * 3 == y.rows[0][0] * 2
         assert not (x == y)
         assert x == self.one(4, 4, [2 ** 31 - 4, 2]).lift(32)
+
+    @pytest.mark.parametrize("order", [21, 38, 40, 76])
+    def test_phased_turn_width(self, order, monkeypatch):
+        # x's digits at +-(2^bits - 1), bits leaving only the stage growth's
+        # bits below 2^63, and every root of the field turning x against
+        # the CycloNum oracle.  x's first entry takes the signs of the row
+        # of largest l1 norm of the map x -> x * m_k over the monomials m_k,
+        # k >= phi, and the fold rounds: but at 40 it passes 2^63, so only
+        # the l1 of m_k in the turn's rule keeps those digits from
+        # carrying.  A carry in a round before the last comes back out in
+        # the next one, so the width the comparison takes is checked too.
+        ctx = _context(order)
+        phi, stage = ctx.phi, _fold_constants(order)[1]
+        worst = (0, ())
+        for k in range(phi, order):
+            polys = [[0] * s + list(make(order, [(k, 1)]).nums)
+                     for s in range(phi)]
+            while True:
+                for t in range(max(map(len, polys))):
+                    row = [p[t] if t < len(p) else 0 for p in polys]
+                    worst = max(worst, (sum(map(abs, row)), row))
+                if all(len(p) <= phi for p in polys):
+                    break
+                polys = [fold(ctx, p) for p in polys]
+        bits = 63 - (stage - 1).bit_length()
+        top = 2 ** bits - 1
+        digits = [[[top if c >= 0 else -top for c in worst[1]],
+                   [top * (-1) ** j for j in range(phi)]],
+                  [[-top] * phi, [top] * phi]]
+        x = from_digits(order, 1, digits)
+        pm = types.SimpleNamespace(order=order, rank=2, t_weights=(0, 0))
+        widths = []
+        comparable = packed_module._comparable
+
+        def spy(a, b, l1=0):
+            pair = comparable(a, b, l1)
+            widths.append((l1, pair[0].packing.width))
+            return pair
+
+        monkeypatch.setattr(packed_module, "_comparable", spy)
+        field = order if order % 2 == 0 else 2 * order  # -zeta_M at odd M
+        for k in range(field):
+            root = root_of_unity_exp(Fraction(k, field))
+            want = [[(CycloNum(order, 1, d) * root).coerce(order).nums
+                     for d in row] for row in digits]
+            turned = Phased(pm, x).t(scalar=Fraction(k, field))
+            assert turned == Phased(pm, from_digits(order, 1, want)), k
+            want[1][0] = [want[1][0][0] + 1, *want[1][0][1:]]
+            assert list(turned.mismatches(Phased(
+                pm, from_digits(order, 1, want)))) == [(1, 0)], k
+        assert (worst[0] * top >= 2 ** 63) == (order != 40)
+        assert max(l1 for l1, _ in widths) > 1
+        assert all(width >= width_for(bits + (l1 * stage - 1).bit_length())
+                   for l1, width in widths if l1)
 
     def test_identity_needs_den_as_a_digit(self):
         # at width 32, 2^32 - 1 is the packed int of the digits (-1, 1)
@@ -365,13 +422,13 @@ def test_products_match_cyclonum_on_adversarial_digits(pair):
     a, b = pair
     order = a.packing.order
     prod = a @ b
-    ref = mx.mat_mul(a.to_matrix(), b.to_matrix())
-    assert mx.mat_eq(prod.to_matrix(), ref)
+    ref = mx.mat_mul(cyclo_matrix(a), cyclo_matrix(b))
+    assert mx.mat_eq(cyclo_matrix(prod), ref)
     digits = [c for row in prod.digits() for d in row for c in d]
     assert max(map(abs, digits)) < 2 ** prod.bits <= 2 ** (
         prod.packing.width - 1)
     for l in (l for l in (5, 7, 11) if math.gcd(l, order) == 1):
-        assert mx.mat_eq(prod.sigma(l).to_matrix(),
+        assert mx.mat_eq(cyclo_matrix(prod.sigma(l)),
                          galois.sigma_matrix(l, ref, order))
     same = from_digits(order, 3 * prod.den,
                        [[[3 * c for c in d] for d in row]
@@ -494,27 +551,29 @@ def test_conjugation_builds_no_product(monkeypatch):
     pm.product((), 2, True)
 
 
+def fold(ctx, p):
+    """One round x^phi = R of the coefficient list p at the context ctx."""
+    phi = ctx.phi
+    out = p[:phi] + [0] * (len(p) - phi)
+    for i, c in enumerate(p[phi:]):
+        if c:
+            for j, r in ctx.low:
+                out[i + j] += c * r
+    while len(out) > phi and not out[-1]:
+        out.pop()
+    return out
+
+
 def direct_fold_constants(order):
     """(folds, stage growth, reduce growth) folding x^0 .. x^(2*phi - 2)
     modulo Phi_order itself, the computation `_fold_constants` does on the
     radical."""
     ctx = _context(order)
     phi = ctx.phi
-
-    def fold(p):
-        out = p[:phi] + [0] * (len(p) - phi)
-        for i, c in enumerate(p[phi:]):
-            if c:
-                for j, r in ctx.low:
-                    out[i + j] += c * r
-        while len(out) > phi and not out[-1]:
-            out.pop()
-        return out
-
     polys = [[0] * i + [1] for i in range(2 * phi - 1)]
     growth = [1]
     while any(len(p) > phi for p in polys):
-        polys = [fold(p) for p in polys]
+        polys = [fold(ctx, p) for p in polys]
         growth.append(max(sum(map(abs, col))
                           for col in zip_longest(*polys, fillvalue=0)))
     return len(growth) - 1, max(growth), growth[-1]
@@ -533,7 +592,7 @@ class TestIntegerRead:
 
     def read(self, order, den, v, bits=31):
         m = PackedMatrix(packing(order, 32), den, ((v,),), bits, 2 ** bits)
-        x = m.to_matrix()[0][0]
+        x = cyclo_matrix(m)[0][0]
         want = x.nums[0] if x.is_nonneg_integer() else None
         got = m.nonneg_integers()[0][0]
         assert got == want
@@ -575,17 +634,17 @@ class TestIntegerRead:
     def test_integer_matrix_is_its_own_packing(self):
         m = integers(12, [[0, 3], [-2, 2 ** 40]])
         assert m.packing.width == 64
-        assert mx.mat_eq(m.to_matrix(), mx.mat(
+        assert mx.mat_eq(cyclo_matrix(m), mx.mat(
             [[CycloNum.rational(n, 12) for n in row]
              for row in [[0, 3], [-2, 2 ** 40]]]))
         assert m.nonneg_integers() == ((0, 3), (None, 2 ** 40))
         wide = m.lift(128)
         assert wide.packing.width == 128 and wide.rows == m.rows
-        assert mx.mat_eq(wide.to_matrix(), m.to_matrix())
+        assert mx.mat_eq(cyclo_matrix(wide), cyclo_matrix(m))
         # a product that widens the integer operand
         x = from_digits(12, 5, [[[2 ** 60, -1, 0, 7]], [[1, 2, 3, -(2 ** 61)]]])
-        assert mx.mat_eq((m @ x).to_matrix(),
-                         mx.mat_mul(m.to_matrix(), x.to_matrix()))
+        assert mx.mat_eq(cyclo_matrix(m @ x),
+                         mx.mat_mul(cyclo_matrix(m), cyclo_matrix(x)))
 
 
 def diagonal_oracle(factor):
@@ -636,12 +695,12 @@ def test_scale_matches_diagonal_products(data):
     if cols is not None:
         want = want @ diagonal_oracle(cols)
     assert got == want
-    ref = x.to_matrix()
+    ref = cyclo_matrix(x)
     if rows is not None:
-        ref = mx.mat_mul(diagonal_oracle(rows).to_matrix(), ref)
+        ref = mx.mat_mul(cyclo_matrix(diagonal_oracle(rows)), ref)
     if cols is not None:
-        ref = mx.mat_mul(ref, diagonal_oracle(cols).to_matrix())
-    assert mx.mat_eq(got.to_matrix(), ref)
+        ref = mx.mat_mul(ref, cyclo_matrix(diagonal_oracle(cols)))
+    assert mx.mat_eq(cyclo_matrix(got), ref)
     assert_bounds_hold(got)
 
 

@@ -17,9 +17,8 @@ import modata.galois as galois
 import modata.matrixops as mx
 import modata.orbifold as orb
 from modata.errors import AxiomViolationError
-from modata.lambdamat import _Phased
 from modata.modular_data import ModularData, builtin_model
-from modata.packed import PackedMatrix, from_digits
+from modata.packed import PackedMatrix, Phased, from_digits
 
 
 def lines(records):
@@ -32,13 +31,13 @@ def su2_1():
 
 
 def doubled(block, hit=lambda lam, mu: True):
-    """The `_Phased` block with each entry (lam, mu) that satisfies `hit`
+    """The `Phased` block with each entry (lam, mu) that satisfies `hit`
     doubled."""
     x = block.x
     digits = [[[c * 2 for c in d] if hit(lam, mu) else d
                for mu, d in enumerate(row)]
               for lam, row in enumerate(x.digits())]
-    return _Phased(block.pm, from_digits(x.packing.order, x.den, digits),
+    return Phased(block.pm, from_digits(x.packing.order, x.den, digits),
                    block.den, block.a, block.b, block.c)
 
 

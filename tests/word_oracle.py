@@ -7,12 +7,21 @@ and the sign, and a pass merges adjacent t tokens.  `rep_evaluate_by_token`
 multiplies CycloNum matrices along those tokens, a product by S for each s
 and a column scaling by T^k for each t^k, so its entries sit at the orders
 `cyclo.dot` and the products by roots of unity give them.  Neither reads a
-packed matrix, a syllable or `syllables`.  `evaluate_word` multiplies the
+packed matrix, a syllable or `syllables`.  `cyclo_matrix` reads a packed
+matrix back as CycloNum entries.  `evaluate_word` multiplies the
 integer matrices of a `modrep.GenWord`'s tokens, for the round trip of
 `modrep.decompose`."""
 
 from modata import matrixops as mx
+from modata.cyclo import CycloNum
 from modata.modrep import IDENTITY, S_GEN, Syllables, t_gen
+
+
+def cyclo_matrix(m):
+    """The entries of the packed matrix m as CycloNum values at its
+    packing order."""
+    return tuple(tuple(CycloNum(m.packing.order, m.den, d) for d in row)
+                 for row in m.digits())
 
 
 def evaluate_word(word):

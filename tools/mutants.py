@@ -150,8 +150,8 @@ MUTANTS = [
     (
         # the untwisted column without the distinguished automorphism
         "modata/orbifold.py",
-        "base = _Phased(pm, s)",
-        "base = _Phased(pm, pm.s)",
+        "base = Phased(pm, s)",
+        "base = Phased(pm, pm.s)",
         ["tests/test_orbifold.py::"
          "test_blocks_and_t_values_match_the_entry_oracle"],
     ),
@@ -256,6 +256,43 @@ MUTANTS = [
         "u, v = pow(p, -1, k), pow(k, -1, p)",
         "v, u = pow(p, -1, k), pow(k, -1, p)",
         ["tests/test_cyclo.py::test_descent_digit_read_matches_the_solve"],
+    ),
+    (
+        # e(p/den) at an odd order M without the sign of zeta_2M^j
+        "modata/packed.py",
+        "return (-1) ** j, j * (order + 1) // 2 % order",
+        "return 1, j * (order + 1) // 2 % order",
+        ["tests/test_lambdamat.py::TestEqualityRule::test_odd_order_sign"],
+    ),
+    (
+        # a conjugate that keeps its row phases
+        "modata/packed.py",
+        "tuple(-self.a[p] for p in perm)",
+        "tuple(self.a[p] for p in perm)",
+        ["tests/test_lambdamat.py::TestIdentitySuite::test_su2_1_half"],
+    ),
+    (
+        # a turn by x^k, k >= phi, at the width of a shift
+        "modata/packed.py",
+        "turn = bits + _clog2(l1 * a.packing.stage_growth)",
+        "turn = bits + _clog2(a.packing.stage_growth)",
+        ["tests/test_packed.py::TestBounds::test_phased_turn_width"],
+    ),
+    (
+        # a block divided by N that keeps its den
+        "modata/packed.py",
+        "Phased(self.pm, self.x.over(n), self.den,",
+        "Phased(self.pm, self.x, self.den,",
+        ["tests/test_orbifold.py::"
+         "test_blocks_and_t_values_match_the_entry_oracle"],
+    ),
+    (
+        # a product whose middle roots of unity are dropped
+        "modata/packed.py",
+        "if any(root != (1, 0) for root in middle):",
+        "if not middle:",
+        ["tests/test_lambdamat.py::TestEqualityRule::"
+         "test_product_middle_phase"],
     ),
 ]
 
