@@ -46,6 +46,12 @@ shifts; for even M it folds the upper half down by zeta^(M/2) = -1 first.
 The ambient order is capped by the MODATA_MAX_ORDER environment variable
 (default 4096) as a time guard: dense products grow as phi^2, and a norm
 inverse takes up to phi of them.
+
+`cyclo_from_obj` reads the serialized form `to_obj` writes.  A coefficient
+is a JSON integer or a string; a string p or p/q (an optional minus and
+ASCII digits) is read by `int`, over the lcm of the q's, and any other
+string by `Fraction`, which accepts or refuses it.  A JSON float or bool is
+refused, as it is for the rationals of a model file (`exact_rational`).
 """
 
 import cmath
@@ -620,14 +626,6 @@ def dot(xs, ys) -> CycloNum:
     return CycloNum(m, den, ctx.reduce(acc))
 
 
-def _clear_denominators(coeffs) -> tuple[list[int], int]:
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    nums = [int(c * den) for c in coeffs]
-    return nums, den
-
-
 def _drop_prime(nums, k: int, p: int):
     """The digits at order k of the element with digits `nums` at order
     k*p, p a prime not dividing k, or None when it is not in Q(zeta_k).
@@ -765,9 +763,39 @@ def embed_complex(a: CycloNum, digits: int = MAX_EMBED_DIGITS) -> complex:
     return complex(round(z.real, digits), round(z.imag, digits))
 
 
+def exact_rational(value, what: str) -> Fraction:
+    """A rational of a model file, the `what` of its error: a JSON integer,
+    or a string `Fraction` reads; a JSON float or bool is not exact and
+    raises TypeError."""
+    if isinstance(value, (bool, float)):
+        raise TypeError(
+            f"{what} {value!r} is not an integer or a rational string")
+    return Fraction(value)
+
+
+def _coefficient(c) -> tuple[int, int]:
+    """(p, q) with p / q the coefficient `c` of a model file, q > 0: a JSON
+    integer is (c, 1), and a string of the form written by `to_obj`, an
+    optional minus, ASCII digits and optionally a slash and ASCII digits,
+    is read by `int`; any other string is read by `exact_rational`, so it
+    is accepted or refused as `Fraction` does."""
+    if type(c) is int:
+        return c, 1
+    if type(c) is str and c.isascii():
+        p, slash, q = c.partition("/")
+        q = q if slash else "1"
+        if q.isdigit() and (p[1:] if p[:1] == "-" else p).isdigit():
+            q = int(q)
+            if q:
+                return int(p), q
+    value = exact_rational(c, "coefficient")
+    return value.numerator, value.denominator
+
+
 def cyclo_from_obj(obj) -> CycloNum:
     """Inverse of CycloNum.to_obj; raises ModelFormatError when `obj` does
-    not have that shape."""
+    not have that shape.  Each coefficient is a JSON integer or a rational
+    string (`_coefficient`), over the lcm of their denominators."""
     shape = 'expected {"order": int, "coeffs": [...]}'
     if not isinstance(obj, dict):
         raise ModelFormatError(
@@ -784,7 +812,7 @@ def cyclo_from_obj(obj) -> CycloNum:
             raise TypeError(f"order {order!r} is not an integer")
         if not isinstance(coeffs, list):
             raise TypeError(f"coeffs {coeffs!r} is not a list")
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [_coefficient(c) for c in coeffs]
     except (TypeError, ValueError, ZeroDivisionError,
             OverflowError) as exc:
         raise ModelFormatError(
@@ -797,5 +825,5 @@ def cyclo_from_obj(obj) -> CycloNum:
         raise ModelFormatError(
             "coefficient count does not match the field degree"
         )
-    nums, den = _clear_denominators(coeffs)
-    return CycloNum(order, den, nums)
+    den = math.lcm(*(q for _, q in coeffs))
+    return CycloNum(order, den, [p * (den // q) for p, q in coeffs])

@@ -15,14 +15,26 @@ Validation runs on S packed as one matrix type (see `modata.packed`),
 with T and the phases as scalings of it.  Over the field of the S
 entries, which comes before any T entry can push the order past
 MODATA_MAX_ORDER, S and S^dagger (sigma_-1(S) transposed) are packed once
-(`packed_s`) and S S^dagger is compared with the identity.  Each Verlinde
-table N_lam = S diag(S[lam][d] / S[0][d]) S^dagger is `fusion_matrix`: S
-with scaled columns times S^dagger, read off the packed ints; N_lam S is
-compared with that scaled S.  S T S == T^-1 S T^-1 and c0_consistency's
-fusion-phase check run over the model's single field.  A failing packed
-comparison's witness is its first (i, j); a failing fusion entry's is one
-`verlinde_value`, a `cyclo.dot` of r terms held at the lcm of the orders
-of its nonzero terms.
+(`packed_s`) and S S^dagger is compared with the identity.  The vacuum
+row is inverted once and packed (`vacuum_inverses`); the eigenvalues
+S[lam][d] / S[0][d] of a label are that packed row scaled by S's packed
+row lam, with no CycloNum product.  The Verlinde sum is symmetric in lam
+and mu, so label lam computes only rows mu >= lam of N_lam = S
+diag(S[lam][d] / S[0][d]) S^dagger (`fusion_rows`: rows of S with scaled
+columns times S^dagger, read off the packed ints) and reads the others off
+the tables before it; rows mu >= lam of N_lam S are compared with those
+rows of the scaled S, which checks every equality of the full comparison
+(`_fusion_checks` proves both).  S T S == T^-1 S T^-1 and
+c0_consistency's fusion-phase check run over the model's single field.  A
+failing packed comparison's witness is its first (i, j); a failing fusion
+entry's is one `verlinde_value`, a `cyclo.dot` of r terms held at the lcm
+of the orders of its nonzero terms.
+
+The builtin S entries depend on few values: su2:k's on (a+1)(b+1) mod
+2(k+2), cyclic_odd:n's on 2jk mod n.  Each value is built once and shared,
+with the inverse it memoises.  A model file's numbers are read by
+`cyclo.exact_rational` and `cyclo.cyclo_from_obj`, which refuse JSON
+floats and bools.
 
 S^2 stays the one CycloNum product of validation, because its entry
 orders are those the order rule of `rep_evaluate` gives the central -I,
@@ -47,6 +59,7 @@ from .cyclo import (
     CycloNum,
     cyclo_from_obj,
     dot,
+    exact_rational,
     make,
     root_of_unity_exp,
     sqrt_nonneg_rational,
@@ -93,10 +106,10 @@ class ConductorInfo:
 
 def eigenvalues(s: mx.Matrix, lam: int) -> tuple[CycloNum, ...]:
     """S[lam][d] / S[0][d] over the columns d: the eigenvalues of the fusion
-    matrix N_lam, whose eigenvector for d is column d of S.  `fusion_matrix`
-    takes them once per label and table, and `verlinde_value` once per
-    witness.  The vacuum-row entries keep their inverses (see
-    `CycloNum.inverse`)."""
+    matrix N_lam, whose eigenvector for d is column d of S.  `verlinde_value`
+    takes them once per witness; the fusion tables read the same ratios off
+    packed rows (`fusion_rows`).  The vacuum-row entries keep their
+    inverses (see `CycloNum.inverse`)."""
     return tuple(s[lam][d] * s[0][d].inverse() for d in range(len(s)))
 
 
@@ -121,15 +134,26 @@ def packed_s(s: mx.Matrix) -> tuple[PackedMatrix, PackedMatrix]:
     return ps, ps.sigma(order - 1).transpose()
 
 
-def fusion_matrix(s: mx.Matrix, ps: PackedMatrix, s_dag: PackedMatrix,
-                  lam: int) -> tuple[PackedMatrix, tuple]:
-    """N_lam = S diag(eigenvalues(s, lam)) S^dagger on the factors of
-    `packed_s`: `ps` with its columns scaled by the eigenvalues, and that
-    times `s_dag` read by `nonneg_integers`, None at each entry that is not
-    a nonnegative integer."""
+def vacuum_inverses(s: mx.Matrix, order: int) -> PackedMatrix:
+    """The row of the inverses 1 / S[0][d] (memoised on the values), packed
+    over Q(zeta_order) once."""
+    return pack([[x.inverse() for x in s[0]]], order)
+
+
+def fusion_rows(inv: PackedMatrix, ps: PackedMatrix, s_dag: PackedMatrix,
+                lam: int, rows) -> tuple[PackedMatrix, tuple]:
+    """Rows `rows` of S diag(S[lam][d] / S[0][d]), and those rows of
+    N_lam = S diag(S[lam][d] / S[0][d]) S^dagger read by `nonneg_integers`,
+    None at each entry that is not a nonnegative integer.  `inv` is
+    `vacuum_inverses`, and `ps` and `s_dag` the factors of `packed_s`: the
+    eigenvalues are the row `inv` with its columns scaled by S's packed row
+    lam, which takes no CycloNum product, and they scale the columns of
+    the rows `rows` of S.  Validation takes rows lam.. of each label (see
+    `_fusion_checks`); `verlinde_sum` on any other S the one row it
+    reads."""
     order = ps.packing.order
-    ev = pack([eigenvalues(s, lam)], order)
-    sd = ps.scale(cols=Scaling(order, ev.digits()[0], ev.den))
+    ev = inv.scale(cols=Scaling(order, ps.digits()[lam], ps.den))
+    sd = ps.take_rows(rows).scale(cols=Scaling(order, ev.digits()[0], ev.den))
     return sd, (sd @ s_dag).nonneg_integers()
 
 
@@ -148,15 +172,17 @@ class _ValidatedS(tuple):
 
 def verlinde_sum(s: mx.Matrix, lam: int, mu: int, nu: int) -> int:
     """One fusion coefficient: entry (mu, nu) of N_lam.  The S of a
-    `ModularData` carries the table validation found; any other S gets its
-    N_lam from `fusion_matrix`, built for this call.
+    `ModularData` carries the table validation found; any other S gets row
+    mu of N_lam from `fusion_rows`, built for this call.
 
     Raises NonIntegralFusionError, with the `verlinde_value` of the entry,
     when it is not a nonnegative integer, which signals corrupt input data.
     """
     if isinstance(s, _ValidatedS):
         return s.fusion[lam][mu][nu]
-    n = fusion_matrix(s, *packed_s(s), lam)[1][mu][nu]
+    ps, s_dag = packed_s(s)
+    n = fusion_rows(vacuum_inverses(s, ps.packing.order), ps, s_dag, lam,
+                   [mu])[1][0][nu]
     if n is None:
         raise NonIntegralFusionError(
             f"fusion ({lam},{mu};{nu}) is {verlinde_value(s, lam, mu, nu)!r},"
@@ -533,25 +559,41 @@ def _axiom_checks(labels, s, delta, c, c0, tau2):
 
 def _fusion_checks(s: mx.Matrix, ps: PackedMatrix, s_dag: PackedMatrix):
     """The fusion table of S and its two checks, on the factors `ps` and
-    `s_dag` of `packed_s`: N_lam is `fusion_matrix`.  The scan over
-    (lam, mu, nu) in lexicographic order stops at the first entry that is
-    not a nonnegative integer, whose `verlinde_value` is the witness.
-    fusion_diagonalized_by_s compares N_lam S with the scaled S.  Returns
-    the records, the second only when the table is integral, and the table
-    or None."""
+    `s_dag` of `packed_s`.  Returns the records, the second only when the
+    table is integral, and the table or None.
+
+    The Verlinde sum N(lam,mu;nu) = sum_d S[lam][d] S[mu][d] conj(S[nu][d])
+    / S[0][d] is symmetric in lam and mu for any S, so label lam computes
+    only rows mu >= lam (`fusion_rows`) and reads row mu < lam of N_lam as
+    row lam of N_mu.  The scan over (lam, mu, nu) in lexicographic order
+    stops at the first entry that is not a nonnegative integer, whose
+    `verlinde_value` is the witness.  It finds the entry the scan of full
+    tables finds: that entry has mu >= lam, since for mu < lam its equal
+    (mu, lam, nu) comes first; and every entry the scan passes before it
+    comes before it in that order too.
+
+    fusion_diagonalized_by_s compares rows mu >= lam of N_lam S and of
+    S diag(S[lam][d] / S[0][d]).  Row mu < lam of the full comparison is
+    sum_nu N(lam,mu;nu) S[nu][d] == S[mu][d] S[lam][d] / S[0][d], which is
+    row lam of the comparison of mu entry for entry, N(lam,mu;nu) being
+    N(mu,lam;nu) in the table.  So the equalities checked are those of the
+    full comparison, and the first failing label is the same: if the full
+    comparison of lam first fails at a row mu < lam, that of mu < lam
+    fails at row lam."""
     suite = "axioms"
-    order = ps.packing.order
+    order, rank = ps.packing.order, len(s)
+    inv = vacuum_inverses(s, order)
     fusion, scaled = [], []
     witness = ""
-    for lam in range(len(s)):
-        sd, table = fusion_matrix(s, ps, s_dag, lam)
-        bad = next(((mu, nu) for mu, row in enumerate(table)
+    for lam in range(rank):
+        sd, half = fusion_rows(inv, ps, s_dag, lam, range(lam, rank))
+        bad = next(((lam + i, nu) for i, row in enumerate(half)
                     for nu, n in enumerate(row) if n is None), None)
         if bad is not None:
             witness = "N({},{};{}) = {!r}".format(
                 lam, *bad, verlinde_value(s, lam, *bad))
             break
-        fusion.append(table)
+        fusion.append(tuple(fusion[mu][lam] for mu in range(lam)) + half)
         scaled.append(sd)
     records = [CheckRecord(suite, "fusion_integral_nonnegative", not witness,
                            witness=witness)]
@@ -559,8 +601,8 @@ def _fusion_checks(s: mx.Matrix, ps: PackedMatrix, s_dag: PackedMatrix):
         return records, None
     records.append(first_failure(
         suite, "fusion_diagonalized_by_s",
-        (f"fusion matrix {lam}" for lam in range(len(s))
-         if integers(order, fusion[lam]) @ ps != scaled[lam]),
+        (f"fusion matrix {lam}" for lam in range(rank)
+         if integers(order, fusion[lam][lam:]) @ ps != scaled[lam]),
     ))
     return records, tuple(fusion)
 
@@ -591,8 +633,13 @@ def _sin_exact(m: int, q: int) -> CycloNum:
 def _build_su2(k: int) -> tuple:
     q = k + 2
     norm = sqrt_nonneg_rational(Fraction(2, q))
+
+    @functools.cache
+    def entry(m):  # sin(pi*m/q) has period 2q in m: one value per class
+        return norm * _sin_exact(m, q)
+
     s = [
-        [norm * _sin_exact((a + 1) * (b + 1), q) for b in range(q - 1)]
+        [entry((a + 1) * (b + 1) % (2 * q)) for b in range(q - 1)]
         for a in range(q - 1)
     ]
     delta = [Fraction(a * (a + 2), 4 * q) for a in range(q - 1)]
@@ -603,10 +650,12 @@ def _build_su2(k: int) -> tuple:
 
 def _build_cyclic_odd(n: int) -> tuple:
     norm = sqrt_nonneg_rational(Fraction(1, n))
-    s = [
-        [norm * make(n, [(2 * j * k, 1)]) for k in range(n)]
-        for j in range(n)
-    ]
+
+    @functools.cache
+    def entry(e):  # one value per exponent mod n
+        return norm * make(n, [(e, 1)])
+
+    s = [[entry(2 * j * k % n) for k in range(n)] for j in range(n)]
     delta = [Fraction(j * (n - j), n) for j in range(n)]
     c = Fraction(n - 1)
     labels = [str(j) for j in range(n)]
@@ -665,9 +714,9 @@ def from_obj(obj: dict) -> ModularData:
     if not all(isinstance(row, list) for row in obj["S"]):
         raise ModelFormatError("S must be a list of rows")
     try:
-        delta = [Fraction(d) for d in obj["delta"]]
-        c = Fraction(obj["c"])
-        c0 = Fraction(obj["c0"])
+        delta = [exact_rational(d, "delta") for d in obj["delta"]]
+        c = exact_rational(obj["c"], "c")
+        c0 = exact_rational(obj["c0"], "c0")
         tau2 = obj.get("tau2", 0)
         if not isinstance(tau2, int) or isinstance(tau2, bool):
             raise TypeError(f"tau2 {tau2!r} is not an integer")

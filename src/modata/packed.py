@@ -122,7 +122,7 @@ class Packing:
 
     __slots__ = ("order", "phi", "width", "folds", "stage_growth",
                  "reduce_growth", "_shift", "_mask", "_digit", "_half",
-                 "_offset", "_fold")
+                 "_offset", "_fold", "_monomials")
 
     def __init__(self, order: int, width: int):
         ctx = _context(order)
@@ -140,6 +140,7 @@ class Packing:
         self._offset = self.pack([self._half] * phi)
         self._fold = self.pack(
             [dict(ctx.low).get(j, 0) for j in range(phi)])
+        self._monomials: dict[int, int] = {}
 
     def pack(self, digits) -> int:
         """sum_j digits[j] * 2^(width*j), for digits of any sign."""
@@ -147,6 +148,12 @@ class Packing:
         for c in reversed(digits):
             v = (v << self.width) + c
         return v
+
+    def monomial(self, e: int) -> int:
+        """x^e modulo Phi_order packed at this width, for 0 <= e < order;
+        kept per e, so a packing holds at most `order` of them."""
+        return _cached(self._monomials, e,
+                       lambda: self.pack(_monomial(self.order, e)))
 
     def unpack(self, v: int) -> list[int]:
         """The phi signed digits of a reduced packed int."""
@@ -567,6 +574,12 @@ def _monomial(order: int, e: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _monomial_l1(order: int, e: int) -> int:
+    """The digit l1 norm of `_monomial(order, e)`."""
+    return sum(map(abs, _monomial(order, e)))
+
+
+@lru_cache(maxsize=None)
 def _sigma_map(order: int, l: int) -> tuple["Scaling", int]:
     """The images x^(l*j mod order), j < phi, as a `Scaling`, and the bits
     sigma_l adds to a digit (from the largest l1 norm of a row of the map)."""
@@ -792,7 +805,10 @@ class Phased:
         X_ij and Y_ij are inside, they are equal only when both are zero.
         Else e(d_ij) = sign * zeta_M^k, and they compare as sign * (x * m_k
         mod Phi_M) * dy == y * dx, m_k the packed monomial x^k (for k >= phi
-        of l1 norm up to 2 at M = 24, 18 at M = 76).
+        of l1 norm up to 2 at M = 24, 18 at M = 76).  Its l1 norm comes
+        from `_monomial_l1`, cached per (M, k), and its packed int from
+        `Packing.monomial`, cached per k, so no comparison adds a cache
+        entry for its set of turns.
 
         The turn's width: a digit of x * m_k is below 2^bits * l1, l1 the
         largest l1 norm of the m_k used; each fold of `Packing.reduce` is
@@ -807,11 +823,11 @@ class Phased:
         db = [f * p - g * q for p, q in zip(self.b, other.b)]
         turns = [[_field_root(f * p - g * q + dc + e, den, order) for e in db]
                  for p, q in zip(self.a, other.a)]
-        ks = sorted({r[1] for row in turns for r in row if r and r[1]})
-        turn = roots(order, ks or [0])
-        xm, ym = _comparable(self.x, other.x, turn.l1 if ks else 0)
+        ks = {r[1] for row in turns for r in row if r and r[1]}
+        l1 = max((_monomial_l1(order, k) for k in ks), default=0)
+        xm, ym = _comparable(self.x, other.x, l1)
         p = xm.packing
-        monomials = dict(zip(ks, turn.packed(p)))
+        monomials = {k: p.monomial(k) for k in ks}
         dx, dy = xm.den, ym.den
         for i, (row, xr, yr) in enumerate(zip(turns, xm.rows, ym.rows)):
             for j, (root, x, y) in enumerate(zip(row, xr, yr)):

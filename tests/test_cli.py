@@ -110,14 +110,26 @@ class TestVerify:
         '"delta": ["0"], "c": "0", "c0": "0", "tau2": false}',
         '{"labels": ["0"], "S": [[{"order": 1, "coeffs": ["1"]}]], '
         '"delta": ["0"], "c": "0", "c0": "0", "tau2": "0"}',
+        '{"labels": ["0"], "S": [[{"order": 1, "coeffs": [1.0]}]], '
+        '"delta": ["0"], "c": "0", "c0": "0"}',
+        '{"labels": ["0"], "S": [[{"order": 1, "coeffs": [true]}]], '
+        '"delta": ["0"], "c": "0", "c0": "0"}',
+        '{"labels": ["0"], "S": [[{"order": 1, "coeffs": ["1"]}]], '
+        '"delta": [0.0], "c": "0", "c0": "0"}',
+        '{"labels": ["0"], "S": [[{"order": 1, "coeffs": ["1"]}]], '
+        '"delta": ["0"], "c": "0", "c0": false}',
     ], ids=["missing-keys", "top-level-list", "coefficient-x", "tau2-x",
             "huge-order", "coeffs-string", "order-float", "order-bool",
-            "tau2-float", "tau2-bool", "tau2-string"])
+            "tau2-float", "tau2-bool", "tau2-string", "coefficient-float",
+            "coefficient-bool", "delta-float", "c0-bool"])
     def test_malformed_file_is_parse_error(self, capsys, tmp_path, text):
         path = tmp_path / "model.json"
         path.write_text(text)
         for extra in ([], ["--c0", "0"]):  # the override edits the object
             code, _, err = run(capsys, "verify", str(path), *extra)
+            if extra and '"c0": false' in text:
+                assert code == 0  # the override replaces the refused c0
+                continue
             assert code == 2
             assert_one_error_line(err)
 

@@ -29,7 +29,12 @@ from modata.cyclo import (
     root_of_unity_exp,
     sqrt_nonneg_rational,
 )
-from modata.errors import NegativeRadicandError, NotCoprimeError, NotEmbeddableError
+from modata.errors import (
+    ModelFormatError,
+    NegativeRadicandError,
+    NotCoprimeError,
+    NotEmbeddableError,
+)
 
 
 def zeta(m, e=1):
@@ -382,6 +387,27 @@ class TestInverseMemo:
                 z.inverse()
 
 
+#: Coefficients of a model file: JSON integers, strings of the form p or
+#: p/q with signs, leading zeros, non-reduced fractions and zero
+#: denominators, and strings that only Fraction reads or refuses (spaces,
+#: a plus, decimals, exponents, underscores, non-ASCII digits).
+_coefficients = st.one_of(
+    st.integers(-10 ** 30, 10 ** 30),
+    st.builds(
+        lambda sign, zeros, p, q: sign + zeros + p + q,
+        st.sampled_from(["", "-", "+", "--"]),
+        st.sampled_from(["", "0", "00"]),
+        st.sampled_from(["0", "1", "7", "12", "360", "99999999999999999999"]),
+        st.sampled_from(["", "/1", "/4", "/6", "/0", "/00", "/05", "/-3",
+                         "/+2", "/", "/1/2"])),
+    st.sampled_from(["1/0", "-0/5", "0/7", "-0", "6/4", "-12/18", " 3",
+                     "3 ", "1.5", "-2.5e3", "1e-2", "1_000", "1/2_0",
+                     "\u0661\u0662", "\u0661/\u0663", "", "-", "/",
+                     "x", "nan", "inf", "0x10", "1 /2"]),
+    st.text(alphabet="0123456789-+/. _e", max_size=6),
+)
+
+
 class TestSerialization:
     def test_round_trip(self):
         x = make(12, [(0, "1/2"), (2, -3), (3, "5/7")])
@@ -392,6 +418,30 @@ class TestSerialization:
     def test_length_enforced(self):
         with pytest.raises(ValueError):
             cyclo_from_obj({"order": 8, "coeffs": ["1", "0"]})
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_coefficients, min_size=2, max_size=2))
+    def test_coefficients_read_as_fraction_reads_them(self, coeffs):
+        # Each JSON integer or string reads as Fraction reads it: the same
+        # value, or the message of the first error Fraction raises.
+        try:
+            values = [Fraction(c) for c in coeffs]
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            want = f"malformed cyclotomic number: {type(exc).__name__}: {exc}"
+            with pytest.raises(ModelFormatError) as got:
+                cyclo_from_obj({"order": 4, "coeffs": coeffs})
+            assert str(got.value) == want
+            return
+        x = cyclo_from_obj({"order": 4, "coeffs": coeffs})
+        assert x.coeffs == tuple(values)
+        assert x == make(4, enumerate(values))
+
+    @pytest.mark.parametrize("c", [0.1, 1.0, True, False, float("nan")],
+                             ids=["0.1", "1.0", "true", "false", "nan"])
+    def test_inexact_coefficient_refused(self, c):
+        with pytest.raises(ModelFormatError, match="not an integer or a "
+                           "rational string"):
+            cyclo_from_obj({"order": 4, "coeffs": [c, "1"]})
 
     @pytest.mark.parametrize("x", [
         CycloNum.one(), make(12, [(0, "1/2"), (2, -3), (3, "5/7")]),

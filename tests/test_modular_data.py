@@ -35,12 +35,13 @@ from modata.modular_data import (
     eigenvalues,
     from_obj,
     loads,
+    packed_s,
     phase_sum,
     verlinde_sum,
 )
 from modata.galois import congruence_suite
 from modata.orbifold import soliton_multiplicity
-from modata.packed import PackedMatrix, pack
+from modata.packed import PackedMatrix, Scaling, integers, pack
 from modata.reporting import CheckRecord, first_failure
 
 
@@ -235,41 +236,55 @@ class TestFusionOrbits:
         real_read, real_scale = PackedMatrix.nonneg_integers, PackedMatrix.scale
 
         def matmul(a, b):
-            products.append(b)
+            products.append((a, b))
             return real_matmul(a, b)
 
         def scale(self, rows=None, cols=None):
-            scales.append((rows, cols))
+            scales.append((self, rows, cols))
             return real_scale(self, rows, cols)
 
         def read(self):
             reads.append(self)
             return real_read(self)
 
+        def unused(*args):
+            raise AssertionError("no eigenvalue is a CycloNum product")
+
         monkeypatch.setattr(
             mx, "mat_mul", lambda a, b: exact.append(b) or real_mul(a, b))
         monkeypatch.setattr(PackedMatrix, "__matmul__", matmul)
         monkeypatch.setattr(PackedMatrix, "nonneg_integers", read)
         monkeypatch.setattr(PackedMatrix, "scale", scale)
+        monkeypatch.setattr(modular_data, "eigenvalues", unused)
         md = builtin_model(name, param)
         r = md.rank
         # S^2 is the one CycloNum product.  Over the field of the S
         # entries, s_unitary takes S S^dagger; over the model's field,
         # S T S takes one product and two scalings, T^-1 S T^-1 one
-        # scaling; per label the table scales S's columns by the
-        # eigenvalues and multiplies by the same S^dagger, read once, then
-        # fusion_diagonalized_by_s takes N_lam S.
+        # scaling.  Label lam scales the packed vacuum inverses by row lam
+        # of S, the eigenvalues, scales rows lam.. of S by them and
+        # multiplies those by the same S^dagger, read once; then
+        # fusion_diagonalized_by_s takes rows lam.. of N_lam S.
         assert len(exact) == 1
         assert len(products) == 2 * r + 2 and len(reads) == r
-        assert len(scales) == r + 2
-        s_dag = products[0]
+        assert len(scales) == 2 * r + 2
+        s_dag = products[0][1]
         assert s_dag == pack(mx.dagger(md.s), _s_order(md.s))
-        assert products[1] is md.packed.s
-        fusion = products[2:]
-        assert all(b is s_dag for b in fusion[:r])
-        assert all(b is fusion[r] for b in fusion[r:])
-        assert fusion[r] == pack(md.s, _s_order(md.s))
-        assert all(rows is None for rows, _ in scales[2:])
+        assert products[1][1] is md.packed.s
+        fusion, diagonal = products[2:r + 2], products[r + 2:]
+        assert [len(a.rows) for a, _ in fusion] == list(range(r, 0, -1))
+        assert [len(m.rows) for m in reads] == list(range(r, 0, -1))
+        assert all(b is s_dag for _, b in fusion)
+        assert [len(a.rows) for a, _ in diagonal] == list(range(r, 0, -1))
+        assert all(b is diagonal[0][1] for _, b in diagonal)
+        assert diagonal[0][1] == pack(md.s, _s_order(md.s))
+        inv = scales[2][0]
+        assert inv == pack([[x.inverse() for x in md.s[0]]], _s_order(md.s))
+        for lam in range(r):
+            ev, sd = scales[2 + 2 * lam], scales[3 + 2 * lam]
+            assert ev[0] is inv and ev[1] is None
+            assert ev[2].digits == diagonal[0][1].digits()[lam]
+            assert len(sd[0].rows) == r - lam and sd[1] is None
 
     @pytest.mark.parametrize("name,param", _CATALOG_MODELS)
     def test_verlinde_sum_equals_term_sum(self, monkeypatch, name, param):
@@ -280,7 +295,7 @@ class TestFusionOrbits:
             raise AssertionError("a validated S builds no Verlinde table")
 
         # each validated S answers from the table validation found
-        monkeypatch.setattr(modular_data, "fusion_matrix", unused)
+        monkeypatch.setattr(modular_data, "fusion_rows", unused)
         monkeypatch.setattr(modular_data, "packed_s", unused)
         for m in models:
             for lam, mu, nu in itertools.product(range(m.rank), repeat=3):
@@ -308,8 +323,10 @@ class TestFusionOrbits:
     ])
     @pytest.mark.parametrize("rejected", [0, 1, 2])
     def test_first_failing_triple(self, monkeypatch, name, param, rejected):
-        # Declaring one integer value non-integral fails the table at the
-        # first triple, in (lam, mu, nu) order, that holds it.
+        # Declaring one integer value non-integral in the half-row read
+        # (rows mu >= lam of N_lam) fails the table at the first triple, in
+        # (lam, mu, nu) order, that holds it: the half rows of the labels
+        # before it are all read first.
         table = builtin_model(name, param).fusion
         r = len(table)
         first = next(
@@ -319,15 +336,22 @@ class TestFusionOrbits:
             None,
         )
         real = PackedMatrix.nonneg_integers
-        monkeypatch.setattr(
-            PackedMatrix, "nonneg_integers",
-            lambda self: tuple(tuple(None if n == rejected else n
-                                     for n in row) for row in real(self)))
+        read = []
+
+        def half_read(self):
+            read.append(len(self.rows))
+            return tuple(tuple(None if n == rejected else n for n in row)
+                         for row in real(self))
+
+        monkeypatch.setattr(PackedMatrix, "nonneg_integers", half_read)
         if first is None:
             builtin_model(name, param)
+            assert read == list(range(r, 0, -1))
             return
         with pytest.raises(AxiomViolationError) as exc:
             builtin_model(name, param)
+        assert first[1] >= first[0]
+        assert read == list(range(r, r - first[0] - 1, -1))
         record = exc.value.report[-1]
         assert record.check == "fusion_integral_nonnegative"
         assert record.witness == "N({},{};{}) = CycloNum({})".format(
@@ -349,22 +373,151 @@ class TestFusionOrbits:
                 su2_2.s[lam][d] / su2_2.s[0][d] for d in range(3))
 
 
+def _full_fusion_matrix(s, ps, s_dag, lam):
+    """N_lam as one full packed product: S with its columns scaled by the
+    CycloNum eigenvalues, packed, times S^dagger, read by nonneg_integers;
+    the table the half-row tables replaced."""
+    order = ps.packing.order
+    ev = pack([eigenvalues(s, lam)], order)
+    sd = ps.scale(cols=Scaling(order, ev.digits()[0], ev.den))
+    return sd, (sd @ s_dag).nonneg_integers()
+
+
+def _full_fusion_checks(s, ps, s_dag):
+    """The fusion checks on full tables: every label's full product, the
+    scan over all (lam, mu, nu), and N_lam S against the whole scaled S."""
+    suite = "axioms"
+    fusion, scaled = [], []
+    witness = ""
+    for lam in range(len(s)):
+        sd, table = _full_fusion_matrix(s, ps, s_dag, lam)
+        bad = next(((mu, nu) for mu, row in enumerate(table)
+                    for nu, n in enumerate(row) if n is None), None)
+        if bad is not None:
+            witness = "N({},{};{}) = {!r}".format(
+                lam, *bad, modular_data.verlinde_value(s, lam, *bad))
+            break
+        fusion.append(table)
+        scaled.append(sd)
+    records = [CheckRecord(suite, "fusion_integral_nonnegative", not witness,
+                           witness=witness)]
+    if witness:
+        return records, None
+    records.append(first_failure(
+        suite, "fusion_diagonalized_by_s",
+        (f"fusion matrix {lam}" for lam in range(len(s))
+         if integers(ps.packing.order, fusion[lam]) @ ps != scaled[lam]),
+    ))
+    return records, tuple(fusion)
+
+
+def _scaled_pair(md, i, j, q):
+    """S of `md` with S[i][j] = S[j][i] times q, as a new matrix."""
+    s = [list(row) for row in md.s]
+    s[i][j] = s[j][i] = s[i][j] * q
+    return mx.mat(s)
+
+
+class TestHalfTables:
+    """The tables over lam <= mu against the full per-label products, on
+    every catalog model, its file, and corrupted S: tables, records and
+    witness strings."""
+
+    @pytest.mark.parametrize("name,param", _CATALOG_MODELS)
+    def test_matches_full_products(self, name, param):
+        md = builtin_model(name, param)
+        r = md.rank
+        cases = [md.s, loads(md.dumps()).s]
+        cases += [_scaled_pair(md, i, j, q)
+                  for i, j in ((1, 1), (1, r - 1), (r - 1, r - 1))
+                  for q in (Fraction(1, 3), Fraction(-1), Fraction(2))]
+        failed = 0
+        for s in cases:
+            ps, s_dag = packed_s(s)
+            got = modular_data._fusion_checks(s, ps, s_dag)
+            assert got == _full_fusion_checks(s, ps, s_dag)
+            failed += not all(rec.passed for rec in got[0])
+        assert modular_data._fusion_checks(
+            md.s, *packed_s(md.s))[1] == md.fusion
+        assert failed
+
+    def test_diagonalization_failure_matches_full_products(self, monkeypatch):
+        # Row mu = 1 of N_1 doubled in the second read, label 1's: the
+        # table stays integral, but N_1 S differs from the scaled S in its
+        # row 1 alone, the diagonal row lam = mu, which only the check of
+        # label 1 compares; both sides name label 1 first.
+        md = builtin_model("su2", 3)
+        r = md.rank
+        ps, s_dag = packed_s(md.s)
+        real = PackedMatrix.nonneg_integers
+        reads = []
+
+        def read(self):
+            reads.append(self)
+            table = list(real(self))
+            if len(reads) == 2:
+                mu = len(table) - (r - 1)  # rows 1.. or all rows
+                table[mu] = tuple(2 * n for n in table[mu])
+            return tuple(table)
+
+        monkeypatch.setattr(PackedMatrix, "nonneg_integers", read)
+        got = modular_data._fusion_checks(md.s, ps, s_dag)[0]
+        reads.clear()
+        assert got == _full_fusion_checks(md.s, ps, s_dag)[0]
+        assert [rec.passed for rec in got] == [True, False]
+        assert got[1].witness == "fusion matrix 1"
+
+
+class TestBuiltinEntries:
+    """Builtin S entries built once per value, against one build per
+    entry: the same values, and one shared object per value class."""
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_su2_entries(self, k):
+        q = k + 2
+        norm = sqrt_nonneg_rational(Fraction(2, q))
+        s = modular_data._build_su2(k)[1]
+        want = [[norm * modular_data._sin_exact((a + 1) * (b + 1), q)
+                 for b in range(q - 1)] for a in range(q - 1)]
+        assert [[_exact(x) for x in row] for row in s] == \
+            [[_exact(x) for x in row] for row in want]
+        keys = {(a + 1) * (b + 1) % (2 * q)
+                for a in range(q - 1) for b in range(q - 1)}
+        assert len({id(x) for row in s for x in row}) == len(keys)
+
+    @pytest.mark.parametrize("n", range(3, 24, 2))
+    def test_cyclic_odd_entries(self, n):
+        norm = sqrt_nonneg_rational(Fraction(1, n))
+        s = modular_data._build_cyclic_odd(n)[1]
+        want = [[norm * make(n, [(2 * j * k, 1)]) for k in range(n)]
+                for j in range(n)]
+        assert [[_exact(x) for x in row] for row in s] == \
+            [[_exact(x) for x in row] for row in want]
+        assert len({id(x) for row in s for x in row}) == n
+
+    def test_shared_value_shares_its_inverse(self):
+        md = builtin_model("su2", 4)
+        a, b = md.s[0][1], md.s[1][0]
+        assert a is b and a.inverse() is b.inverse()
+
+
 class TestFusionTable:
     """`verlinde_sum` reads the table a validated S carries, and builds N_lam
     for any other S."""
 
     def test_list_input_is_not_stored(self, monkeypatch, su2_2):
         built = []
-        real = modular_data.fusion_matrix
+        real = modular_data.fusion_rows
         monkeypatch.setattr(
-            modular_data, "fusion_matrix",
-            lambda s, ps, s_dag, lam: built.append(lam) or real(
-                s, ps, s_dag, lam))
+            modular_data, "fusion_rows",
+            lambda inv, ps, s_dag, lam, rows: built.append(
+                (lam, list(rows))) or real(inv, ps, s_dag, lam, rows))
         rows = [list(row) for row in su2_2.s]
         triples = list(itertools.product(range(3), repeat=3))
         for lam, mu, nu in triples:
             assert verlinde_sum(rows, lam, mu, nu) == su2_2.fusion[lam][mu][nu]
-        assert built == [lam for lam, _, _ in triples]
+        # each call builds the one row of N_lam it reads
+        assert built == [(lam, [mu]) for lam, mu, _ in triples]
 
     def test_copy_is_computed_fresh(self, su2_2):
         copy = mx.mat(su2_2.s)

@@ -13,6 +13,7 @@ import collections
 import functools
 import json
 import math
+import random
 import sys
 import threading
 import types
@@ -1057,3 +1058,56 @@ def test_c0_shift_by_24_is_another_model():
     assert shifted.t_entries(Fraction(1, 2)) != md.t_entries(Fraction(1, 2))
     assert not mx.mat_eq(lambdamat.lambda_hat(shifted, Fraction(1, 3)),
                          lambdamat.lambda_hat(md, Fraction(1, 3)))
+
+
+@pytest.mark.parametrize("order", [12, 15, 40])
+def test_comparisons_add_no_roots_cache_entry(order):
+    """Phased comparisons with a new set of turns each: every verdict is
+    the CycloNum one, entry by entry, and the cache of `roots` keeps its
+    size.  Phases over 2 * order put some roots outside the field."""
+    rank, phi = 3, euler_phi(order)
+    pm = types.SimpleNamespace(order=order, rank=rank, t_weights=(0,) * rank)
+    rng = random.Random(order)
+    before = packed_module._roots.cache_info().currsize
+    turn_sets, mismatched = set(), 0
+    for _ in range(60):
+        den = rng.choice([order, 2 * order])
+
+        def phases():
+            return (tuple(rng.randrange(den) for _ in range(rank)),
+                    tuple(rng.randrange(den) for _ in range(rank)),
+                    rng.randrange(den))
+
+        (a, b, c), (a2, b2, c2) = phases(), phases()
+        x = [[[rng.randrange(-9, 10) if rng.random() < 0.8 else 0
+               for _ in range(phi)] for _ in range(rank)]
+             for _ in range(rank)]
+
+        def turned(i, j, d, a, b, c):
+            return CycloNum(order, 1, d) * root_of_unity_exp(
+                Fraction(a[i] + b[j] + c, den))
+
+        y, want = [], []
+        for i in range(rank):
+            y.append([])
+            for j in range(rank):
+                lhs = turned(i, j, x[i][j], a, b, c)
+                back = lhs * root_of_unity_exp(
+                    Fraction(-(a2[i] + b2[j] + c2), den))
+                if order % back.minimal_order():
+                    back = None  # outside the field
+                if back is None or rng.random() < 0.2:
+                    d = [rng.randrange(-9, 10) for _ in range(phi)]
+                else:
+                    d = list(back.coerce(order).nums)
+                y[-1].append(d)
+                if lhs != turned(i, j, d, a2, b2, c2):
+                    want.append((i, j))
+        turn_sets.add((den, tuple(p - q for p, q in zip(a, a2)),
+                       tuple(p - q for p, q in zip(b, b2)), c - c2))
+        left = Phased(pm, from_digits(order, 1, x), den, a, b, c)
+        right = Phased(pm, from_digits(order, 1, y), den, a2, b2, c2)
+        assert list(left.mismatches(right)) == want
+        mismatched += bool(want)
+    assert len(turn_sets) == 60 and 0 < mismatched < 60
+    assert packed_module._roots.cache_info().currsize == before

@@ -294,6 +294,40 @@ MUTANTS = [
         ["tests/test_lambdamat.py::TestEqualityRule::"
          "test_product_middle_phase"],
     ),
+    (
+        # the half tables from row lam + 1: row lam of N_lam never computed
+        "modata/modular_data.py",
+        "fusion_rows(inv, ps, s_dag, lam, range(lam, rank))",
+        "fusion_rows(inv, ps, s_dag, lam, range(lam + 1, rank))",
+        ["tests/test_modular_data.py::TestHalfTables::"
+         "test_matches_full_products"],
+    ),
+    (
+        # the diagonalization from row lam + 1: row lam of N_lam S, which
+        # no other label compares, left out (the last check is empty)
+        "modata/modular_data.py",
+        "fusion[lam][lam:]) @ ps != scaled[lam]",
+        "fusion[lam][lam + 1:]) @ ps\n"
+        "         != scaled[lam].take_rows(range(1, rank - lam))",
+        ["tests/test_modular_data.py::TestHalfTables::"
+         "test_diagonalization_failure_matches_full_products"],
+    ),
+    (
+        # a file's coefficients over the first denominator, not the lcm
+        "modata/cyclo.py",
+        "den = math.lcm(*(q for _, q in coeffs))",
+        "den = coeffs[0][1]",
+        ["tests/test_cyclo.py::TestSerialization::"
+         "test_coefficients_read_as_fraction_reads_them"],
+    ),
+    (
+        # su2 entries shared per (a+1)(b+1) mod q: sin(pi*m/q) changes
+        # sign under m -> m + q
+        "modata/modular_data.py",
+        "entry((a + 1) * (b + 1) % (2 * q))",
+        "entry((a + 1) * (b + 1) % q)",
+        ["tests/test_modular_data.py::TestBuiltinEntries::test_su2_entries"],
+    ),
 ]
 
 
