@@ -29,14 +29,15 @@ summing the reduced products, and the canonical form makes the result the
 one a chain of `*` and `+` gives, at a fraction of the per-term cost.
 
 A root of unity built as make(M, [(k, 1)]) (so also root_of_unity_exp)
-carries its exponent k.  A product with it is an index shift: each
-coefficient of the other factor moves to its exponent plus k, at the lcm of
-the orders, with no polynomial product and no coercion; two roots multiply
-by adding exponents, and the Galois images and the inverse of a root are
-roots again.  A product with a rational held at order 1 scales the
-numerators and the denominator.  The stored form of every result is the
-one the generic product gives, and the tests compare each of these fast
-paths with a schoolbook product.
+carries its exponent k, and is built once: the context of M keeps one
+instance per k mod M, shared by every caller, as values are immutable.  A
+product with it is an index shift: each coefficient of the other factor
+moves to its exponent plus k, at the lcm of the orders, with no polynomial
+product and no coercion; two roots multiply by adding exponents, and the
+Galois images and the inverse of a root are roots again.  A product with a
+rational held at order 1 scales the numerators and the denominator.  The
+stored form of every result is the one the generic product gives, and the
+tests compare each of these fast paths with a schoolbook product.
 
 Reduction modulo Phi_M is sparse: a context keeps Phi_M and its nonzero low
 terms, O(phi) memory per order, and one routine reduces every product, Galois
@@ -152,9 +153,12 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 class _FieldContext:
-    """Phi_M for Q(zeta_M), with its nonzero low terms for sparse reduction."""
+    """Phi_M for Q(zeta_M), with its nonzero low terms for sparse reduction,
+    and the roots of unity zeta_M^e built so far (`_root`), kept under
+    e mod M: a context keeps at most M of them, and every product, Galois
+    image or inverse that lands on a root it holds returns that object."""
 
-    __slots__ = ("order", "phi", "half", "poly", "low")
+    __slots__ = ("order", "phi", "half", "poly", "low", "roots")
 
     def __init__(self, order: int):
         self.order = order
@@ -164,6 +168,7 @@ class _FieldContext:
         self.half = order // 2 if order % 2 == 0 else 0
         # x^phi = sum r * x^j over these (j, r) pairs, modulo Phi_M
         self.low = tuple((j, -c) for j, c in enumerate(self.poly[:-1]) if c)
+        self.roots: dict[int, "_Root"] = {}
 
     def reduce(self, acc: list) -> list:
         """Reduce the power-basis coefficients `acc` (at least phi of them)
@@ -555,9 +560,15 @@ class _Root(CycloNum):
 
 
 def _root(order: int, e: int) -> _Root:
+    """zeta_order^e, the one instance `_context(order)` keeps under
+    e mod order."""
+    ctx = _context(order)
     e %= order
-    r = _Root(order, 1, _context(order).substitute((1,), 0, e))
-    object.__setattr__(r, "exponent", e)
+    r = ctx.roots.get(e)
+    if r is None:
+        r = _Root(order, 1, ctx.substitute((1,), 0, e))
+        object.__setattr__(r, "exponent", e)
+        ctx.roots[e] = r
     return r
 
 

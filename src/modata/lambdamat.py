@@ -84,29 +84,51 @@ def bezout(r) -> ReducedFraction:
     return ReducedFraction(k, n, x, y)
 
 
+def _ratio(x) -> tuple[int, int]:
+    """(p, q) with x = p / q in lowest terms, q > 0, for an int, a Fraction,
+    or anything else `Fraction` reads."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
 def phase_g(c, c0, r) -> Fraction:
     """The phase exponent g(r), represented in [0, 1).
 
-    Computed by the Euclid-style recursion: reduce r into [0, 1); at k/n the
-    reciprocity expresses g(k/n) through g(n/k), whose argument reduces by
-    periodicity to (n mod k)/k, so coprimality drives the recursion to zero.
+    With r = k/n reduced into [0, 1), the reciprocity gives g(k/n) =
+    rhs(k, n) - g(n/k) (mod 1), and periodicity g(n/k) = g((n mod k)/k),
+    so the recursion follows the Euclid steps (k, n) -> (n mod k, k),
+    which end at k = 0 where g(0) = 0 (k and n stay coprime).  Unrolled,
+
+        g(k/n) = sum_i (-1)^i rhs(k_i, n_i)   (mod 1)
+
+    over the steps (k_i, n_i) with k_i > 0.  With q = (c - c0)/24 = m/6,
+    m = (c - c0)/4 an integer, each term is
+
+        rhs(k, n) = -q (3nk - (n^2+k^2+1)/(nk))
+                  = (m (n^2+k^2+1) - 3m (nk)^2) / (6nk),
+
+    so the sum is one integer numerator over the lcm of the 6nk, reduced
+    mod 1 after each step, and one `Fraction` is built at the end.
     """
-    c, c0, r = Fraction(c), Fraction(c0), Fraction(r)
-    diff = c - c0
-    if diff.denominator != 1 or diff.numerator % 4 != 0:
-        raise PhaseConstraintError(f"c - c0 = {diff} is not a multiple of 4")
-    q = diff / 24
-
-    def rec(x: Fraction) -> Fraction:
-        x = x - math.floor(x)
-        if x == 0:
-            return Fraction(0)
-        k, n = x.numerator, x.denominator
-        rhs = -q * (3 * n * k - Fraction(n * n + k * k + 1, n * k))
-        val = rhs - rec(Fraction(n, k))
-        return val - math.floor(val)
-
-    return rec(r)
+    (cp, cq), (dp, dq) = _ratio(c), _ratio(c0)
+    quarter = 4 * cq * dq  # c - c0 = (cp*dq - dp*cq) / (cq*dq)
+    diff = cp * dq - dp * cq
+    if diff % quarter:
+        raise PhaseConstraintError(
+            f"c - c0 = {Fraction(diff, cq * dq)} is not a multiple of 4")
+    m = diff // quarter
+    k, n = _ratio(r)
+    k %= n
+    num, den, sign = 0, 1, 1
+    while k:
+        step = 6 * n * k
+        lcm = math.lcm(den, step)
+        term = m * (n * n + k * k + 1 - 3 * (n * k) ** 2)
+        num = (num * (lcm // den) + sign * term * (lcm // step)) % lcm
+        den = lcm
+        n, k, sign = k, n % k, -sign
+    return Fraction(num, den)
 
 
 def lambda_mat(md: ModularData, r) -> mx.Matrix:

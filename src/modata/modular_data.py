@@ -135,9 +135,14 @@ def packed_s(s: mx.Matrix) -> tuple[PackedMatrix, PackedMatrix]:
 
 
 def vacuum_inverses(s: mx.Matrix, order: int) -> PackedMatrix:
-    """The row of the inverses 1 / S[0][d] (memoised on the values), packed
-    over Q(zeta_order) once."""
-    return pack([[x.inverse() for x in s[0]]], order)
+    """The row of the inverses 1 / S[0][d], packed over Q(zeta_order) once.
+    Each entry is read as the first entry of the row with its stored
+    (order, den, nums), whose inverse is memoised, so one norm inverse is
+    taken per distinct value: su2:k's row holds each value twice
+    (S[0][d] = S[0][k-d]), in distinct objects when read from a file."""
+    first = {}
+    row = [first.setdefault((x.order, x.den, x.nums), x) for x in s[0]]
+    return pack([[x.inverse() for x in row]], order)
 
 
 def fusion_rows(inv: PackedMatrix, ps: PackedMatrix, s_dag: PackedMatrix,

@@ -28,11 +28,12 @@ a proven bound: its digits are below 2^bits in absolute value and `norm`
 bounds each column's digit l1 norm.  `_fit` sets every width B with
 bits + ceil(log2(g)) <= B - 1, g the right factor's norm (a scaling's
 largest l1 norm) times the fold growth, the largest row l1 norm of the
-map of sigma_l, or 2^(bit length of the other den) for a comparison
-(`_comparable`, with the rule of `scale` for a turn).  A claimed bound is
-remeasured on the digits before the width grows.  A slot step of a chain
-is taken only where that rule keeps the width; a step that would widen
-is a matrix product, which remeasures first.
+map of sigma_l, or 2^(bit length of the cofactor, the other den over the
+gcd of the dens) for a comparison (`_comparable`, with the rule of `scale`
+for a turn).  A claimed bound is remeasured on the digits before the width
+grows.  A slot step of a chain is taken only where that rule keeps the
+width; a step that would widen is a matrix product, which remeasures
+first.
 
 Caches are keyed on exponents and automorphisms, per model content:
 T^k and T^k S under k mod M, sigma_l(S) under l, and sigma_l(T^k S) under
@@ -367,15 +368,16 @@ class PackedMatrix:
 
     def mismatches(self, other: "PackedMatrix"):
         """The (i, j) of the entries where this matrix and `other`, of one
-        shape, differ, in row-major order, compared at `_comparable`'s
-        width."""
+        shape, differ, in row-major order.  Entries x / dx and y / dy are
+        equal exactly when x * (dy/g) == y * (dx/g), g = gcd(dx, dy), on
+        the packed ints at `_comparable`'s width, which proves it."""
         if other.packing.order != self.packing.order:
             raise ValueError("packed matrices over different fields")
         a, b = _comparable(self, other)
-        da, db = a.den, b.den
+        ca, cb = _cofactors(a.den, b.den)
         for i, (rx, ry) in enumerate(zip(a.rows, b.rows)):
             for j, (x, y) in enumerate(zip(rx, ry)):
-                if x * db != y * da:
+                if x * ca != y * cb:
                     yield i, j
 
     def __eq__(self, other) -> bool:
@@ -480,20 +482,38 @@ def _fit(need, *operands) -> list[PackedMatrix]:
 
 def _comparable(x: PackedMatrix, y: PackedMatrix, l1: int = 0
                 ) -> list[PackedMatrix]:
-    """x and y at one width at which x / dx == y / dy is x * dy == y * dx on
-    the packed ints, each x first turned by a packed monomial of l1 norm at
-    most l1 (none when 0; `Phased.mismatches` proves the turn's rule).  Each
-    digit of x * dy is below 2^(bits + dy.bit_length()), and so for y * dx:
-    at a width above both, the difference is zero exactly when its packed
-    int is."""
+    """x and y at one width at which x / dx == y / dy is x * (dy/g) ==
+    y * (dx/g) on the packed ints, g = gcd(dx, dy) (`_cofactors`), each x
+    first turned by a packed monomial of l1 norm at most l1 (none when 0;
+    `Phased.mismatches` proves the turn's rule).
+
+    The cofactors dy/g and dx/g are positive integers, and x / dx == y / dy
+    is x * dy == y * dx, that is g * (x * (dy/g) - y * (dx/g)) == 0, on
+    the digits of the power basis; so the entries are equal exactly when
+    the digits of x * (dy/g) and y * (dx/g) are.  Each digit of x is below
+    2^bits in absolute value, so each digit of x * (dy/g) is below
+    2^(bits + (dy/g).bit_length()), and so for y * (dx/g).  At a width B
+    above both exponents every digit of either side lies in
+    [-2^(B-1), 2^(B-1)), where a packed int has one digit vector: the
+    digits are equal exactly when the packed ints are.  Equal dens take
+    cofactors 1, and the dens 2^a and 2^b of two words take 1 and
+    2^|a-b|: the need grows by |a-b| + 1 bits on one side and 1 on the
+    other, where x * dy and y * dx needed b + 1 and a + 1."""
     def need(a, b):
         bits, turn = a.bits, 0
         if l1:
             turn = bits + _clog2(l1 * a.packing.stage_growth)
             bits += _clog2(l1 * a.packing.reduce_growth)
-        return max(turn, bits + b.den.bit_length(),
-                   b.bits + a.den.bit_length())
+        ca, cb = _cofactors(a.den, b.den)
+        return max(turn, bits + ca.bit_length(), b.bits + cb.bit_length())
     return _fit(need, x, y)
+
+
+def _cofactors(dx: int, dy: int) -> tuple[int, int]:
+    """(dy/g, dx/g), g = gcd(dx, dy): x / dx == y / dy is x * (dy/g) ==
+    y * (dx/g)."""
+    g = math.gcd(dx, dy)
+    return dy // g, dx // g
 
 
 def from_digits(order: int, den: int, rows, min_width: int = 0
@@ -748,16 +768,20 @@ class Phased:
 
     def t(self, rows=0, cols=0, scalar=0) -> "Phased":
         """T^rows e(scalar) (this matrix) T^cols, for int or Fraction
-        exponents."""
+        exponents.  A zero T exponent adds nothing to the den, so a scalar
+        phase alone takes no lcm with M, and a phase tuple that neither
+        the den nor T changes is kept."""
         order, w = self.pm.order, self.pm.t_weights
-        rd, cd = rows.denominator * order, cols.denominator * order
+        rd = rows.denominator * order if rows else 1
+        cd = cols.denominator * order if cols else 1
         den = math.lcm(self.den, rd, cd, scalar.denominator)
         f = den // self.den
         u, v = rows.numerator * (den // rd), cols.numerator * (den // cd)
-        return Phased(self.pm, self.x, den,
-                      tuple(f * p + u * q for p, q in zip(self.a, w)),
-                      tuple(f * p + v * q for p, q in zip(self.b, w)),
-                      f * self.c
+        a = (self.a if f == 1 and not u
+             else tuple(f * p + u * q for p, q in zip(self.a, w)))
+        b = (self.b if f == 1 and not v
+             else tuple(f * p + v * q for p, q in zip(self.b, w)))
+        return Phased(self.pm, self.x, den, a, b, f * self.c
                       + scalar.numerator * (den // scalar.denominator))
 
     def over(self, n: int) -> "Phased":
@@ -804,11 +828,13 @@ class Phased:
         the difference of their phases.  For e(d_ij) outside Q(zeta_M), as
         X_ij and Y_ij are inside, they are equal only when both are zero.
         Else e(d_ij) = sign * zeta_M^k, and they compare as sign * (x * m_k
-        mod Phi_M) * dy == y * dx, m_k the packed monomial x^k (for k >= phi
-        of l1 norm up to 2 at M = 24, 18 at M = 76).  Its l1 norm comes
-        from `_monomial_l1`, cached per (M, k), and its packed int from
-        `Packing.monomial`, cached per k, so no comparison adds a cache
-        entry for its set of turns.
+        mod Phi_M) * (dy/g) == y * (dx/g), g = gcd(dx, dy), m_k the packed
+        monomial x^k (for k >= phi of l1 norm up to 2 at M = 24, 18 at
+        M = 76): x * m_k mod Phi_M is a packed entry with the bits bounded
+        below, and `_comparable` proves the rule of the cofactors for it.
+        Its l1 norm comes from `_monomial_l1`, cached per (M, k), and its
+        packed int from `Packing.monomial`, cached per k, so no comparison
+        adds a cache entry for its set of turns.
 
         The turn's width: a digit of x * m_k is below 2^bits * l1, l1 the
         largest l1 norm of the m_k used; each fold of `Packing.reduce` is
@@ -828,7 +854,7 @@ class Phased:
         xm, ym = _comparable(self.x, other.x, l1)
         p = xm.packing
         monomials = {k: p.monomial(k) for k in ks}
-        dx, dy = xm.den, ym.den
+        cx, cy = _cofactors(xm.den, ym.den)
         for i, (row, xr, yr) in enumerate(zip(turns, xm.rows, ym.rows)):
             for j, (root, x, y) in enumerate(zip(row, xr, yr)):
                 if root is None:
@@ -838,7 +864,7 @@ class Phased:
                 sign, k = root
                 if k:
                     x = p.reduce(x * monomials[k])
-                if sign * x * dy != y * dx:
+                if sign * x * cx != y * cy:
                     yield i, j
 
     def __eq__(self, other) -> bool:

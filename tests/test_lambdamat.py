@@ -218,6 +218,24 @@ class TestBezout:
             ReducedFraction(2, 5, 1, 1)
 
 
+def phase_by_recursion(c, c0, r) -> Fraction:
+    """g(r) in [0, 1) by its definition, in Fractions: g(0) = 0,
+    periodicity, and the reciprocity g(k/n) = rhs(k, n) - g(n/k), taken
+    recursively.  The oracle of `phase_g`."""
+    q = (Fraction(c) - Fraction(c0)) / 24
+
+    def rec(x: Fraction) -> Fraction:
+        x = x - math.floor(x)
+        if x == 0:
+            return Fraction(0)
+        k, n = x.numerator, x.denominator
+        rhs = -q * (3 * n * k - Fraction(n * n + k * k + 1, n * k))
+        val = rhs - rec(Fraction(n, k))
+        return val - math.floor(val)
+
+    return rec(Fraction(r))
+
+
 class TestPhase:
     def test_zero(self):
         assert phase_g(1, 1, 0) == 0
@@ -245,6 +263,33 @@ class TestPhase:
             lhs = phase_g(c, c0, Fraction(k, n)) + phase_g(c, c0, Fraction(n, k))
             rhs = -(c - c0) * (3 * n * k - Fraction(n * n + k * k + 1, n * k)) / 24
             assert (lhs - rhs) % 1 == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(c0=st.one_of(st.integers(-60, 60),
+                        st.fractions(-60, 60, max_denominator=48)),
+           shift=st.integers(-40, 40),
+           r=st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                       st.fractions(-10 ** 6, 10 ** 6,
+                                    max_denominator=10 ** 12)))
+    def test_is_the_recursion(self, c0, shift, r):
+        # c - c0 in 4Z, r negative, integral and at large denominators:
+        # the unrolled integer sum against the recursive definition
+        c = c0 + 4 * shift
+        g = phase_g(c, c0, r)
+        assert type(g) is Fraction and 0 <= g < 1
+        assert g == phase_by_recursion(c, c0, r)
+
+    @settings(max_examples=100, deadline=None)
+    @given(c0=st.fractions(-60, 60, max_denominator=48),
+           diff=st.fractions(-60, 60, max_denominator=6))
+    def test_constraint_on_any_difference(self, c0, diff):
+        if diff.denominator == 1 and diff.numerator % 4 == 0:
+            assert phase_g(c0 + diff, c0, Fraction(2, 7)) == \
+                phase_by_recursion(c0 + diff, c0, Fraction(2, 7))
+        else:
+            with pytest.raises(PhaseConstraintError,
+                               match=f"c - c0 = {diff} is not a multiple"):
+                phase_g(c0 + diff, c0, Fraction(2, 7))
 
 
 class TestLambda:

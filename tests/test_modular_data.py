@@ -500,6 +500,29 @@ class TestBuiltinEntries:
         a, b = md.s[0][1], md.s[1][0]
         assert a is b and a.inverse() is b.inverse()
 
+    @pytest.mark.parametrize("k,values", [(4, 2), (10, 6)])
+    def test_one_inverse_per_vacuum_row_value(self, k, values, monkeypatch):
+        # S[0][d] = S[0][k-d]: a build and a load of su2:k each take one
+        # norm inverse, and so one minimal-order descent, per distinct
+        # irrational value of the vacuum row, in distinct objects or not
+        md = builtin_model("su2", k)
+        assert len({(x.den, x.nums) for x in md.s[0]
+                    if not x.is_rational()}) == values
+        calls = []
+        descend = CycloNum._at_minimal_order
+
+        def counting(x):
+            calls.append(x)
+            return descend(x)
+
+        monkeypatch.setattr(CycloNum, "_at_minimal_order", counting)
+        builtin_model("su2", k)
+        assert len(calls) == values
+        del calls[:]
+        loaded = loads(md.dumps())
+        assert len(calls) == values
+        assert len({id(x) for x in loaded.s[0]}) == k + 1
+
 
 class TestFusionTable:
     """`verlinde_sum` reads the table a validated S carries, and builds N_lam

@@ -1111,3 +1111,112 @@ def test_comparisons_add_no_roots_cache_entry(order):
         mismatched += bool(want)
     assert len(turn_sets) == 60 and 0 < mismatched < 60
     assert packed_module._roots.cache_info().currsize == before
+
+
+def _over(order, den, digits):
+    """A packed matrix of these digit rows over `den` as given, without the
+    gcd that `from_digits` divides out."""
+    bits = max(abs(c) for row in digits for d in row for c in d).bit_length()
+    p = packing(order, width_for(bits))
+    return PackedMatrix(p, den, tuple(tuple(map(p.pack, row)) for row in digits),
+                        bits, packed_module._column_norm(digits), digits)
+
+
+@settings(max_examples=80, deadline=None)
+@given(order=st.sampled_from([1, 4, 12, 15, 40]),
+       dens=st.sampled_from([(6, 10), (4, 64), (2 ** 20, 2 ** 3), (9, 9),
+                             (12, 18), (35, 21), (1, 7)]),
+       phased=st.booleans(), seed=st.integers(0, 10 ** 6))
+def test_mismatches_over_unequal_dens(order, dens, phased, seed):
+    """Both `mismatches` against the CycloNum oracle, over dens that share
+    a factor: entries of equal value over dx = g*u and dy = g*v are u*z
+    and v*z; the others differ, or are zero on both sides, at random.  A
+    `Phased` left side carries phases over 2 * order, so some entries turn
+    by roots outside the field."""
+    rng = random.Random(seed)
+    rank, phi = 3, euler_phi(order)
+    dx, dy = dens
+    g = math.gcd(dx, dy)
+    den = 2 * order
+    a = tuple(rng.randrange(den) for _ in range(rank)) if phased else (0,) * 3
+    b = tuple(rng.randrange(den) for _ in range(rank)) if phased else (0,) * 3
+    c = rng.randrange(den) if phased else 0
+    x, y = [], []
+    for i in range(rank):
+        x.append([])
+        y.append([])
+        for j in range(rank):
+            z = [rng.randrange(-9, 10) for _ in range(phi)]
+            turned = CycloNum(order, 1, z) * root_of_unity_exp(
+                Fraction(a[i] + b[j] + c, den))
+            if (rng.random() < 0.3 or not any(z)
+                    or order % turned.minimal_order()):
+                y[-1].append([rng.randrange(-2, 3) for _ in range(phi)])
+            else:
+                y[-1].append([dy // g * t for t in turned.coerce(order).nums])
+            x[-1].append([dx // g * t for t in z])
+    want = [(i, j) for i in range(rank) for j in range(rank)
+            if CycloNum(order, dx, x[i][j]) * root_of_unity_exp(
+                Fraction(a[i] + b[j] + c, den)) != CycloNum(order, dy, y[i][j])]
+    xm, ym = _over(order, dx, x), _over(order, dy, y)
+    assert (xm.den, ym.den) == (dx, dy)
+    if phased:
+        pm = types.SimpleNamespace(order=order, rank=rank,
+                                   t_weights=(0,) * rank)
+        got = Phased(pm, xm, den, a, b, c).mismatches(Phased(pm, ym))
+    else:
+        got = xm.mismatches(ym)
+    assert list(got) == want
+
+
+@pytest.mark.parametrize("k,a,b,t", [(2, 4, 10, 0), (2, 4, 10, 1),
+                                     (6, 2, 6, 0), (6, 2, 6, 1),
+                                     (6, 3, 11, 0)])
+def test_words_at_dens_two_powers_compare_unlifted(k, a, b, t, monkeypatch):
+    """S^a against (T^t S) S^(b-1) of su2:k, products of a chain without
+    digits over dens 2^a' and 2^b': the cofactors 1 and 2^|a'-b'| keep the
+    comparison at the width of the words, where x * dy and y * dx needed a
+    wider one and so a `lift` of each.  The verdict is the CycloNum one."""
+    pm = builtin_model("su2", k).packed
+    x = _chain([pm.syllable(0)] * a)
+    y = _chain([pm.syllable(t)] + [pm.syllable(0)] * (b - 1))
+    assert x._digits is None and y._digits is None
+    dens = (x.den, y.den)
+    assert x.den != y.den and all(d & (d - 1) == 0 for d in dens)
+    width = x.packing.width
+    assert y.packing.width == width <= max(
+        x.bits + y.den.bit_length(), y.bits + x.den.bit_length())
+    lifts = []
+    monkeypatch.setattr(PackedMatrix, "lift", lambda m, w=0: lifts.append(m))
+    got = list(x.mismatches(y))
+    assert lifts == []
+    monkeypatch.undo()
+    want = [(i, j) for i, (rx, ry) in enumerate(zip(cyclo_matrix(x),
+                                                    cyclo_matrix(y)))
+            for j, (u, v) in enumerate(zip(rx, ry)) if u != v]
+    assert got == want and bool(want) == bool(t)
+
+
+def test_scalar_phase_alone_keeps_the_phases():
+    """`Phased.t` with a scalar phase alone takes no lcm with M: an int or
+    a scalar whose den divides the matrix's keeps the den and both phase
+    tuples, and any other scalar grows the den by its own den alone.  Each
+    result is the general T^0 e(scalar) X T^0, entry by entry."""
+    md = builtin_model("su2", 2)
+    pm = md.packed
+    base = Phased(pm, pm.s).t(Fraction(1, 5), Fraction(2, 5))
+    assert base.den == 5 * pm.order
+    for scalar, den in ((3, base.den), (Fraction(2, 5), base.den),
+                        (Fraction(1, 7), 7 * base.den)):
+        got = base.t(scalar=scalar)
+        assert got.den == den
+        if den == base.den:
+            assert got.a is base.a and got.b is base.b
+        f = got.den // base.den
+        general = Phased(pm, pm.s, got.den, tuple(f * p for p in base.a),
+                         tuple(f * q for q in base.b),
+                         f * base.c + int(scalar * got.den))
+        assert got == general
+        assert not got == general.t(scalar=Fraction(1, 2))
+    kept = Phased(pm, pm.s).t(scalar=2)
+    assert kept.den == 1 and type(kept.c) is int

@@ -328,6 +328,28 @@ MUTANTS = [
         "entry((a + 1) * (b + 1) % q)",
         ["tests/test_modular_data.py::TestBuiltinEntries::test_su2_entries"],
     ),
+    (
+        # the cofactor of a comparison applied to one side only: x / dx and
+        # y / dy compare as x * (dy/g) against y * dx
+        "modata/packed.py",
+        "return dy // g, dx // g",
+        "return dy // g, dx",
+        ["tests/test_packed.py::test_mismatches_over_unequal_dens"],
+    ),
+    (
+        # the unrolled reciprocity without its alternating sign
+        "modata/lambdamat.py",
+        "n, k, sign = k, n % k, -sign",
+        "n, k, sign = k, n % k, sign",
+        ["tests/test_lambdamat.py::TestPhase::test_is_the_recursion"],
+    ),
+    (
+        # the root cache looked up before the exponent is reduced
+        "modata/cyclo.py",
+        "e %= order\n    r = ctx.roots.get(e)",
+        "r = ctx.roots.get(e)\n    e %= order",
+        ["tests/test_cyclo.py::test_roots_kept_per_context"],
+    ),
 ]
 
 
