@@ -154,7 +154,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 class _FieldContext:
     """Phi_M for Q(zeta_M), with its nonzero low terms for sparse reduction,
-    and the roots of unity zeta_M^e built so far (`_root`), kept under
+    and the roots of unity zeta_M^e built so far (`root`), kept under
     e mod M: a context keeps at most M of them, and every product, Galois
     image or inverse that lands on a root it holds returns that object."""
 
@@ -318,7 +318,7 @@ class CycloNum:
         # copies and pickles go through the constructors, the slots being
         # read-only; a root keeps its exponent and the memos are dropped
         if self.exponent is not None:
-            return _root, (self.order, self.exponent)
+            return root, (self.order, self.exponent)
         return CycloNum, (self.order, self.den, self.nums)
 
     # -- arithmetic ------------------------------------------------------
@@ -387,7 +387,7 @@ class CycloNum:
         if inv is not None:
             return inv
         if self.exponent is not None:
-            inv = _root(self.order, -self.exponent)
+            inv = root(self.order, -self.exponent)
         elif self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         elif self.is_rational():
@@ -449,7 +449,7 @@ class CycloNum:
         if l == 1 or self.is_rational():
             return self
         if self.exponent is not None:
-            return _root(m, self.exponent * l)
+            return root(m, self.exponent * l)
         return CycloNum(m, self.den, _context(m).substitute(self.nums, l))
 
     def conjugate(self) -> "CycloNum":
@@ -559,7 +559,7 @@ class _Root(CycloNum):
     __slots__ = ("exponent",)
 
 
-def _root(order: int, e: int) -> _Root:
+def root(order: int, e: int) -> _Root:
     """zeta_order^e, the one instance `_context(order)` keeps under
     e mod order."""
     ctx = _context(order)
@@ -574,7 +574,7 @@ def _root(order: int, e: int) -> _Root:
 
 def _root_product(a: CycloNum, b: CycloNum) -> _Root:
     m = math.lcm(a.order, b.order)
-    return _root(m, a.exponent * (m // a.order) + b.exponent * (m // b.order))
+    return root(m, a.exponent * (m // a.order) + b.exponent * (m // b.order))
 
 
 def _shift(x: CycloNum, r: CycloNum) -> CycloNum:
@@ -680,7 +680,7 @@ def make(order: int, terms) -> CycloNum:
     terms = [(exp % order, Fraction(coeff)) for exp, coeff in terms]
     terms = [(e, c) for e, c in terms if c]
     if len(terms) == 1 and terms[0][1] == 1:
-        return _root(order, terms[0][0])
+        return root(order, terms[0][0])
     den = math.lcm(*(c.denominator for _, c in terms))
     acc = [0] * max([ctx.phi] + [e + 1 for e, _ in terms])
     for e, c in terms:

@@ -301,7 +301,8 @@ def z_matrix(md: ModularData, l: int, r) -> mx.Matrix:
     hatted fractional matrix at the dual argument; raises NotDiagonalError
     when extraction fails."""
     r = Fraction(r)
-    rstar = bezout(r).dual
+    m = bezout(r)
+    rstar = Fraction(m.d, m.e)
     lr = l * rstar
     modulus = _entry_modulus(md, rstar, lr)
     if math.gcd(l, modulus) != 1:

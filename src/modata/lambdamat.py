@@ -31,57 +31,26 @@ only, so they read these.
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import matrixops as mx
 from .cyclo import root_of_unity_exp
 from .errors import PhaseConstraintError
-from .modrep import SL2ZMat, rep_evaluate, rep_evaluate_packed
+from .modrep import SL2ZMat, rep_evaluate, rep_evaluate_packed, t_gen
 from .modular_data import ModularData
 from .packed import Phased
 from .reporting import CheckRecord, notice
 
 
-@dataclass(frozen=True)
-class ReducedFraction:
-    """k/n in lowest terms plus Bezout data k*x - n*y = 1, dual x/n."""
-
-    k: int
-    n: int
-    x: int
-    y: int
-
-    def __post_init__(self):
-        if self.k * self.x - self.n * self.y != 1:
-            raise ValueError("Bezout pair does not satisfy k*x - n*y = 1")
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.k, self.n)
-
-    @property
-    def dual(self) -> Fraction:
-        return Fraction(self.x, self.n)
-
-    def matrix(self) -> SL2ZMat:
-        return SL2ZMat(self.k, self.y, self.n, self.x)
-
-    def shifted(self, t: int) -> "ReducedFraction":
-        """Another valid Bezout pair: (x + n*t, y + k*t)."""
-        return ReducedFraction(self.k, self.n, self.x + self.n * t,
-                               self.y + self.k * t)
-
-
-def bezout(r) -> ReducedFraction:
-    """Canonical Bezout data for the reduced fraction r."""
-    r = Fraction(r)
-    k, n = r.numerator, r.denominator
+def bezout(r) -> SL2ZMat:
+    """The canonical Bezout matrix [[k, y], [n, x]] of the reduced fraction
+    r = k/n, k*x - n*y = 1, its dual r* = x/n; m * t_gen(t) is another,
+    with (x + n*t, y + k*t)."""
+    k, n = _ratio(r)
     if n == 1:
-        return ReducedFraction(k, 1, 0, -1)
+        return SL2ZMat(k, -1, 1, 0)
     x = pow(k % n, -1, n)
-    y = (k * x - 1) // n
-    return ReducedFraction(k, n, x, y)
+    return SL2ZMat(k, (k * x - 1) // n, n, x)
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -134,10 +103,10 @@ def phase_g(c, c0, r) -> Fraction:
 def lambda_mat(md: ModularData, r) -> mx.Matrix:
     """The fractional modular matrix L(r) = T^-r D(m) T^-r*."""
     r = Fraction(r)
-    bez = bezout(r)
-    d = rep_evaluate(md, bez.matrix())
+    m = bezout(r)
+    d = rep_evaluate(md, m)
     return mx.scale_cols(
-        mx.scale_rows(md.t_entries(-r), d), md.t_entries(-bez.dual)
+        mx.scale_rows(md.t_entries(-r), d), md.t_entries(Fraction(-m.d, m.e))
     )
 
 
@@ -150,11 +119,11 @@ def lambda_hat(md: ModularData, r) -> mx.Matrix:
     return mx.scalar_mul(phase, lambda_mat(md, r))
 
 
-def lambda_phased(md: ModularData, bez: ReducedFraction) -> Phased:
-    """L(r) = T^-r D(m) T^-r* at the Bezout data of r, as a `Phased`
+def lambda_phased(md: ModularData, m: SL2ZMat) -> Phased:
+    """L(r) = T^-r D(m) T^-r* at the Bezout matrix m of r, as a `Phased`
     value."""
-    return Phased(md.packed, rep_evaluate_packed(md, bez.matrix())).t(
-        -bez.value, -bez.dual)
+    return Phased(md.packed, rep_evaluate_packed(md, m)).t(
+        Fraction(-m.a, m.e), Fraction(-m.d, m.e))
 
 
 def hat_phased(md: ModularData, q) -> Phased:
@@ -179,6 +148,7 @@ def verify_lambda_identities(md: ModularData, r) -> list[CheckRecord]:
     suite = "lambda"
     r = Fraction(r)
     bz = bezout(r)
+    dual = Fraction(bz.d, bz.e)
     pm = md.packed
     g = functools.cache(lambda q: phase_g(md.c, md.c0, q))
     lam = functools.partial(lambda_phased, md)
@@ -206,13 +176,13 @@ def verify_lambda_identities(md: ModularData, r) -> list[CheckRecord]:
         check("functional_equation", lam(bezout(Fraction(-n, k))) == rhs,
               r=r)
 
-    check("transpose_dual", lam(bezout(bz.dual)) == here.transpose(), r=r)
+    check("transpose_dual", lam(bezout(dual)) == here.transpose(), r=r)
     check("conjugate_reflection",
           lam(bezout(-r)) == here.conjugate(md.conj), r=r)
 
     hat_here = here.t(scalar=g(r))  # equal to S at integers, as L(r) is
     check("hat_transpose_dual",
-          hat_phased(md, bz.dual) == hat_here.transpose(), r=r)
+          hat_phased(md, dual) == hat_here.transpose(), r=r)
     check("hat_conjugate_reflection",
           hat_phased(md, 1 - r) == hat_here.conjugate(md.conj), r=r)
     check("hat_unitary",
@@ -220,9 +190,9 @@ def verify_lambda_identities(md: ModularData, r) -> list[CheckRecord]:
           == Phased(pm, pm.identity()), r=r)
 
     for t in (1, -3):
-        check("bezout_independence", lam(bz.shifted(t)) == here, r=r, t=t)
+        check("bezout_independence", lam(bz * t_gen(t)) == here, r=r, t=t)
 
-    check("phase_dual_invariant", g(r) == g(bz.dual), r=r)
+    check("phase_dual_invariant", g(r) == g(dual), r=r)
     check("phase_odd", (g(r) + g(-r)) % 1 == 0, r=r)
     return records
 

@@ -8,7 +8,8 @@ the conjugation permutation S^2.
 One walk reads a matrix as its word (`syllables`: Euclidean reduction on
 the left column, each step a syllable t^k s, then the final t^k and the
 sign), and one engine multiplies it: the packed matrices of the model over
-its single field Q(zeta_M) (see `modata.packed`), -I permuting rows.
+its single field Q(zeta_M) (see `modata.packed`), each product by `@`,
+which takes the slot product where entries are narrow, -I permuting rows.
 `rep_evaluate_packed` returns that product, or its image under sigma_l as
 a word of sigma_l syllables, for the checks that need only identity and
 equality tests and sigma_l: the congruence and kernel

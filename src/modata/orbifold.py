@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import matrixops as mx
-from .cyclo import CycloNum, make, root_of_unity_exp
+from .cyclo import CycloNum, root, root_of_unity_exp
 from .errors import NonIntegralMultiplicityError, OutOfScopeError
 from .lambdamat import hat_phased, lambda_hat
 from .modular_data import ModularData, is_real_positive
@@ -73,17 +73,11 @@ class OrbSlice:
         self.tau = parent.tau2 if order % 2 == 0 else 0
         self._hat_cache: dict[int, mx.Matrix] = {}
         self._hat_blocks: dict[int, Phased] = {}
-        self._roots: dict[int, CycloNum] = {}
         self._t_roots: dict[int, CycloNum] = {}
 
     def zeta(self, e: int) -> CycloNum:
-        """zeta_N^e, built once per e mod N; roots are immutable, so every
-        caller may share one."""
-        e %= self.n
-        root = self._roots.get(e)
-        if root is None:
-            root = self._roots[e] = make(self.n, [(e, 1)])
-        return root
+        """zeta_N^e: the one instance the context of N keeps per e mod N."""
+        return root(self.n, e)
 
     def hat(self, i: int) -> mx.Matrix:
         i %= self.n
@@ -107,14 +101,14 @@ class OrbSlice:
         """T_lam^(1/N) * exp(2*pi*i*(c - c0)(N - 1/N)/24), the part of a
         twisted-sector T entry that does not depend on twist and charge;
         built once per label."""
-        root = self._t_roots.get(lam)
-        if root is None:
+        value = self._t_roots.get(lam)
+        if value is None:
             parent, n = self.parent, self.n
-            root = self._t_roots[lam] = root_of_unity_exp(
+            value = self._t_roots[lam] = root_of_unity_exp(
                 (parent.delta[lam] - parent.c0 / 24) / n
             ) * root_of_unity_exp(
                 (parent.c - parent.c0) * (n - Fraction(1, n)) / 24)
-        return root
+        return value
 
     @functools.cached_property
     def twist_dim(self) -> CycloNum:

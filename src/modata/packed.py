@@ -7,12 +7,13 @@ permutation and the sampling checks run on one matrix type there.  An
 entry is one int: its phi(M) reduced power-basis coefficients as signed
 B-bit digits, sum_j c_j 2^(B*j), over one den per matrix.  A product
 entry is the big-int sum of a row times a column, reduced by folding
-x^phi = R (mod Phi_M) a fixed number of times per order.  A word of
-syllables is one chain (`_chain`).  While an entry has at most SLOT_BITS
-bits, a step packs each row of the right factor as one int, entry j in
-slot j (`SlotPacking`): row i of the product is then rank big-int
-products sum_k a_ik * B_k and one fold of all its slots at once.  Wider
-entries take the entry-by-entry product, which measured faster there.
+x^phi = R (mod Phi_M) a fixed number of times per order.  Every matrix
+product is `@`: while an entry has at most SLOT_BITS bits, it packs each
+row of the right factor as one int, entry j in slot j (`SlotPacking`):
+row i of the product is then rank big-int products sum_k a_ik * B_k and
+one fold of all its slots at once.  Wider entries take the entry-by-entry
+product (`_entry_product`), which measured faster there.  A word of
+syllables is their product by `@`, left to right.
 Transposes and row permutations (S^dagger = sigma_-1(S) transposed,
 S^-1 = C S and the central -I by `conj`) move the ints.  A diagonal
 factor, such as a power of T, is a `Scaling`, never a matrix: `scale`
@@ -31,9 +32,9 @@ largest l1 norm) times the fold growth, the largest row l1 norm of the
 map of sigma_l, or 2^(bit length of the cofactor, the other den over the
 gcd of the dens) for a comparison (`_comparable`, with the rule of `scale`
 for a turn).  A claimed bound is remeasured on the digits before the width
-grows.  A slot step of a chain is taken only where that rule keeps the
-width; a step that would widen is a matrix product, which remeasures
-first.
+grows.  A slot product is taken only where that rule keeps the left
+factor's width; a product that would widen is an entry product, which
+remeasures first.
 
 Caches are keyed on exponents and automorphisms, per model content:
 T^k and T^k S under k mod M, sigma_l(S) under l, and sigma_l(T^k S) under
@@ -47,14 +48,18 @@ syllable of every word is still multiplied.  A model's content is its
 field order, its packed S, its conjugation and its T weights;
 `packed_model` keeps one `PackedModel` per content for the process, for
 the `MODEL_TABLE_SIZE` contents used last, so requests that build the same
-model again share its caches."""
+model again share its caches.  A two-sided `scale` and a turn of
+`Phased` read each root of unity as its packed monomial off one table
+per packing (`Packing.monomial`), which holds at most M; a one-sided
+`Scaling` packs its own digits once per width, and no cache is keyed on
+a tuple of exponents."""
 
 import math
 import threading
 from collections import OrderedDict
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import zip_longest
-from operator import mul
+from operator import matmul, mul
 
 from .cyclo import _context, _factorize
 
@@ -181,9 +186,9 @@ def packing(order: int, width: int) -> Packing:
     return Packing(order, width)
 
 
-#: A chain of products multiplies by slot rows while a packed entry has at
-#: most this many bits (phi * width); above it, slot products measured
-#: slower than `PackedMatrix.__matmul__`.
+#: `PackedMatrix.__matmul__` multiplies by slot rows while a packed entry
+#: has at most this many bits (phi * width); above it, slot products
+#: measured slower than `_entry_product`.
 SLOT_BITS = 256
 
 
@@ -283,20 +288,24 @@ class PackedMatrix:
 
     def __matmul__(self, other: "PackedMatrix") -> "PackedMatrix":
         """The matrix product, at a width at which no fold of any entry can
-        carry between digits."""
+        carry between digits.  When this matrix's bits plus
+        ceil(log2(the other's norm * stage growth)) stay below its width,
+        the other is no wider and an entry has at most SLOT_BITS bits, it
+        is a slot product on this matrix's rows at its width, with no
+        `_fit`; else it is `_entry_product`, which remeasures and widens."""
         if other.packing.order != self.packing.order:
             raise ValueError("packed matrices over different fields")
-        stage = self.packing.stage_growth
-        a, b = _fit(lambda a, b: a.bits + _clog2(b.norm * stage), self, other)
-        p = a.packing
-        reduce = p.reduce
-        cols = list(zip(*b.rows))
-        rows = tuple([
-            tuple([reduce(sum(map(mul, row, col))) for col in cols])
-            for row in a.rows
-        ])
-        return _product_matrix(p, a.den * b.den, rows,
-                               a.bits + _clog2(b.norm * p.reduce_growth))
+        p = self.packing
+        width = p.width
+        if (self.bits + _clog2(other.norm * p.stage_growth) < width
+                and other.packing.width <= width
+                and p.phi * width <= SLOT_BITS):
+            sp = slot_packing(p.order, width, len(other.rows[0]))
+            rows = sp.product(self.rows, other.slot_rows(width))
+            return _product_matrix(
+                p, self.den * other.den, rows,
+                self.bits + _clog2(other.norm * p.reduce_growth))
+        return _entry_product(self, other)
 
     def slot_rows(self, width: int) -> tuple[int, ...]:
         """Each row as one int of `slot_packing` at `width`, the right factor
@@ -402,24 +411,25 @@ class PackedMatrix:
     def scale(self, rows: "Scaling | None" = None,
               cols: "Scaling | None" = None) -> "PackedMatrix":
         """diag(rows) X diag(cols): each packed entry times its factors d_i,
-        e_j (for monomials, once by x^(a_i + b_j)), reduced once, at the
-        width `__matmul__` takes for a diagonal factor of l1 norm l1."""
+        e_j (for monomials, once by x^((a_i + b_j) mod order), read off the
+        packing's monomial table), reduced once, at the width `__matmul__`
+        takes for a diagonal factor of l1 norm l1."""
         if rows and cols and None in (rows.exponents, cols.exponents):
             return self.scale(rows).scale(cols=cols)
         order, n = self.packing.order, len(self.rows)
         if any(f.order != order for f in (rows, cols) if f):
             raise ValueError("a scaling over a different field")
-        if rows and cols:  # row i scaled by x^(a_i + b_j), b over columns
-            each = [roots(order, [a + b for b in cols.exponents])
+        if rows and cols:  # entry (i, j) scaled by x^(a_i + b_j)
+            each = [[(a + b) % order for b in cols.exponents]
                     for a in rows.exponents]
-            l1 = max(f.l1 for f in each)
+            l1 = max(_monomial_l1(order, e) for row in each for e in row)
         else:
             l1 = (rows or cols).l1
         stage = self.packing.stage_growth
         a, = _fit(lambda a: a.bits + _clog2(l1 * stage), self)
         p = a.packing
         if rows and cols:
-            factors = [f.packed(p) for f in each]
+            factors = [list(map(p.monomial, row)) for row in each]
         elif rows:
             factors = [[d] * len(self.rows[0]) for d in rows.packed(p)]
         else:
@@ -431,30 +441,22 @@ class PackedMatrix:
         return _product_matrix(p, den, out, bits)
 
 
-def _chain(factors) -> PackedMatrix:
-    """The product of the nonempty list `factors` over one field, left to
-    right, each step at the width `__matmul__` takes.  A step whose bound
-    fits the accumulator's width, by `__matmul__`'s rule, with an entry of
-    at most SLOT_BITS bits, is a slot product on the accumulator's rows,
-    with no `_fit` and no matrix built; any other step is `__matmul__`,
-    which remeasures and widens."""
-    acc = factors[0]
-    p, rows, bits, den = acc.packing, acc.rows, acc.bits, acc.den
-    for b in factors[1:]:
-        width = p.width
-        if (bits + _clog2(b.norm * p.stage_growth) < width
-                and b.packing.width <= width and p.phi * width <= SLOT_BITS):
-            sp = slot_packing(p.order, width, len(b.rows[0]))
-            rows = sp.product(rows, b.slot_rows(width))
-            bits += _clog2(b.norm * p.reduce_growth)
-            den *= b.den
-            acc = None
-            continue
-        if acc is None:
-            acc = _product_matrix(p, den, rows, bits)
-        acc = acc @ b
-        p, rows, bits, den = acc.packing, acc.rows, acc.bits, acc.den
-    return _product_matrix(p, den, rows, bits) if acc is None else acc
+def _entry_product(x: PackedMatrix, y: PackedMatrix) -> PackedMatrix:
+    """x @ y entry by entry, each entry the reduced big-int sum of a row
+    times a column, at the width `_fit` takes for the bound of
+    `PackedMatrix.__matmul__`: the product of entries wider than
+    SLOT_BITS, and the oracle of the slot product."""
+    stage = x.packing.stage_growth
+    a, b = _fit(lambda a, b: a.bits + _clog2(b.norm * stage), x, y)
+    p = a.packing
+    mod = p.reduce
+    cols = list(zip(*b.rows))
+    rows = tuple([
+        tuple([mod(sum(map(mul, row, col))) for col in cols])
+        for row in a.rows
+    ])
+    return _product_matrix(p, a.den * b.den, rows,
+                           a.bits + _clog2(b.norm * p.reduce_growth))
 
 
 def _product_matrix(p: Packing, den: int, rows, bits: int) -> PackedMatrix:
@@ -633,13 +635,9 @@ class Scaling:
 
 
 def roots(order: int, exponents) -> Scaling:
-    """diag(zeta_order^e) over the integer exponents e, shared per
-    exponents mod order."""
-    return _roots(order, tuple(e % order for e in exponents))
-
-
-@lru_cache(maxsize=None)
-def _roots(order: int, exponents: tuple[int, ...]) -> Scaling:
+    """diag(zeta_order^e) over the integer exponents e, each taken mod
+    order."""
+    exponents = tuple(e % order for e in exponents)
     return Scaling(order, [_monomial(order, e) for e in exponents], 1,
                    exponents)
 
@@ -710,9 +708,10 @@ class PackedModel:
         `syllables`, then T^last_t as a column scaling, then C when
         `central`, as a row permutation.  sigma_l is a ring map fixing the
         integer C, and sigma_l(T^k) = T^(l*k), so this is the product of
-        the sigma_l syllables, then T^(l*last_t), then C."""
+        the sigma_l syllables by `@`, left to right, then T^(l*last_t),
+        then C."""
         factors = [self.syllable(k, l) for k in syllables]
-        acc = _chain(factors) if factors else self.identity()
+        acc = reduce(matmul, factors) if factors else self.identity()
         if last_t is not None:
             last_t *= l
             acc = acc.scale(cols=self.t_power(last_t))

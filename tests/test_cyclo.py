@@ -884,14 +884,14 @@ def test_roots_kept_per_context(m):
     # one instance of zeta_m^e per e mod m, whatever builds it
     ctx = cyclo._context(m)
     for e in (0, 1, m // 2, m - 1, 3 * m + 2, -m - 1):
-        r = cyclo._root(m, e)
-        assert r is cyclo._root(m, e + m) is cyclo._root(m, e - 5 * m)
+        r = cyclo.root(m, e)
+        assert r is cyclo.root(m, e + m) is cyclo.root(m, e - 5 * m)
         assert r is make(m, [(e, 1)]) is ctx.roots[e % m]
-        assert r.inverse() is cyclo._root(m, -e)
+        assert r.inverse() is cyclo.root(m, -e)
         for l in (l for l in (1, 5, 7, m - 1) if math.gcd(l, m) == 1):
-            assert r.galois(l) is cyclo._root(m, e * l)
+            assert r.galois(l) is cyclo.root(m, e * l)
         for f in (1, m - 1, m + 3):
-            assert r * cyclo._root(m, f) is cyclo._root(m, e + f)
+            assert r * cyclo.root(m, f) is cyclo.root(m, e + f)
     assert len(ctx.roots) <= m
 
 
@@ -902,7 +902,7 @@ def test_shared_roots_multiply_as_the_schoolbook_product(a, b, c):
     # still equal the schoolbook products
     ab = a * b
     _assert_products(ab, c)
-    assert ab is cyclo._root(ab.order, ab.exponent)
+    assert ab is cyclo.root(ab.order, ab.exponent)
     assert (ab * c) is (a * (b * c))
     for r in (a, b, c, ab):
         assert len(cyclo._context(r.order).roots) <= r.order

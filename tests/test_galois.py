@@ -340,9 +340,10 @@ class TestZMatrices:
         assert all(x ** r.denominator == 1 for x in mx.diag_entries(z))
 
     def test_dual_argument_is_the_bezout_dual(self):
-        # z_matrix takes r* = bezout(r).dual; the formula it replaced, r
-        # reduced into [0, 1) and its numerator inverted mod the
-        # denominator, as the oracle on every a/q, q < 40, -90 <= a < 90
+        # z_matrix takes r* = x/n of bezout(r) = [[k, y], [n, x]]; the
+        # formula it replaced, r reduced into [0, 1) and its numerator
+        # inverted mod the denominator, as the oracle on every a/q, q < 40,
+        # -90 <= a < 90
         def dual_argument(r):
             r = r - math.floor(r)
             if r == 0:
@@ -353,4 +354,5 @@ class TestZMatrices:
         grid = [Fraction(a, q) for q in range(1, 40) for a in range(-90, 90)]
         assert len(grid) == 7020
         for r in grid:
-            assert bezout(r).dual == dual_argument(r), r
+            m = bezout(r)
+            assert Fraction(m.d, m.e) == dual_argument(r), r

@@ -160,7 +160,7 @@ class TestSyllableCache:
         cases += [random_word_matrix(rng) for _ in range(50)]
         cases += [sample_gamma(n, rng) for _ in range(50)]
         # the Bezout matrices [[a, y], [q, x]] of lambda_mat at a/q
-        cases += [bezout(Fraction(a, q)).matrix() for q in range(1, 16)
+        cases += [bezout(Fraction(a, q)) for q in range(1, 16)
                   for a in range(q) if math.gcd(a, q) == 1]
         for m in cases:
             assert serialized(rep_evaluate(md, m)) == \

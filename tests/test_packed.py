@@ -4,13 +4,14 @@
 the reference: every packed matrix must convert to the same values, give
 the same identity verdicts, and map under sigma_l to the CycloNum image.  The
 bound cases pin the widths at which a product, a comparison and an
-identity test stop trusting the packed ints.  A chain of slot products
-must give the ints `@` gives, and a word of sigma_l syllables the sigma_l
-image of the word.
+identity test stop trusting the packed ints.  A slot product of `@`
+must give the ints the entry product gives, and a word of sigma_l
+syllables the sigma_l image of the word.
 """
 
 import collections
 import functools
+import gc
 import json
 import math
 import random
@@ -37,6 +38,7 @@ from modata.modrep import (
     S_GEN,
     lift_to_sl2z,
     random_word_matrix,
+    rep_evaluate,
     rep_evaluate_packed,
     sample_gamma,
     syllables,
@@ -50,10 +52,13 @@ from modata.packed import (
     WIDTH_STEP,
     IntegerMatrix,
     PackedMatrix,
+    Packing,
     PackedModel,
     Phased,
     Scaling,
-    _chain,
+    SlotPacking,
+    _entry_product,
+    _product_matrix,
     _fold_constants,
     from_digits,
     integers,
@@ -447,11 +452,36 @@ def test_products_match_cyclonum_on_adversarial_digits(pair):
 @settings(max_examples=150, deadline=None)
 @given(packed_pairs())
 def test_chain_step_matches_matmul_on_adversarial_digits(pair):
-    # the same ints, width, bits and den as `@`, whichever step it takes
+    # on operands with measured bounds, `@` gives the same ints, width,
+    # bits and den as the entry product, whichever product it takes
     a, b = pair
-    got, want = _chain([a, b]), a @ b
+    got, want = a @ b, _entry_product(a, b)
     assert (got.packing, got.bits, got.den, got.rows) == (
         want.packing, want.bits, want.den, want.rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_pairs())
+def test_matmul_by_a_narrower_factor_without_digits(pair):
+    """A right factor narrower than the left one and without digits, as a
+    product or a scaling leaves it: its bounds are claims and its den and
+    digits share the factor 3.  The entry product lifts it, which
+    remeasures and divides by 3; a slot product packs its digits as they
+    are.  Both give the values of the product by the measured factor, with
+    every digit below 2^bits at the left factor's width or wider."""
+    a, b = pair
+    b = b.lift(b.packing.width + WIDTH_STEP)
+    bare = _product_matrix(b.packing, 3 * b.den,
+                           tuple(tuple(3 * v for v in row) for row in b.rows),
+                           b.bits + 2)
+    a = a.lift(b.packing.width + WIDTH_STEP)
+    want = cyclo_matrix(a @ b)
+    for got in (a @ bare, _entry_product(a, bare)):
+        assert mx.mat_eq(cyclo_matrix(got), want)
+        assert got.packing.width >= a.packing.width
+        digits = [c for row in got.digits() for d in row for c in d]
+        assert max(map(abs, digits)) < 2 ** got.bits <= 2 ** (
+            got.packing.width - 1)
 
 
 def assert_bounds_hold(m):
@@ -861,8 +891,8 @@ class TestSharedModels:
 
 
 class TestSlotProducts:
-    """The slot product of a chain step against `__matmul__`, and the
-    chain's dispatch between them."""
+    """The slot product against the entry product, and the dispatch of
+    `PackedMatrix.__matmul__` between them."""
 
     #: the builtins whose entries have at most SLOT_BITS bits at width 32
     SLOT_MODELS = [("trivial", None), ("su2", 1), ("su2", 2), ("su2", 4),
@@ -899,7 +929,7 @@ class TestSlotProducts:
         sp = slot_packing(order, width, rank)
         for seed in range(6):
             a, b = self.at_the_bound(order, rank, width, seed)
-            want = a @ b
+            want = _entry_product(a, b)
             assert want.packing.width == width
             assert sp.product(a.rows, b.slot_rows(width)) == want.rows
             # the product of a syllable of the model, itself at a narrower
@@ -907,7 +937,7 @@ class TestSlotProducts:
             syllable = md.packed.syllable(seed)
             wide = syllable.lift(width)
             assert sp.product(wide.rows, b.slot_rows(width)) == (
-                wide @ b).rows
+                _entry_product(wide, b)).rows
         # slot rows of a narrower matrix are packed from its digits
         narrow = md.packed.syllable(1)
         assert narrow.slot_rows(width) == narrow.lift(width).slot_rows(width)
@@ -920,7 +950,8 @@ class TestSlotProducts:
     @pytest.mark.parametrize("name,param", [*SLOT_MODELS[1:], ("su2", 3),
                                             ("cyclic_odd", 7)])
     def test_chain_matches_matmul_chain(self, name, param):
-        # same rule, same arithmetic: the same widths, bits, dens and ints
+        # a chain of `@` against one of entry products: the same widths,
+        # bits, dens and ints
         md = builtin_model(name, param)
         pm = md.packed
         for m in word_set(md, param)[:60]:
@@ -928,8 +959,8 @@ class TestSlotProducts:
                        for k in syllables(m).steps]
             if not factors:
                 continue
-            got = _chain(factors)
-            want = functools.reduce(matmul, factors)
+            got = functools.reduce(matmul, factors)
+            want = functools.reduce(_entry_product, factors)
             assert (got.packing, got.bits, got.den, got.rows) == (
                 want.packing, want.bits, want.den, want.rows), m
             assert got.norm == want.norm
@@ -938,24 +969,29 @@ class TestSlotProducts:
                                                  (("su2", 4), True)])
     def test_dispatch(self, monkeypatch, spec, slot_steps):
         # su2:3 lies in Q(zeta_40), 16 digits of 32 bits: above SLOT_BITS,
-        # so every step takes __matmul__; su2:4 (8 digits) takes none
+        # so every product is an entry product; su2:4 (8 digits) takes a
+        # slot product at each step of a word, of `rep_evaluate` too, and
+        # in validation
+        calls = []
+        real = SlotPacking.product
+
+        def product(sp, rows, slot_rows):
+            calls.append(sp)
+            return real(sp, rows, slot_rows)
+
+        monkeypatch.setattr(SlotPacking, "product", product)
         md = builtin_model(*spec)
+        assert bool(calls) == slot_steps
         pm = md.packed
         assert (euler_phi(pm.order) * 32 <= SLOT_BITS) == slot_steps
-        calls = []
-        real = PackedMatrix.__matmul__
-
-        def matmul_(a, b):
-            calls.append(b)
-            return real(a, b)
-
-        monkeypatch.setattr(PackedMatrix, "__matmul__", matmul_)
-        steps = (1, 2, 3)
-        got = pm.product(steps, None, False)
-        assert len(calls) == (0 if slot_steps else len(steps) - 1)
-        assert got == pack(rep_evaluate_by_token(
-            md, t_gen(1) * S_GEN * t_gen(2) * S_GEN * t_gen(3) * S_GEN),
-            pm.order)
+        word = t_gen(1) * S_GEN * t_gen(2) * S_GEN * t_gen(3) * S_GEN
+        assert len(syllables(word).steps) == 3
+        for evaluate in (lambda: pm.product((1, 2, 3), None, False),
+                         lambda: pack(rep_evaluate(md, word), pm.order)):
+            calls.clear()
+            got = evaluate()
+            assert len(calls) == (2 if slot_steps else 0)
+            assert got == pack(rep_evaluate_by_token(md, word), pm.order)
 
     @pytest.mark.parametrize("x,y,width", [
         # a bound of exactly 32 bits, both factors at width 32: the step
@@ -968,7 +1004,9 @@ class TestSlotProducts:
     ])
     def test_chain_widens_at_the_bound(self, x, y, width):
         a, b = from_digits(1, 1, [[[x]]]), from_digits(1, 1, [[[y]]])
-        z = _chain([a, b])
+        z, want = a @ b, _entry_product(a, b)
+        assert (z.packing, z.bits, z.rows) == (
+            want.packing, want.bits, want.rows)
         assert z.packing.width == width
         assert z.rows == ((x * y,),)
         assert z.bits == (abs(x).bit_length()
@@ -1060,15 +1098,21 @@ def test_c0_shift_by_24_is_another_model():
                          lambdamat.lambda_hat(md, Fraction(1, 3)))
 
 
+def monomial_tables(order):
+    """The monomial table of every live `Packing` over Q(zeta_order)."""
+    return [p._monomials for p in gc.get_objects()
+            if isinstance(p, Packing) and p.order == order]
+
+
 @pytest.mark.parametrize("order", [12, 15, 40])
 def test_comparisons_add_no_roots_cache_entry(order):
     """Phased comparisons with a new set of turns each: every verdict is
-    the CycloNum one, entry by entry, and the cache of `roots` keeps its
-    size.  Phases over 2 * order put some roots outside the field."""
+    the CycloNum one, entry by entry, and each packing's monomial table
+    holds at most `order` entries, one per exponent.  Phases over
+    2 * order put some roots outside the field."""
     rank, phi = 3, euler_phi(order)
     pm = types.SimpleNamespace(order=order, rank=rank, t_weights=(0,) * rank)
     rng = random.Random(order)
-    before = packed_module._roots.cache_info().currsize
     turn_sets, mismatched = set(), 0
     for _ in range(60):
         den = rng.choice([order, 2 * order])
@@ -1110,7 +1154,25 @@ def test_comparisons_add_no_roots_cache_entry(order):
         assert list(left.mismatches(right)) == want
         mismatched += bool(want)
     assert len(turn_sets) == 60 and 0 < mismatched < 60
-    assert packed_module._roots.cache_info().currsize == before
+    tables = monomial_tables(order)
+    assert any(tables) and all(len(t) <= order for t in tables)
+
+
+def test_galois_requests_keep_monomial_tables_bounded(capsys):
+    """40 galois requests on su2:4, over Q(zeta_24), each with its own
+    sampled words and so its own T powers in the 400 scalings of the
+    kernel test: every monomial table over that field holds at most 24
+    entries, one per exponent mod 24.  The tables are emptied first, so
+    what they hold after is what these requests put there."""
+    for table in monomial_tables(24):
+        table.clear()
+    for seed in range(1, 41):
+        assert cli.main(["galois", "--model", "su2:4", "--l", "5,7,11,13",
+                         "--samples", "10", "--seed", str(seed),
+                         "--json"]) == 0
+    capsys.readouterr()
+    tables = monomial_tables(24)
+    assert any(tables) and all(len(t) <= 24 for t in tables)
 
 
 def _over(order, den, digits):
@@ -1178,8 +1240,13 @@ def test_words_at_dens_two_powers_compare_unlifted(k, a, b, t, monkeypatch):
     comparison at the width of the words, where x * dy and y * dx needed a
     wider one and so a `lift` of each.  The verdict is the CycloNum one."""
     pm = builtin_model("su2", k).packed
-    x = _chain([pm.syllable(0)] * a)
-    y = _chain([pm.syllable(t)] + [pm.syllable(0)] * (b - 1))
+    xs = [pm.syllable(0)] * a
+    ys = [pm.syllable(t)] + [pm.syllable(0)] * (b - 1)
+    x, y = functools.reduce(matmul, xs), functools.reduce(matmul, ys)
+    for got, factors in ((x, xs), (y, ys)):
+        want = functools.reduce(_entry_product, factors)
+        assert (got.packing, got.bits, got.den, got.rows) == (
+            want.packing, want.bits, want.den, want.rows)
     assert x._digits is None and y._digits is None
     dens = (x.den, y.den)
     assert x.den != y.den and all(d & (d - 1) == 0 for d in dens)

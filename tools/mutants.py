@@ -61,6 +61,13 @@ MUTANTS = [
         ["tests/test_packed.py::test_scale_by_monomials_at_every_exponent"],
     ),
     (
+        # a two-sided scaling that turns entry (i, j) by x^(a_i - b_j)
+        "modata/packed.py",
+        "(a + b) % order",
+        "(a - b) % order",
+        ["tests/test_packed.py::test_scale_by_monomials_at_every_exponent"],
+    ),
+    (
         # the fold of the upper half of an even order without its sign
         "modata/cyclo.py",
         "acc[k - half] -= c",
@@ -180,7 +187,7 @@ MUTANTS = [
          "test_slot_step_matches_matmul"],
     ),
     (
-        # a slot step taken at a bound of exactly the width
+        # a slot product taken at a bound of exactly the width
         "modata/packed.py",
         "p.stage_growth) < width",
         "p.stage_growth) <= width",
