@@ -6,14 +6,19 @@ in Q(zeta_M), M the lcm of the orders of the S and T entries
 permutation and the sampling checks run on one matrix type there.  An
 entry is one int: its phi(M) reduced power-basis coefficients as signed
 B-bit digits, sum_j c_j 2^(B*j), over one den per matrix.  A product
-entry is the big-int sum of a row times a column, reduced by folding
-x^phi = R (mod Phi_M) a fixed number of times per order.  Every matrix
-product is `@`: while an entry has at most SLOT_BITS bits, it packs each
-row of the right factor as one int, entry j in slot j (`SlotPacking`):
-row i of the product is then rank big-int products sum_k a_ik * B_k and
-one fold of all its slots at once.  Wider entries take the entry-by-entry
-product (`_entry_product`), which measured faster there.  A word of
-syllables is their product by `@`, left to right.
+entry is the big-int sum of a row times a column, reduced modulo Phi_M
+by the rounds of `_fold_constants`: one sparse round x^h = -1 (h = M/2,
+M even) or x^h = 1 (h = M, M odd), which Phi_M divides and which takes no
+multiply, then a fixed number per order of dense rounds x^phi = R, each a
+big-int product by R packed.  At orders with a large prime the sparse
+round leaves one dense round where x^phi = R alone took about phi(rad).
+Every matrix product is `@`: while an entry has at most SLOT_BITS bits,
+it packs each row of the right factor as one int, entry j in slot j
+(`SlotPacking`): row i of the product is then rank big-int products
+sum_k a_ik * B_k and one reduction of all its slots at once.  Wider
+entries take the entry-by-entry product (`_entry_product`), which
+measured faster there.  A word of syllables is their product by `@`,
+left to right.
 Transposes and row permutations (S^dagger = sigma_-1(S) transposed,
 S^-1 = C S and the central -I by `conj`) move the ints.  A diagonal
 factor, such as a power of T, is a `Scaling`, never a matrix: `scale`
@@ -28,13 +33,13 @@ A carry between digits would corrupt them silently, so every matrix holds
 a proven bound: its digits are below 2^bits in absolute value and `norm`
 bounds each column's digit l1 norm.  `_fit` sets every width B with
 bits + ceil(log2(g)) <= B - 1, g the right factor's norm (a scaling's
-largest l1 norm) times the fold growth, the largest row l1 norm of the
-map of sigma_l, or 2^(bit length of the cofactor, the other den over the
-gcd of the dens) for a comparison (`_comparable`, with the rule of `scale`
-for a turn).  A claimed bound is remeasured on the digits before the width
-grows.  A slot product is taken only where that rule keeps the left
-factor's width; a product that would widen is an entry product, which
-remeasures first.
+largest l1 norm) times the stage growth of the rounds, the largest row
+l1 norm of the map of sigma_l, or 2^(bit length of the cofactor, the
+other den over the gcd of the dens) for a comparison (`_comparable`, with
+the rule of `scale` for a turn).  A claimed bound is remeasured on the
+digits before the width grows.  A slot product is taken only where that
+rule keeps the left factor's width; a product that would widen is an
+entry product, which remeasures first.
 
 Caches are keyed on exponents and automorphisms, per model content:
 T^k and T^k S under k mod M, sigma_l(S) under l, and sigma_l(T^k S) under
@@ -78,64 +83,98 @@ def width_for(bits: int) -> int:
     return WIDTH_STEP * (bits // WIDTH_STEP + 1)
 
 
-def _fold_list(p: list, low, phi: int) -> list:
-    """One fold lo + hi * R of the coefficient list p, where x^phi = R is
-    sum r * x^j over the (j, r) pairs of `low`; trailing zeros dropped."""
-    out = p[:phi] + [0] * (len(p) - phi)
-    for i, c in enumerate(p[phi:]):
+def _fold_list(p: list, low, cut: int) -> list:
+    """One round lo + hi * R of the coefficient list p, lo its coefficients
+    below x^cut, where x^cut = R is sum r * x^j over the (j, r) pairs of
+    `low`; trailing zeros dropped."""
+    out = p[:cut] + [0] * (len(p) - cut)
+    for i, c in enumerate(p[cut:]):
         if c:
             for j, r in low:
                 out[i + j] += c * r
-    while len(out) > phi and not out[-1]:
+    while len(out) > cut and not out[-1]:
         out.pop()
     return out
 
 
 @lru_cache(maxsize=None)
-def _fold_constants(order: int) -> tuple[int, int, int]:
-    """(folds, stage growth, reduce growth) for products at `order`.
+def _fold_constants(order: int) -> tuple[int, int, int, int]:
+    """(h, folds, stage growth, reduce growth) for products at `order`: one
+    sparse round x^h = -1 (h = order/2, even order) or x^h = 1 (h = order,
+    odd order), none when h = 0, then `folds` dense rounds x^phi = R.
 
-    A product of two reduced polynomials has degree at most 2*phi - 2;
-    `folds` rounds of lo + hi * R bring every such polynomial below degree
-    phi.  Folding is linear, so a coefficient after k rounds is at most
-    the input bound times the largest l1 norm of a row of the k-round map;
-    stage growth is the largest over all rounds (the input included) and
-    reduce growth the one after the last round.
+    Every root zeta of Phi_M has order M, so for even M, zeta^(M/2) is a
+    square root of 1 other than 1, that is -1, and for odd M, zeta^M = 1;
+    Phi_M has no repeated root, so it divides x^(M/2) + 1, or x^M - 1.  A
+    sparse round lo + s * hi at x^h = s (s = -1 or 1) is then a reduction
+    modulo Phi_M that needs no multiply.  A product of two reduced
+    polynomials has degree at most 2*phi - 2 < 2*h (phi <= M/2 for even M,
+    phi <= M for odd M), so its part hi above x^h has degree below h, and
+    one sparse round brings it below degree h.  Dense rounds lo + hi * R
+    then bring it below degree phi.  When no exponent of a product reaches
+    h, h is 0 and the dense rounds alone reduce it.
 
-    Phi_order(x) is Phi_rad(y) at y = x^(order/rad), rad the radical of
-    the order, so a fold maps each class of exponents modulo order/rad to
-    itself, as a fold of a polynomial in y modulo Phi_rad.  The class of
+    Folding is linear, so a coefficient after k rounds is at most the
+    input bound times the largest l1 norm of a row of the k-round map;
+    stage growth is the largest over all rounds (the input and the sparse
+    round included) and reduce growth the one after the last round.  A
+    sparse round adds at most one coefficient to another, so its rows have
+    l1 norm at most 2, and the sign s changes no l1 norm.
+
+    Phi_order(x) is Phi_rad(y) at y = x^q, q = order/rad, rad the radical
+    of the order, and x^h = y^(h/q) with h/q = rad/2 (even rad) or rad (odd
+    rad), so both kinds of round map each class of exponents modulo q to
+    itself, as a round on a polynomial in y modulo Phi_rad.  The class of
     x^0 holds y^0 .. y^top, with top = 2*phi(rad) - 1 when rad < order and
     2*phi - 2 when the order is squarefree, and every other class holds a
-    part of that range; so the constants are those of y^0 .. y^top.
+    part of that range; so the constants are those of y^0 .. y^top, and an
+    exponent c + q*i (0 <= c < q) reaches h exactly when i reaches h/q, so
+    some exponent of a product does exactly when top does.
     """
     rad = math.prod(_factorize(order))
     ctx = _context(rad)
     phi = ctx.phi
     top = 2 * phi - 1 if rad < order else 2 * phi - 2
+    h, sign = (rad // 2, -1) if rad % 2 == 0 else (rad, 1)
+    if top < h:
+        h = 0
     polys = [[0] * i + [1] for i in range(top + 1)]
     growth = [1]
-    while any(len(p) > phi for p in polys):
-        polys = [_fold_list(p, ctx.low, phi) for p in polys]
+
+    def fold(low, cut):
+        nonlocal polys
+        polys = [_fold_list(p, low, cut) for p in polys]
         growth.append(max(
             sum(map(abs, col)) for col in zip_longest(*polys, fillvalue=0)))
-    return len(growth) - 1, max(growth), growth[-1]
+
+    if h:
+        fold(((0, sign),), h)
+    while any(len(p) > phi for p in polys):
+        fold(ctx.low, phi)
+    return (order // rad * h, len(growth) - 1 - (h > 0), max(growth),
+            growth[-1])
 
 
 class Packing:
     """Q(zeta_order) at digit width `width`: the constants of the packed
-    reduction.  Use `packing(order, width)`, which shares one per pair."""
+    reduction.  Use `packing(order, width)`, which shares one per pair.
 
-    __slots__ = ("order", "phi", "width", "folds", "stage_growth",
-                 "reduce_growth", "_shift", "_mask", "_digit", "_half",
-                 "_offset", "_fold", "_monomials")
+    `_rounds` is the schedule of `_fold_constants` as (mask, shift, fold)
+    triples, round t -> (t & mask) + (t >> shift) * fold: first, when
+    h > 0, the sparse round x^h = -+1, with the h low digits as its mask
+    and the int -1 or 1 as its fold, then the dense rounds x^phi = R, with
+    the phi low digits as their mask and R packed as their fold."""
+
+    __slots__ = ("order", "phi", "width", "stage_growth", "reduce_growth",
+                 "_shift", "_mask", "_digit", "_half", "_offset", "_start",
+                 "_rounds", "_monomials")
 
     def __init__(self, order: int, width: int):
         ctx = _context(order)
         self.order = order
         self.phi = phi = ctx.phi
         self.width = width
-        self.folds, self.stage_growth, self.reduce_growth = \
+        h, folds, self.stage_growth, self.reduce_growth = \
             _fold_constants(order)
         self._shift = width * phi
         self._mask = (1 << self._shift) - 1
@@ -144,8 +183,16 @@ class Packing:
         # 2^(B-1) in each of the phi low digits: adding it makes them
         # nonnegative, so they split off by a mask without a borrow
         self._offset = self.pack([self._half] * phi)
-        self._fold = self.pack(
-            [dict(ctx.low).get(j, 0) for j in range(phi)])
+        self._start = self._offset
+        rounds = [(self._mask, self._shift,
+                   self.pack([dict(ctx.low).get(j, 0) for j in range(phi)]))
+                  ] * folds
+        if h:
+            sign = -1 if order % 2 == 0 else 1  # x^h modulo Phi_order
+            low = self.pack([self._half] * h)
+            self._start = low + (sign * (self._offset - low) << width * h)
+            rounds.insert(0, ((1 << width * h) - 1, width * h, sign))
+        self._rounds = tuple(rounds)
         self._monomials: dict[int, int] = {}
 
     def pack(self, digits) -> int:
@@ -173,10 +220,19 @@ class Packing:
 
     def reduce(self, v: int) -> int:
         """v modulo Phi_order, for v of degree at most 2*phi - 2 whose
-        digits, and those of each fold, lie in [-2^(B-1), 2^(B-1))."""
-        mask, shift, fold = self._mask, self._shift, self._fold
-        t = v + self._offset
-        for _ in range(self.folds):
+        digits, and those of each round, lie in [-2^(B-1), 2^(B-1)).
+
+        t is v plus an offset of 2^(B-1) in each digit below the cut of
+        the next round (h for the sparse round, phi for a dense one), so
+        those digits are nonnegative: `t & mask` is them plus the offset,
+        with no borrow, and `t >> shift` the digits above the cut.  A
+        dense round keeps the phi-digit offset `_offset`.  Before the
+        sparse round t is v plus `_start`, the h-digit offset L plus
+        sign * (`_offset` - L) above digit h: the round multiplies the
+        part above h by sign, so it adds `_offset` - L, and leaves
+        `_offset`."""
+        t = v + self._start
+        for mask, shift, fold in self._rounds:
             t = (t & mask) + (t >> shift) * fold
         return t - self._offset
 
@@ -201,28 +257,34 @@ class SlotPacking:
     (degree at most 2*phi - 2), in its own slot, so row i of a product is
     sum_k a_ik * B_k over the slot rows B_k of the right factor.  Adding
     2^(B-1) to digits 0 .. 2*phi - 2 of every slot makes every digit
-    nonnegative, so the slots split by masks without a borrow.  A fold
-    round takes every slot's low phi digits, plus its high digits, less
-    their offset, times R (x^phi = R), plus the offset again in the high
-    digits; after `folds` rounds the high digits are zero and each entry
-    is its slot's low digits less their offset.  The digits of every round
-    are those `Packing.reduce` meets, so the same width holds them."""
+    nonnegative, so the slots split by masks without a borrow.  Each round
+    of `Packing.reduce`, with its cut c (h for the sparse round, phi for a
+    dense one) and its fold (-1, 1 or R), is one round here: every slot's
+    low c digits, plus its digits from c up, less their offset, times the
+    fold, plus the offset again in digits c .. 2*phi - 2.  After the last
+    round the digits from phi up are zero and each entry is its slot's low
+    phi digits less their offset.  The digits of every round are those
+    `Packing.reduce` meets, so the same width holds them."""
 
-    __slots__ = ("packing", "_cuts", "_offset", "_low", "_high", "_high_up")
+    __slots__ = ("packing", "_cuts", "_offset", "_rounds")
 
     def __init__(self, order: int, width: int, rank: int):
         self.packing = p = packing(order, width)
-        slot = 2 * p.phi * width
-        self._cuts = range(0, slot * rank, slot)
+        slot = 2 * p.phi
+        self._cuts = range(0, slot * width * rank, slot * width)
 
-        def spread(digits):  # the same digits in every slot
-            one = p.pack(digits)
+        def spread(digit, n):  # n digits `digit` at the foot of every slot
+            one = p.pack([digit] * n)
             return sum(one << cut for cut in self._cuts)
 
-        self._offset = spread([p._half] * (2 * p.phi - 1))
-        self._low = spread([p._digit] * p.phi)
-        self._high = spread([p._half] * (p.phi - 1))
-        self._high_up = self._high << p._shift
+        self._offset = spread(p._half, slot - 1)
+        self._rounds = []
+        for _, shift, fold in p._rounds:
+            c = shift // width
+            high = spread(p._half, slot - 1 - c)
+            self._rounds.append((spread(p._digit, c), shift,
+                                 spread(p._digit, slot - c), high, fold,
+                                 high << shift))
 
     def pack_row(self, row) -> int:
         """One row of packed ints at this width as slot entries."""
@@ -231,17 +293,15 @@ class SlotPacking:
     def product(self, rows, slot_rows) -> tuple[tuple[int, ...], ...]:
         """The reduced packed entries of the rows of packed ints `rows` times
         the matrix with slot rows `slot_rows`, whose digits, and those of
-        each fold, lie in [-2^(B-1), 2^(B-1))."""
+        each round, lie in [-2^(B-1), 2^(B-1))."""
         p = self.packing
-        shift, fold, mask, entry_offset = p._shift, p._fold, p._mask, p._offset
-        offset, low, high, high_up = (self._offset, self._low, self._high,
-                                      self._high_up)
-        folds, cuts = range(p.folds), self._cuts
+        mask, entry_offset = p._mask, p._offset
+        offset, rounds, cuts = self._offset, self._rounds, self._cuts
         out = []
         for row in rows:
             t = sum(map(mul, row, slot_rows), offset)
-            for _ in folds:
-                t = (t & low) + (((t >> shift) & low) - high) * fold + high_up
+            for low, shift, top, high, fold, high_up in rounds:
+                t = (t & low) + (((t >> shift) & top) - high) * fold + high_up
             out.append(tuple([((t >> cut) & mask) - entry_offset
                               for cut in cuts]))
         return tuple(out)

@@ -333,23 +333,21 @@ class TestBounds:
         # bits below 2^63, and every root of the field turning x against
         # the CycloNum oracle.  x's first entry takes the signs of the row
         # of largest l1 norm of the map x -> x * m_k over the monomials m_k,
-        # k >= phi, and the fold rounds: but at 40 it passes 2^63, so only
-        # the l1 of m_k in the turn's rule keeps those digits from
-        # carrying.  A carry in a round before the last comes back out in
-        # the next one, so the width the comparison takes is checked too.
+        # k >= phi, and the rounds of the schedule (a sparse round at 38,
+        # 40 and 76, none at 21): at every order here but 40 that row
+        # passes 2^63, so only the l1 of m_k in the turn's rule keeps those
+        # digits from carrying.  A carry in a round before the last comes
+        # back out in the next one, so the width the comparison takes is
+        # checked too.
         ctx = _context(order)
-        phi, stage = ctx.phi, _fold_constants(order)[1]
+        phi, stage = ctx.phi, _fold_constants(order)[2]
         worst = (0, ())
         for k in range(phi, order):
-            polys = [[0] * s + list(make(order, [(k, 1)]).nums)
-                     for s in range(phi)]
-            while True:
+            m_k = list(make(order, [(k, 1)]).nums)
+            for polys in schedule(order, [[0] * s + m_k for s in range(phi)]):
                 for t in range(max(map(len, polys))):
                     row = [p[t] if t < len(p) else 0 for p in polys]
                     worst = max(worst, (sum(map(abs, row)), row))
-                if all(len(p) <= phi for p in polys):
-                    break
-                polys = [fold(ctx, p) for p in polys]
         bits = 63 - (stage - 1).bit_length()
         top = 2 ** bits - 1
         digits = [[[top if c >= 0 else -top for c in worst[1]],
@@ -582,38 +580,156 @@ def test_conjugation_builds_no_product(monkeypatch):
     pm.product((), 2, True)
 
 
-def fold(ctx, p):
-    """One round x^phi = R of the coefficient list p at the context ctx."""
-    phi = ctx.phi
-    out = p[:phi] + [0] * (len(p) - phi)
-    for i, c in enumerate(p[phi:]):
+def sparse_cut(order):
+    """(h, s) with x^h = s modulo Phi_order: (order/2, -1) for an even
+    order, (order, 1) for an odd one."""
+    return (order // 2, -1) if order % 2 == 0 else (order, 1)
+
+
+def fold(p, cut, low):
+    """One round lo + hi * R of the coefficient list p, lo its coefficients
+    below x^cut, x^cut = R the sum of r * x^j over the (j, r) in low."""
+    out = p[:cut] + [0] * (len(p) - cut)
+    for i, c in enumerate(p[cut:]):
         if c:
-            for j, r in ctx.low:
+            for j, r in low:
                 out[i + j] += c * r
-    while len(out) > phi and not out[-1]:
+    while len(out) > cut and not out[-1]:
         out.pop()
     return out
 
 
-def direct_fold_constants(order):
-    """(folds, stage growth, reduce growth) folding x^0 .. x^(2*phi - 2)
-    modulo Phi_order itself, the computation `_fold_constants` does on the
-    radical."""
+def schedule(order, polys):
+    """The coefficient lists `polys`, of degree at most 2*phi - 2, before
+    and after each round modulo Phi_order itself: the sparse round
+    x^h = s of `sparse_cut` when 2*phi - 2 reaches h, then dense rounds
+    x^phi = R until every list is below x^phi."""
     ctx = _context(order)
-    phi = ctx.phi
-    polys = [[0] * i + [1] for i in range(2 * phi - 1)]
-    growth = [1]
-    while any(len(p) > phi for p in polys):
-        polys = [fold(ctx, p) for p in polys]
-        growth.append(max(sum(map(abs, col))
-                          for col in zip_longest(*polys, fillvalue=0)))
-    return len(growth) - 1, max(growth), growth[-1]
+    h, s = sparse_cut(order)
+    yield polys
+    if 2 * ctx.phi - 2 >= h:
+        polys = [fold(p, h, ((0, s),)) for p in polys]
+        yield polys
+    while any(len(p) > ctx.phi for p in polys):
+        polys = [fold(p, ctx.phi, ctx.low) for p in polys]
+        yield polys
+
+
+def direct_fold_constants(order):
+    """(h, folds, stage growth, reduce growth) of `schedule` on x^0 ..
+    x^(2*phi - 2) modulo Phi_order itself, the computation
+    `_fold_constants` does on the radical."""
+    phi = euler_phi(order)
+    h = sparse_cut(order)[0]
+    if 2 * phi - 2 < h:
+        h = 0
+    growth = [max(sum(map(abs, col))
+                  for col in zip_longest(*polys, fillvalue=0))
+              for polys in schedule(
+                  order, [[0] * i + [1] for i in range(2 * phi - 1)])]
+    return h, len(growth) - 1 - (h > 0), max(growth), growth[-1]
 
 
 def test_fold_constants_on_the_radical():
     orders = [m for m in range(1, 300) if math.prod(_factorize(m)) <= 70]
     for order in orders + [360, 720, 1200]:
         assert _fold_constants(order) == direct_fold_constants(order), order
+
+
+@functools.lru_cache(maxsize=None)
+def worst_signs(order):
+    """The signs of the row of largest l1 norm of the maps of `schedule`
+    on x^0 .. x^(2*phi - 2), over every round: a product with these signs
+    at +-top has a digit of top times the stage growth in some round."""
+    phi = euler_phi(order)
+    worst = (0, ())
+    for polys in schedule(order, [[0] * i + [1] for i in range(2 * phi - 1)]):
+        for row in zip_longest(*polys, fillvalue=0):
+            worst = max(worst, (sum(map(abs, row)), row))
+    assert worst[0] == _fold_constants(order)[2]
+    return tuple(1 if c >= 0 else -1 for c in worst[1])
+
+
+#: orders of the schedule tests: even with a sparse round (24, 44, 76),
+#: odd with one (5, 9, 25), without one (h = 0: 1, 3, 15, 105, 840), and
+#: powers of two, where the sparse round is the whole reduction (h = phi);
+#: 24, 44, 76, 9, 25, 840, 4, 8 and 32 have rad < order
+SCHEDULE_ORDERS = [24, 44, 76, 5, 9, 25, 1, 3, 15, 105, 840, 4, 8, 32]
+
+
+class TestSchedule:
+    """The schedule of `_fold_constants` pinned, and `Packing.reduce` and a
+    slot product against `_FieldContext.reduce` on random digits and on
+    digits at the width bound."""
+
+    @pytest.mark.parametrize("order", [5, 12, 24, 28, 40, 44, 56, 76, 92,
+                                       124, 152])
+    def test_one_sparse_and_one_dense_round(self, order):
+        assert _fold_constants(order) == (sparse_cut(order)[0], 1, 3, 3)
+
+    def test_constants(self):
+        # 1 + 13 rounds at 132, where the dense rounds alone took 20 with
+        # stage growth 2857
+        assert _fold_constants(132) == (66, 13, 117, 7)
+        # h = 0: the dense rounds alone, as before the sparse round
+        assert [_fold_constants(m) for m in (1, 3, 15, 105, 840)] == [
+            (0, 0, 1, 1), (0, 1, 2, 2), (0, 7, 10, 6),
+            (0, 47, 24318800534, 28), (0, 48, 41440061133, 29)]
+        # powers of two: x^phi = -1 is the sparse round, h = phi
+        for order in (4, 8, 16, 32, 64):
+            assert _fold_constants(order) == (order // 2, 0, 2, 2)
+
+    def products(self, order, width):
+        """Unreduced products at `order` (2*phi - 1 digits), with digits of
+        bits = width - 1 - ceil(log2(stage growth)): at +-(2^bits - 1) with
+        the signs of `worst_signs` and their negation, then random."""
+        phi = euler_phi(order)
+        bits = width - 1 - (_fold_constants(order)[2] - 1).bit_length()
+        top = 2 ** bits - 1
+        worst = [top * c for c in worst_signs(order)]
+        rng = random.Random(order * width)
+        return [worst, [-c for c in worst], *(
+            [rng.choice([-top, top, rng.randint(-top, top)])
+             for _ in range(2 * phi - 1)] for _ in range(4))]
+
+    @staticmethod
+    def widths(order):
+        """The widths up to 96 at which a digit keeps at least 8 bits."""
+        stage = _fold_constants(order)[2]
+        return [w for w in (32, 64, 96)
+                if w - 1 - (stage - 1).bit_length() >= 8]
+
+    @pytest.mark.parametrize("order", SCHEDULE_ORDERS)
+    def test_reduce_matches_the_context(self, order):
+        ctx = _context(order)
+        for width in self.widths(order):
+            p = packing(order, width)
+            for digits in self.products(order, width):
+                want = p.pack(ctx.reduce(list(digits)))
+                assert p.reduce(p.pack(digits)) == want, (order, width)
+
+    @pytest.mark.parametrize("order", SCHEDULE_ORDERS)
+    def test_slot_product_matches_the_context(self, order):
+        # the row (1, x^(phi-1)) times the column (L, H) is the product
+        # L + x^(phi-1) H = P, for L the low phi - 1 digits of P and H the
+        # others: one row of two entries, each a product of 2*phi - 1
+        # digits
+        ctx = _context(order)
+        phi = ctx.phi
+        for width in self.widths(order):
+            sp = slot_packing(order, width, 2)
+            p = sp.packing
+            row = (p.pack([1]), p.pack([0] * (phi - 1) + [1]))
+            products = self.products(order, width)
+            for left, right in zip(products, products[1:]):
+                slot_rows = [sp.pack_row([p.pack(d[:phi - 1] + [0])
+                                          for d in (left, right)]),
+                             sp.pack_row([p.pack(d[phi - 1:])
+                                          for d in (left, right)])]
+                want = tuple(p.pack(ctx.reduce(list(d)))
+                             for d in (left, right))
+                assert sp.product([row], slot_rows) == (want,), (
+                    order, width)
 
 
 class TestIntegerRead:
@@ -908,7 +1024,7 @@ class TestSlotProducts:
         b = from_digits(order, rng.int_in(1, 50), [
             [[rng.int_in(-top, top) for _ in range(phi)] for _ in range(rank)]
             for _ in range(rank)], width)
-        stage = _fold_constants(order)[1]
+        stage = _fold_constants(order)[2]
         bits = width - 1 - (b.norm * stage - 1).bit_length()
         extreme = 2 ** bits - 1
         a = from_digits(order, 1, [  # den 1: no common factor divides out

@@ -181,10 +181,37 @@ MUTANTS = [
     (
         # the high digits folded in with their offset still on them
         "modata/packed.py",
-        "& low) - high) * fold",
-        "& low)) * fold",
+        "& top) - high) * fold",
+        "& top)) * fold",
         ["tests/test_packed.py::TestSlotProducts::"
          "test_slot_step_matches_matmul"],
+    ),
+    (
+        # the sparse round at an even order folding x^(M/2) = 1
+        "modata/packed.py",
+        "sign = -1 if order % 2 == 0 else 1",
+        "sign = 1 if order % 2 == 0 else 1",
+        ["tests/test_packed.py::TestSchedule::"
+         "test_reduce_matches_the_context"],
+    ),
+    (
+        # the sparse round leaving the offset of digits phi .. h - 1 on
+        # them, for the dense rounds to fold in
+        "modata/packed.py",
+        "self._start = low + (sign * (self._offset - low) << width * h)",
+        "self._start = low",
+        ["tests/test_packed.py::TestSchedule::"
+         "test_reduce_matches_the_context"],
+    ),
+    (
+        # h = M at an even order: x^M = 1 holds, but no product reaches
+        # x^M, so no sparse round is taken
+        "modata/packed.py",
+        "(rad // 2, -1)",
+        "(rad, -1)",
+        ["tests/test_packed.py::test_fold_constants_on_the_radical",
+         "tests/test_packed.py::TestSchedule::"
+         "test_one_sparse_and_one_dense_round"],
     ),
     (
         # a slot product taken at a bound of exactly the width
