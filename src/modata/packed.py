@@ -166,8 +166,8 @@ class Packing:
     the phi low digits as their mask and R packed as their fold."""
 
     __slots__ = ("order", "phi", "width", "stage_growth", "reduce_growth",
-                 "_shift", "_mask", "_digit", "_half", "_offset", "_start",
-                 "_rounds", "_monomials")
+                 "_mask", "_digit", "_half", "_offset", "_start", "_rounds",
+                 "_monomials")
 
     def __init__(self, order: int, width: int):
         ctx = _context(order)
@@ -176,15 +176,15 @@ class Packing:
         self.width = width
         h, folds, self.stage_growth, self.reduce_growth = \
             _fold_constants(order)
-        self._shift = width * phi
-        self._mask = (1 << self._shift) - 1
+        shift = width * phi
+        self._mask = (1 << shift) - 1
         self._digit = (1 << width) - 1
         self._half = 1 << (width - 1)
         # 2^(B-1) in each of the phi low digits: adding it makes them
         # nonnegative, so they split off by a mask without a borrow
         self._offset = self.pack([self._half] * phi)
         self._start = self._offset
-        rounds = [(self._mask, self._shift,
+        rounds = [(self._mask, shift,
                    self.pack([dict(ctx.low).get(j, 0) for j in range(phi)]))
                   ] * folds
         if h:
