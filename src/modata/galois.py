@@ -43,7 +43,7 @@ from .errors import (
     NotCoprimeError,
     NotDiagonalError,
 )
-from .lambdamat import bezout, lambda_hat
+from .lambdamat import bezout, lambda_hat, phase_g
 from .modrep import (
     Lcg,
     SL2ZMat,
@@ -122,7 +122,7 @@ def parity_decompose(md: ModularData, l: int) -> MonomialSignedPerm:
     entries are equal exactly when their packed ints are."""
     pk = md.packed
     lp = coprime_lift(l, md.conductor_n(), pk.order)
-    pair = pk.s, pk.sigma_s(lp)
+    pair = pk.s, pk.syllable(0, lp)
     width = max(m.packing.width for m in pair)
     s, sig = (m if m.packing.width == width else m.lift(width) for m in pair)
     cols_s = list(zip(*s.rows))
@@ -203,7 +203,8 @@ def kernel_test(md: ModularData, m: SL2ZMat) -> KernelTestResult:
     """D(m) == I, and for d a unit mod n the criterion sigma_d(S) T^b ==
     T^e S and the factorization sigma_d(D(m)) == T^b S^-1 T^-e sigma_d(S),
     with the T powers as scalings (the criterion's two sides are symmetric,
-    so it holds with rows and columns swapped) and sigma_d(S) cached."""
+    so it holds with rows and columns swapped) and sigma_d(S) the cached
+    syllable of k = 0."""
     n = md.conductor_n()
     dm = rep_evaluate_packed(md, m)
     direct = dm.is_identity()
@@ -211,7 +212,7 @@ def kernel_test(md: ModularData, m: SL2ZMat) -> KernelTestResult:
     if math.gcd(m.d, n) == 1:
         pk = md.packed
         lp = coprime_lift(m.d, n, pk.order)
-        sig_s = pk.sigma_s(lp)
+        sig_s = pk.syllable(0, lp)
         criterion = (sig_s.scale(cols=pk.t_power(m.b))
                      == pk.s.scale(rows=pk.t_power(m.e)))
         rhs = pk.s_inv.scale(pk.t_power(m.b), pk.t_power(-m.e)) @ sig_s
@@ -286,8 +287,6 @@ def _entry_modulus(md: ModularData, *args: Fraction) -> int:
     # elements of Q(zeta_{n*den(s)}) (the diagonal powers contribute n*den,
     # the represented word stays inside the conductor field), so the exact
     # field modulus is that times the order of each scalar phase.
-    from .lambdamat import phase_g
-
     n = md.conductor_n()
     modulus = n
     for s in args:

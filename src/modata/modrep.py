@@ -159,8 +159,11 @@ def rep_evaluate(md: ModularData, m: SL2ZMat) -> mx.Matrix:
     - a final t^k: every entry, zeros included, takes the lcm with
       ord t_j^k, but a word that is only t^k has ord t_i^k on the diagonal
       and 1 off it, and the empty word has order 1 everywhere;
-    - -I: the product rule against `md.chat`; the value C A = A C is a row
-      permutation by `conj`, as C is central.
+    - -I: the product rule against C = S^2, the permutation matrix of
+      `conj`, its entry (i, j) at the order `cyclo.dot` gives entry (i, j)
+      of S S: the lcm of the orders of S_ik and S_kj over the k where both
+      are nonzero, 1 if there is none (`_product_orders` of S and S); the
+      value C A = A C is a row permutation by `conj`, as C is central.
     """
     w = syllables(m)
     pm, order, rank = md.packed, md.packed.order, md.rank
@@ -190,8 +193,10 @@ def rep_evaluate(md: ModularData, m: SL2ZMat) -> mx.Matrix:
                   for row, row_orders in zip(acc.rows, orders)]
         acc = acc.scale(cols=pm.t_power(w.last_t))
     if w.central:
-        orders = _product_orders(acc.rows, orders, md.chat,
-                                 [[x.order for x in row] for row in md.chat])
+        s_orders = [[x.order for x in row] for row in md.s]
+        perm = [[j == i for j in range(rank)] for i in md.conj]
+        orders = _product_orders(acc.rows, orders, perm, _product_orders(
+            md.s, s_orders, md.s, s_orders))
         acc = acc.take_rows(md.conj)
     return tuple(
         tuple(CycloNum(order, acc.den, d).coerce(o)
@@ -330,16 +335,10 @@ def lift_to_sl2z(n: int, quad: tuple[int, int, int, int]) -> SL2ZMat:
     a0, b0, e0, d0 = (x % n for x in quad)
     if (a0 * d0 - b0 * e0) % n != 1:
         raise ValueError("determinant is not 1 mod n")
-    found = None
-    for t in range(0, 4 * n + 1):
-        for s in range(0, 4 * n + 1):
-            a, e = a0 + t * n, e0 + s * n
-            if a != 0 and math.gcd(a, e) == 1:
-                found = (a, e)
-                break
-        if found:
-            break
-    if not found:
+    found = next(((a, e) for t in range(4 * n + 1) for s in range(4 * n + 1)
+                  for a, e in [(a0 + t * n, e0 + s * n)]
+                  if a != 0 and math.gcd(a, e) == 1), None)
+    if found is None:
         raise LiftNotFoundError(f"no coprime left column for {quad} mod {n}")
     a, e = found
     g, x, y = _xgcd(a, e)

@@ -15,11 +15,12 @@ Validation runs on S packed as one matrix type (see `modata.packed`),
 with T and the phases as scalings of it.  Over the field of the S
 entries, which comes before any T entry can push the order past
 MODATA_MAX_ORDER, S and S^dagger (sigma_-1(S) transposed) are packed once
-(`packed_s`) and S S^dagger is compared with the identity.  The vacuum
-row is inverted once and packed (`vacuum_inverses`); the eigenvalues
-S[lam][d] / S[0][d] of a label are that packed row scaled by S's packed
-row lam, with no CycloNum product.  The Verlinde sum is symmetric in lam
-and mu, so label lam computes only rows mu >= lam of N_lam = S
+(`packed_s`) and S S^dagger is compared with the identity; when no T
+entry widens that field, this packed S is the model's (`packed`).  The
+vacuum row is inverted once and packed (`vacuum_inverses`); the
+eigenvalues S[lam][d] / S[0][d] of a label are that packed row scaled by
+S's packed row lam, with no CycloNum product.  The Verlinde sum is
+symmetric in lam and mu, so label lam computes only rows mu >= lam of N_lam = S
 diag(S[lam][d] / S[0][d]) S^dagger (`fusion_rows`: rows of S with scaled
 columns times S^dagger, read off the packed ints) and reads the others off
 the tables before it; rows mu >= lam of N_lam S are compared with those
@@ -36,10 +37,10 @@ with the inverse it memoises.  A model file's numbers are read by
 `cyclo.exact_rational` and `cyclo.cyclo_from_obj`, which refuse JSON
 floats and bools.
 
-S^2 stays the one CycloNum product of validation, because its entry
-orders are those the order rule of `rep_evaluate` gives the central -I,
-and so reach the `lambda --json` report (the packed model reads only
-`conj`).
+S^2 is the one CycloNum product of validation: the conjugation `conj`
+is read off it, and it is then dropped.  Neither the packed model nor
+`rep_evaluate` reads it again; the order rule of `rep_evaluate` takes
+the entry orders of S^2 from S itself.
 The scalar character sums (the total index, the statistical phase sum,
 the soliton multiplicity) are `sum(terms, CycloNum.zero())`: each term is
 a product of three or more factors (or a square), which `dot` cannot
@@ -228,7 +229,6 @@ class ModularData:
         self.tau2 = tau2
         self.conj = derived["conj"]
         self.fusion = derived["fusion"]  # fusion[lam][mu][nu] -> int
-        self.chat = derived["chat"]
         self.validation_report = records
         self._packed_s = derived["packed_s"]
         self._t_cache: dict[Fraction, tuple[CycloNum, ...]] = {}
@@ -491,25 +491,17 @@ def _axiom_checks(labels, s, delta, c, c0, tau2):
                "" if uni is None else f"entry {uni}"):
         return records, derived
 
-    chat = mx.mat_mul(s, s)
-    conj = [-1] * rank
-    perm_ok = True
-    for i in range(rank):
-        for j in range(rank):
-            x = chat[i][j]
-            if x == 1:
-                if conj[i] != -1:
-                    perm_ok = False
-                conj[i] = j
-            elif not x.is_zero():
-                perm_ok = False
-    perm_ok = perm_ok and all(j >= 0 for j in conj)
-    perm_ok = perm_ok and all(conj[conj[i]] == i for i in range(rank))
-    if not rec("s_square_is_conjugation", perm_ok):
+    # S^2 is the matrix of an involution conj: row i holds one nonzero
+    # entry, a 1, at column conj[i], and conj[conj[i]] is i (conj[i] is -1
+    # at a row of another form)
+    hits = [[(j, x) for j, x in enumerate(row) if x]
+            for row in mx.mat_mul(s, s)]
+    conj = tuple(h[0][0] if len(h) == 1 and h[0][1] == 1 else -1
+                 for h in hits)
+    if not rec("s_square_is_conjugation",
+               all(j >= 0 and conj[j] == i for i, j in enumerate(conj))):
         return records, derived
-    conj = tuple(conj)
     derived["conj"] = conj
-    derived["chat"] = chat
 
     records.append(first_failure(
         suite, "vacuum_row_real_positive",
@@ -522,7 +514,7 @@ def _axiom_checks(labels, s, delta, c, c0, tau2):
     # S T S == T^-1 S T^-1 over the model's single field, with T the
     # diagonal of exp(2*pi*i*(delta - c0/24)), as scalings of S.
     order = field_order(s, delta, c0)
-    pm = pack(s, order)
+    pm = ps if order == ps.packing.order else pack(s, order)
     weights = t_weights(delta, c0, order)
     t, t_inv = roots(order, weights), roots(order, [-w for w in weights])
     mm = next((pm.scale(cols=t) @ pm).mismatches(pm.scale(t_inv, t_inv)),

@@ -41,6 +41,7 @@ from .cyclo import CycloNum, root, root_of_unity_exp
 from .errors import NonIntegralMultiplicityError, OutOfScopeError
 from .lambdamat import hat_phased, lambda_hat
 from .modular_data import ModularData, is_real_positive
+from .modrep import Lcg
 from .packed import Phased
 from .reporting import CheckRecord, first_failure, notice
 
@@ -52,13 +53,6 @@ class OrbLabel:
     base: int
     twist: int
     charge: int
-
-    def to_obj(self, parent: ModularData) -> dict:
-        return {
-            "base": parent.labels[self.base],
-            "twist": self.twist,
-            "charge": self.charge,
-        }
 
 
 class OrbSlice:
@@ -73,7 +67,6 @@ class OrbSlice:
         self.tau = parent.tau2 if order % 2 == 0 else 0
         self._hat_cache: dict[int, mx.Matrix] = {}
         self._hat_blocks: dict[int, Phased] = {}
-        self._t_roots: dict[int, CycloNum] = {}
 
     def zeta(self, e: int) -> CycloNum:
         """zeta_N^e: the one instance the context of N keeps per e mod N."""
@@ -97,18 +90,15 @@ class OrbSlice:
                 self.parent, Fraction(i, self.n))
         return cached
 
-    def t_root(self, lam: int) -> CycloNum:
-        """T_lam^(1/N) * exp(2*pi*i*(c - c0)(N - 1/N)/24), the part of a
-        twisted-sector T entry that does not depend on twist and charge;
-        built once per label."""
-        value = self._t_roots.get(lam)
-        if value is None:
-            parent, n = self.parent, self.n
-            value = self._t_roots[lam] = root_of_unity_exp(
-                (parent.delta[lam] - parent.c0 / 24) / n
-            ) * root_of_unity_exp(
-                (parent.c - parent.c0) * (n - Fraction(1, n)) / 24)
-        return value
+    @functools.cached_property
+    def t_roots(self) -> tuple[CycloNum, ...]:
+        """T_lam^(1/N) * exp(2*pi*i*(c - c0)(N - 1/N)/24) over the labels
+        lam, the part of a twisted-sector T entry that does not depend on
+        twist and charge: the parent's T^(1/N) entries times one phase."""
+        parent, n = self.parent, self.n
+        phase = root_of_unity_exp(
+            (parent.c - parent.c0) * (n - Fraction(1, n)) / 24)
+        return tuple(t * phase for t in parent.t_entries(Fraction(1, n)))
 
     @functools.cached_property
     def twist_dim(self) -> CycloNum:
@@ -180,7 +170,7 @@ def orb_t_entry(slice_: OrbSlice, a: OrbLabel) -> CycloNum:
     n_cyc = slice_.n
     if math.gcd(a.twist, n_cyc) != 1:
         raise OutOfScopeError(f"twist {a.twist} is not a unit mod {n_cyc}")
-    return slice_.t_root(a.base) * slice_.zeta(a.twist * a.charge)
+    return slice_.t_roots[a.base] * slice_.zeta(a.twist * a.charge)
 
 
 def orb_qdim(slice_: OrbSlice, a: OrbLabel) -> CycloNum:
@@ -403,8 +393,6 @@ def multiplicity_report(md: ModularData, sample_seed: int = 1
     """Integrality of the soliton multiplicities for 2..MAX_FACTORS labels,
     each value checked against the independent fusion-trace oracle; full
     enumeration up to FULL_RANK_BOUND parent rank, seeded sampling beyond."""
-    from .modrep import Lcg
-
     suite = "orbifold"
     rank = md.rank
     records = []

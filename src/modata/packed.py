@@ -42,9 +42,10 @@ rule keeps the left factor's width; a product that would widen is an
 entry product, which remeasures first.
 
 Caches are keyed on exponents and automorphisms, per model content:
-T^k and T^k S under k mod M, sigma_l(S) under l, and sigma_l(T^k S) under
-(l mod M, k mod M).  T = diag(zeta_M^w), so T^(k+M) = T^k entry by entry,
-an identity of roots of unity; a model then holds at most M of each, and
+T^k and T^k S under k mod M, T^0 S being the packed S itself, and
+sigma_l(T^k S) under (l mod M, k mod M), sigma_l(S) being the one of
+k = 0.  T = diag(zeta_M^w), so T^(k+M) = T^k entry by entry, an
+identity of roots of unity; a model then holds at most M of each, and
 at most M sigma_l syllables per unit l used.  sigma_l(D(m)) is the word
 of m in sigma_l syllables, then T^(l*last) and C, so no sigma is taken
 of a product.  No cache is keyed on a group element mod N: that would
@@ -715,10 +716,11 @@ def t_weights(delta, c0, order: int) -> tuple[int, ...]:
 class PackedModel:
     """One model's packed S and S^-1 = C S over Q(zeta_M), C as the
     permutation `conj`, with T^k and T^k S cached under k mod M and
-    sigma_l(S) under l.  `s` is S packed when the model was validated,
-    which proves that C commutes with S and T.  Every cached value depends
-    only on M, S, C and the T weights, so models of equal content share
-    one instance through `packed_model`; one built directly is private."""
+    sigma_l(T^k S) under (l, k); T^0 S is `s`, and sigma_l(S) the syllable
+    of k = 0.  `s` is S packed when the model was validated, which proves
+    that C commutes with S and T.  Every cached value depends only on M,
+    S, C and the T weights, so models of equal content share one instance
+    through `packed_model`; one built directly is private."""
 
     def __init__(self, md, s: PackedMatrix):
         self.rank = md.rank
@@ -727,10 +729,9 @@ class PackedModel:
         self.conj = md.conj
         self.s_inv = s.take_rows(self.conj)
         self.t_weights = t_weights(md.delta, md.c0, self.order)
-        self._syllables: dict[int, PackedMatrix] = {}
+        self._syllables: dict[int, PackedMatrix] = {0: s}
         self._sigma_syllables: dict[tuple[int, int], PackedMatrix] = {}
         self._t_powers: dict[int, Scaling] = {}
-        self._sigma_s: dict[int, PackedMatrix] = {}
 
     def identity(self) -> PackedMatrix:
         return identity(self.order, self.rank)
@@ -745,8 +746,9 @@ class PackedModel:
     def syllable(self, k: int, l: int = 1) -> PackedMatrix:
         """sigma_l(T^k S), l coprime to M.  T^k S is row i of S's digits
         turned by x^(w_i * k), packed at the narrowest width that holds it,
-        kept under k mod M.  For l != 1 mod M it is sigma_l of that,
-        remeasured and kept without its digits under (l mod M, k mod M)."""
+        kept under k mod M; T^0 S is `s`.  For l != 1 mod M it is sigma_l
+        of that, remeasured and kept without its digits under (l mod M,
+        k mod M)."""
         k %= self.order
         l %= self.order
         if l == 1 % self.order:
@@ -757,10 +759,6 @@ class PackedModel:
                                       self.s.digits())]))
         return _cached(self._sigma_syllables, (l, k),
                        lambda: _bare(self.syllable(k).sigma(l).lift()))
-
-    def sigma_s(self, l: int) -> PackedMatrix:
-        """sigma_l(S), remeasured, for l coprime to M."""
-        return _cached(self._sigma_s, l, lambda: self.s.sigma(l).lift())
 
     def product(self, syllables, last_t: int | None, central: bool,
                 l: int = 1) -> PackedMatrix:

@@ -65,7 +65,7 @@ def _cyclonum_galois_identities(md, l):
     g = _cyclonum_parity_decompose(md, l)
     lhat = pow(l % n, -1, n) if n > 1 else 0
     word = mx.mat_mul(
-        mx.mat_mul(md.s, md.chat),
+        mx.mat_mul(md.s, mx.mat_mul(md.s, md.s)),
         mx.scale_rows(md.t_entries(l), mx.mat_mul(
             mx.scale_cols(md.s, md.t_entries(lhat)),
             mx.scale_cols(md.s, md.t_entries(l)))),

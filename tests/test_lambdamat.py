@@ -77,7 +77,7 @@ def reference_identities(md, r) -> list[CheckRecord]:
 
     n = r.denominator
     lhs = reference_lambda(md, Fraction(1, n))
-    s_inv = mx.mat_mul(md.s, md.chat)  # S^2 is the conjugation
+    s_inv = mx.mat_mul(md.s, mx.mat_mul(md.s, md.s))  # S^2 is C
     rhs = mx.scale_cols(
         mx.scale_rows(
             md.t_entries(Fraction(-1, n)),
@@ -481,7 +481,7 @@ class TestPackedSuiteMatchesReference:
                        for k in w.steps]
             factors.append(by_token(md_, t_gen(w.last_t or 0)))
             if w.central:
-                factors.append(md_.chat)
+                factors.append(mx.mat_mul(md_.s, md_.s))
             return functools.reduce(mx.mat_mul, factors)
 
         monkeypatch.setattr(word_oracle, "rep_evaluate_by_token", corrupted)

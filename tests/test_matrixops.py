@@ -100,8 +100,9 @@ def test_cancelling_sum_keeps_its_order():
 def test_one_construction_per_entry(monkeypatch, name, param):
     md = builtin_model(name, param)
     assert md.rank == 5
-    # S has entries at several orders; chat is a permutation with zeros
-    operands = ((md.s, md.s), (md.s, md.chat), (mx.diagonal(md.t_entries(1)), md.s))
+    # S has entries at several orders; S^2 is a permutation with zeros
+    s2 = mx.mat_mul(md.s, md.s)
+    operands = ((md.s, md.s), (md.s, s2), (mx.diagonal(md.t_entries(1)), md.s))
     made = []
     real = CycloNum.__init__
 

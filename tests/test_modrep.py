@@ -121,7 +121,8 @@ class TestRepresentation:
         assert mx.mat_eq(rep_evaluate(su2_1, t_gen(1)), mx.diagonal(su2_1.t_entries(1)))
 
     def test_minus_identity_is_conjugation(self, su2_2):
-        assert mx.mat_eq(rep_evaluate(su2_2, -IDENTITY), su2_2.chat)
+        assert mx.mat_eq(rep_evaluate(su2_2, -IDENTITY),
+                         mx.mat_mul(su2_2.s, su2_2.s))
 
     @pytest.mark.parametrize("level", [1, 2])
     def test_homomorphism_50_pairs(self, level):

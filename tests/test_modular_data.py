@@ -831,6 +831,47 @@ class TestPackedValidation:
         assert built.c0_consistency() == _cyclonum_c0_consistency(built)
 
 
+class TestConjugationCheck:
+    """s_square_is_conjugation on squares of S that are not the matrix of
+    an involution: validation stops there, with no conjugation."""
+
+    def checks(self, labels, s, delta):
+        records, derived = modular_data._axiom_checks(
+            labels, s, delta, Fraction(0), Fraction(0), 0)
+        assert "conj" not in derived
+        return {r.check: r.passed for r in records}
+
+    @pytest.mark.parametrize("square", [
+        [[1, 1], [0, 1]],  # a row with two 1s
+        [[1, 0], [2, 1]],  # a 1 next to another nonzero entry
+        [[2, 1], [1, 0]],  # the same, the 1 last
+        [[-1, 0], [0, 1]],  # one nonzero entry, not 1
+        [[1, 0], [0, 0]],  # a zero row
+    ])
+    def test_square_not_a_permutation(self, monkeypatch, su2_1, square):
+        fake = mx.mat([[CycloNum.rational(x) for x in row] for row in square])
+        monkeypatch.setattr(mx, "mat_mul", lambda a, b: fake)
+        checks = self.checks(su2_1.labels, su2_1.s, su2_1.delta)
+        assert checks["s_unitary"]
+        assert checks["s_square_is_conjugation"] is False
+        assert list(checks)[-1] == "s_square_is_conjugation"
+
+    def test_three_cycle(self):
+        # a unitary S whose square is a permutation, but not an involution
+        one, zero = CycloNum.one(), CycloNum.zero()
+        s = [[one if j == (i + 1) % 3 else zero for j in range(3)]
+             for i in range(3)]
+        square = mx.mat_mul(s, s)
+        assert [[bool(x) for x in row] for row in square] == [
+            [j == (i + 2) % 3 for j in range(3)] for i in range(3)]
+        checks = self.checks("abc", s, [Fraction(0)] * 3)
+        assert checks["s_unitary"] and not checks["s_symmetric"]
+        assert checks["s_square_is_conjugation"] is False
+        assert list(checks)[-1] == "s_square_is_conjugation"
+        with pytest.raises(AxiomViolationError):
+            ModularData("abc", s, [0] * 3, 0, 0)
+
+
 class TestQdimMu:
     def test_vacuum_dimension(self, su2_2, trivial):
         assert su2_2.qdim(0) == 1

@@ -49,6 +49,23 @@ def slice2(su2_1):
     return OrbSlice(su2_1, 2)
 
 
+@pytest.mark.parametrize("spec", ["su2:1", "su2:2", "su2:3",
+                                  "cyclic_odd:5"])
+@pytest.mark.parametrize("n", [2, 3, 5, 15])
+def test_t_roots_match_per_label_formula(spec, n):
+    """The parent's T^(1/N) entries times one phase, against each label's
+    T_lam^(1/N) * exp(2*pi*i*(c - c0)(N - 1/N)/24), orders included."""
+    name, param = spec.split(":")
+    md = builtin_model(name, int(param))
+    sl = OrbSlice(md, n)
+    want = [root_of_unity_exp((md.delta[lam] - md.c0 / 24) / n)
+            * root_of_unity_exp((md.c - md.c0) * (n - Fraction(1, n)) / 24)
+            for lam in range(md.rank)]
+    assert [x.to_obj() for x in sl.t_roots] == [x.to_obj() for x in want]
+    assert sl.t_roots is sl.t_roots
+    assert not hasattr(sl, "_t_roots")
+
+
 class TestSectors:
     def test_order_bound(self, su2_1):
         with pytest.raises(ValueError):

@@ -36,6 +36,7 @@ from modata.modrep import (
     IDENTITY,
     Lcg,
     S_GEN,
+    _product_orders,
     lift_to_sl2z,
     random_word_matrix,
     rep_evaluate,
@@ -45,7 +46,8 @@ from modata.modrep import (
     t_gen,
     tau_l,
 )
-from modata.modular_data import builtin_model, loads
+from modata import modular_data
+from modata.modular_data import ModularData, builtin_model, loads
 from modata.packed import (
     MODEL_TABLE_SIZE,
     SLOT_BITS,
@@ -60,6 +62,7 @@ from modata.packed import (
     _entry_product,
     _product_matrix,
     _fold_constants,
+    field_order,
     from_digits,
     integers,
     pack,
@@ -236,7 +239,8 @@ def test_kernel_criterion_matches_cyclonum(name, param, doubled):
 
 def test_word_caches_keyed_mod_field_order():
     # T = diag(zeta_M^w), so T^k and T^k S are kept under k mod M: k and
-    # k + M share one entry, k and k + 1 do not
+    # k + M share one entry, k and k + 1 do not; T^0 S is S, which takes
+    # no T power
     md = builtin_model("su2", 1)
     pm = md.packed
     m = pm.order
@@ -245,7 +249,7 @@ def test_word_caches_keyed_mod_field_order():
         rep_evaluate_packed(md, t_gen(k))
     rep_evaluate_packed(md, S_GEN)
     assert sorted(pm._syllables) == [0, 1, m - 1]
-    assert sorted(pm._t_powers) == [0, 1, m - 1]
+    assert sorted(pm._t_powers) == [1, m - 1]
     for k in (1, -1, 5):
         assert pm.syllable(k + m) is pm.syllable(k)
         assert pm.t_power(k + m) is pm.t_power(k)
@@ -545,7 +549,7 @@ def test_conjugation_as_row_permutation(spec):
     name, param = spec.split(":")
     md = builtin_model(name, int(param))
     pm = md.packed
-    chat = pack(md.chat, pm.order)
+    chat = pack(mx.mat_mul(md.s, md.s), pm.order)
     assert pm.s_inv == (pm.s @ chat).lift()
     assert pm.product((), None, True) == chat
     rng = Lcg(int(param))
@@ -560,6 +564,79 @@ def test_conjugation_as_row_permutation(spec):
             assert got == (want @ chat if w.central else want), word
             centrals.add(w.central)
     assert centrals == {True, False}
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_square_orders_are_product_orders(spec):
+    """The -I rule of `rep_evaluate` takes the entry orders of S^2 off S
+    (`_product_orders` of S and S): those of the CycloNum S^2, zeros
+    included, on the builtin S, its file round trip and a file storing
+    every entry at twice the order."""
+    name, param = spec.split(":")
+    md = builtin_model(name, int(param))
+    for model in (md, loads(md.dumps()), doubled_order(md)):
+        s = model.s
+        orders = [[x.order for x in row] for row in s]
+        assert _product_orders(s, orders, s, orders) == [
+            [x.order for x in row] for row in mx.mat_mul(s, s)], model
+
+
+@pytest.mark.parametrize("spec", [*(f"su2:{k}" for k in range(1, 7)),
+                                  *(f"cyclic_odd:{n}" for n in (3, 5, 7, 9))])
+def test_sigma_s_is_the_syllable_of_k_zero(spec):
+    """T^0 S is the packed S itself, and sigma_l(S) the sigma_l syllable of
+    k = 0, at every unit l mod M, against the CycloNum sigma_l(S)."""
+    name, param = spec.split(":")
+    md = builtin_model(name, int(param))
+    pm = md.packed
+    assert pm.syllable(0) is pm.s
+    order = pm.order
+    for l in range(1, order):
+        if math.gcd(l, order) == 1:
+            got = pm.syllable(0, l)
+            assert got == pm.s.sigma(l), l
+            assert got == pack(galois.sigma_matrix(l, md.s, order), order), l
+
+
+def test_one_copy_of_each_model_matrix(monkeypatch):
+    """Validation squares S once, as a CycloNum product, and keeps no S^2;
+    the packed model keeps no second sigma_l(S) cache."""
+    calls = []
+    real = mx.mat_mul
+
+    def mat_mul(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(mx, "mat_mul", mat_mul)
+    md = builtin_model("su2", 3)
+    assert len(calls) == 1 and calls[0][0] is calls[0][1] == md.s
+    assert not hasattr(md, "chat")
+    pm = md.packed
+    assert not hasattr(pm, "sigma_s") and not hasattr(pm, "_sigma_s")
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_s_packed_once_per_field(monkeypatch, spec):
+    """Validation packs S over the field of its entries, and again only
+    when the T entries widen that field; the model's packed S is the
+    packing over the model's field."""
+    name, param = spec.split(":")
+    md = builtin_model(name, int(param))
+    ranks = []
+    real = modular_data.pack
+
+    def pack_(matrix, order):
+        ranks.append(len(matrix))
+        return real(matrix, order)
+
+    monkeypatch.setattr(modular_data, "pack", pack_)
+    again = ModularData(md.labels, md.s, md.delta, md.c, md.c0)
+    s_order = math.lcm(*(x.order for row in md.s for x in row))
+    field = field_order(md.s, md.delta, md.c0)
+    assert ranks.count(md.rank) == (1 if field == s_order else 2)
+    assert again.packed.order == field
+    assert again.packed.s == pack(md.s, field)
 
 
 def test_conjugation_builds_no_product(monkeypatch):
@@ -917,11 +994,13 @@ def test_t_powers_and_sigma_s_cached_per_model(monkeypatch):
     for model in (md, again):
         for m in units:
             galois.kernel_test(model, m)
-    # one sigma_l(S) per Galois index over both builds, one sigma_l(D(m))
-    # per sample
-    lifts = {galois.coprime_lift(m.d, n, pm.order) for m in units}
-    assert len(calls) == len(lifts) + 2 * len(units)
-    assert pm.sigma_s(next(iter(lifts))) == pm.s.sigma(next(iter(lifts)))
+    # one sigma_l(S) per Galois index l != 1 mod M over both builds (the
+    # syllable of k = 0; sigma_1(S) is S), one sigma_l(D(m)) per sample
+    lifts = {galois.coprime_lift(m.d, n, pm.order) % pm.order for m in units}
+    assert 1 in lifts and len(lifts) > 1
+    assert len(calls) == len(lifts - {1}) + 2 * len(units)
+    for l in lifts:
+        assert pm.syllable(0, l) == pm.s.sigma(l)
 
 
 class TestSharedModels:
@@ -939,16 +1018,18 @@ class TestSharedModels:
         def counting(cache, key, build):
             if key not in cache:  # the method whose cache missed
                 builds[build.__qualname__.split(".")[-3]] += 1
+                # sigma_l(S), the sigma_l syllable of k = 0
+                builds["sigma_l(S)"] += isinstance(key, tuple) and key[1] == 0
             return real(cache, key, build)
 
         monkeypatch.setattr(packed_module, "_cached", counting)
         argv = ["galois", "--model", "su2:2", "--l", "3,5,7,9",
                 "--samples", "10", "--json"]
         assert cli.main(argv) == 0
-        assert builds["syllable"] > 0 and builds["sigma_s"] > 0
+        assert builds["syllable"] > 0 and builds["sigma_l(S)"] > 0
         builds.clear()
         assert cli.main(argv) == 0
-        assert builds["syllable"] == builds["sigma_s"] == 0
+        assert builds["syllable"] == builds["sigma_l(S)"] == 0
 
     def test_c0_shift_gets_its_own_packed_model(self):
         # S, its field and C agree; only the T weights tell them apart

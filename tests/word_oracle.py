@@ -79,7 +79,7 @@ def token_syllables(m) -> Syllables:
 
 def rep_evaluate_by_token(md, m) -> mx.Matrix:
     """D(m) as CycloNum matrices, one token at a time; -I is a product by
-    the CycloNum S^2 `md.chat`."""
+    the CycloNum S^2."""
     tokens, sign = token_walk(m)
     acc = None
     for kind, k in tokens:
@@ -95,7 +95,7 @@ def rep_evaluate_by_token(md, m) -> mx.Matrix:
     if acc is None:
         acc = mx.identity(md.rank)
     if sign < 0:
-        acc = mx.mat_mul(acc, md.chat)
+        acc = mx.mat_mul(acc, mx.mat_mul(md.s, md.s))
     return acc
 
 

@@ -125,10 +125,26 @@ MUTANTS = [
     (
         # -I permutes the values but leaves the orders of S^2 out
         "modata/modrep.py",
-        "[[x.order for x in row] for row in md.chat]",
-        "[[1] * rank for _ in md.chat]",
+        "[[x.order for x in row] for row in md.s]",
+        "[[1] * rank for _ in md.s]",
         ["tests/test_modrep.py::TestSyllableCache::"
          "test_matches_token_by_token"],
+    ),
+    (
+        # -I's orders taken against the identity in place of C
+        "modata/modrep.py",
+        "perm = [[j == i for j in range(rank)] for i in md.conj]",
+        "perm = [[j == i for j in range(rank)] for i in range(rank)]",
+        ["tests/test_modrep.py::TestSyllableCache::"
+         "test_matches_token_by_token"],
+    ),
+    (
+        # S^2 a permutation that is not an involution accepted as C
+        "modata/modular_data.py",
+        "all(j >= 0 and conj[j] == i for i, j in enumerate(conj))",
+        "all(j >= 0 for i, j in enumerate(conj))",
+        ["tests/test_modular_data.py::TestConjugationCheck::"
+         "test_three_cycle"],
     ),
     (
         # a tie a/e = q + 1/2 rounds up: another word for the same matrix
